@@ -80,11 +80,6 @@ _TABLES: Dict[int, Tuple[Tuple[Tuple[int, int], ...], ...]] = {
 }
 
 
-def basis_product(tag: Tag, i: int, j: int) -> Tuple[int, int]:
-    """(sign, k) with e_i e_j = sign e_k in the fixed table."""
-    return _TABLES[tag.dim][i][j]
-
-
 @dataclass(frozen=True)
 class DivisionElement:
     """An element of R, C, H or O with exact rational coordinates."""

@@ -8,17 +8,16 @@ here by exact elimination; floating point enters only through
 eigendecomposition for the one computation where square roots are
 unavoidable.
 
-Two elimination paths exist:
-
-* a plain Fraction Gauss-Jordan with largest-magnitude pivoting, used
-  for small systems and as the fallback of record;
-* an integer path for big kernel computations: reduce modulo one or
-  more word-size primes, read the candidate nullspace off the modular
-  echelon form, lift it back to rationals by CRT plus rational
-  reconstruction, and certify the candidate by exact substitution into
-  every original row.  If certification fails the exact path runs
-  instead, so the modular route can never change a result, only speed
-  it up.
+Every exact answer (rank, solve, inverse, nullspace) is read off one
+fraction-free integer echelon form of the denominator-cleared rows;
+`solve` and `inverse` reduce the augmented matrices [m | rhs] and
+[m | I].  Kernels of big systems first try a modular prefilter: reduce
+modulo word-size primes, read the candidate nullspace off the modular
+echelon form, lift it back to rationals by CRT plus rational
+reconstruction, and certify the candidate by exact substitution into
+every original row.  If certification fails the exact path runs
+instead, so the modular route can never change a result, only speed it
+up.
 """
 
 from __future__ import annotations
@@ -100,14 +99,6 @@ class Matrix:
     @classmethod
     def column(cls, vec: Sequence) -> "Matrix":
         return cls.from_rows([[v] for v in vec])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [list(c) for c in columns]
-        if not cols:
-            return cls(0, 0, ())
-        return cls.from_rows([[cols[j][i] for j in range(len(cols))]
-                              for i in range(len(cols[0]))])
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -209,55 +200,13 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(sum(a * b for a, b in zip(r, v) if a) for r in m.data)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
-# Fraction elimination (small systems, and the path of record)
+# Exact answers from the integer echelon form
 # ---------------------------------------------------------------------------
-
-def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form with largest-magnitude pivot selection.
-
-    Returns (R, pivot_columns).
-    """
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    pivots: List[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        best, best_abs = -1, Fraction(0)
-        for i in range(r, nr):
-            v = a[i][c]
-            av = -v if v < 0 else v
-            if av > best_abs:
-                best, best_abs = i, av
-        if best < 0:
-            continue
-        a[r], a[best] = a[best], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix.from_rows(a), pivots
-
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.rows * m.cols > 40000:
-        rows, _ = _int_rows(m)
-        piv, _ = _int_rref(rows)
-        return len(piv)
-    return len(rref(m)[1])
+    return len(_int_rref(_int_rows(m))[0])
 
 
 def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
@@ -271,22 +220,21 @@ def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
         return []
     if m.rows == 0:
         return [_unit_vector(m.cols, j) for j in range(m.cols)]
-    int_rows, _ = _int_rows(m)
-    basis = nullspace_int_rows(int_rows, m.cols)
+    basis = nullspace_int_rows(_int_rows(m), m.cols)
     return [tuple(v) for v in basis]
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """One solution of m x = rhs, or None when inconsistent."""
+    """One solution of m x = rhs (free variables zero), or None when inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     aug = Matrix.from_rows([list(r) + [b] for r, b in zip(m.data, rhs)])
-    red, pivots = rref(aug)
+    pivots, prows = _int_rref(_int_rows(aug))
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.data[r][m.cols]
+    for c, p in zip(pivots, prows):
+        x[c] = Fraction(p[m.cols], p[c])
     return tuple(x)
 
 
@@ -296,10 +244,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     aug = Matrix.from_rows([list(m.data[i]) + [1 if j == i else 0 for j in range(n)]
                             for i in range(n)])
-    red, pivots = rref(aug)
+    pivots, prows = _int_rref(_int_rows(aug))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows([list(red.data[i][n:]) for i in range(n)])
+    return Matrix(n, n, tuple(tuple(Fraction(x, p[i]) for x in p[n:])
+                              for i, p in enumerate(prows)))
 
 
 def det(m: Matrix) -> Fraction:
@@ -343,17 +292,13 @@ def _unit_vector(n: int, j: int) -> Tuple[Fraction, ...]:
 # Integer kernel with modular prefilter
 # ---------------------------------------------------------------------------
 
-def _int_rows(m: Matrix) -> Tuple[List[List[int]], List[Fraction]]:
-    """Clear denominators row by row; returns integer rows + the scalings."""
-    out, scales = [], []
+def _int_rows(m: Matrix) -> List[List[int]]:
+    """Clear denominators row by row (each row times the lcm of its denominators)."""
+    out = []
     for r in m.data:
-        lcm = 1
-        for x in r:
-            if x:
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in r))
         out.append([int(x * lcm) for x in r])
-        scales.append(Fraction(lcm))
-    return out, scales
+    return out
 
 
 def _row_primitive(row: List[int]) -> List[int]:
@@ -430,14 +375,9 @@ def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
 
 def _primitive_fraction_vector(v: Sequence[Fraction]) -> List[Fraction]:
     """Scale a rational vector to coprime integers (sign of first nonzero +)."""
-    lcm = 1
-    for x in v:
-        if x:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in v))
     ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), 0)
@@ -475,23 +415,9 @@ def _mod_rref(rows_np: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> Tuple[int, int]:
-    g, s, _ = _ext_gcd(m1, m2)
-    assert g == 1
     m = m1 * m2
-    x = (r1 + (r2 - r1) * s % m2 * m1) % m
+    x = (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m
     return x, m
-
-
-def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -541,7 +467,8 @@ def nullspace_int_rows(rows: List[List[int]], ncols: int,
     pivots, prows = _int_rref(rows)
     basis = _nullspace_from_rref(pivots, prows, ncols)
     basis = [_primitive_fraction_vector(v) for v in basis]
-    assert _verify_kernel(rows, basis)
+    if not _verify_kernel(rows, basis):
+        raise ArithmeticError("exact kernel failed certification by substitution")
     return basis
 
 
@@ -651,9 +578,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
         cs.pop()
     if not cs:
         return None
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in cs))
     ics = [int(c * lcm) for c in cs]
     roots: List[Fraction] = []
     # strip zero roots
@@ -714,9 +639,8 @@ def sym_eigen(m: Matrix, precision: int = DEFAULT_PRECISION
               ) -> Tuple[List[mpmath.mpf], List[List[mpmath.mpf]]]:
     """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
-    Computed at `precision` bits (>= 64); each pair is verified to satisfy
-    ``|m v - lambda v| <= 2**(-precision/2)`` and the vectors to be
-    orthonormal to the same tolerance.  Vectors are returned as rows.
+    Computed at `precision` bits (>= 64) and verified by `verified_eigsy`.
+    Vectors are returned as rows.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
@@ -724,20 +648,32 @@ def sym_eigen(m: Matrix, precision: int = DEFAULT_PRECISION
         raise ValueError("sym_eigen requires a symmetric matrix")
     n = m.rows
     with mpmath.workprec(precision + 32):
-        a = _to_mp(m)
-        evals, q = mpmath.eigsy(a)
-        tol = mpmath.mpf(2) ** (-(precision // 2))
-        for j in range(n):
-            v = [q[i, j] for i in range(n)]
-            res = [sum(a[i, k] * v[k] for k in range(n)) - evals[j] * v[i]
-                   for i in range(n)]
-            if max((abs(x) for x in res), default=mpmath.mpf(0)) > tol:
-                raise ArithmeticError("eigenpair residual exceeds tolerance")
-        for j in range(n):
-            for k in range(j, n):
-                g = sum(q[i, j] * q[i, k] for i in range(n))
-                target = 1 if j == k else 0
-                if abs(g - target) > tol:
-                    raise ArithmeticError("eigenvectors not orthonormal within tolerance")
+        evals, q = verified_eigsy(_to_mp(m), precision)
         return ([+e for e in evals],
                 [[+q[i, j] for i in range(n)] for j in range(n)])
+
+
+def verified_eigsy(a: mpmath.matrix, precision: int
+                   ) -> Tuple[mpmath.matrix, mpmath.matrix]:
+    """Symmetric eigendecomposition at the working precision, checked.
+
+    Each pair must satisfy ``|a v - lambda v| <= 2**(-precision/2)`` and
+    the eigenvector columns must be orthonormal to the same tolerance;
+    otherwise ArithmeticError is raised.
+    """
+    n = a.rows
+    evals, q = mpmath.eigsy(a)
+    tol = mpmath.mpf(2) ** (-(precision // 2))
+    for j in range(n):
+        v = [q[i, j] for i in range(n)]
+        res = [sum(a[i, k] * v[k] for k in range(n)) - evals[j] * v[i]
+               for i in range(n)]
+        if max((abs(x) for x in res), default=mpmath.mpf(0)) > tol:
+            raise ArithmeticError("eigenpair residual exceeds tolerance")
+    for j in range(n):
+        for k in range(j, n):
+            g = sum(q[i, j] * q[i, k] for i in range(n))
+            target = 1 if j == k else 0
+            if abs(g - target) > tol:
+                raise ArithmeticError("eigenvectors not orthonormal within tolerance")
+    return evals, q

@@ -48,6 +48,7 @@ from .exactlin import (
     rational_roots,
     rational_sqrt,
     sym_eigen,
+    verified_eigsy,
 )
 from .nilalg import TwoStepAlgebra
 
@@ -418,30 +419,11 @@ def dilation(alg: TwoStepAlgebra, t) -> GradedMap:
                      Matrix.identity(alg.dim_z).scale(t * t))
 
 
-def bracket_of_columns(alg: TwoStepAlgebra, x: Sequence[Fraction],
-                       y: Sequence[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * alg.dim_z
-    for (i, j), vec in alg.brackets:
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            for t, s in enumerate(vec):
-                if s:
-                    out[t] += c * s
-    return out
-
-
 def is_graded_automorphism(alg: TwoStepAlgebra, gm: GradedMap) -> bool:
     """Exact bracket equivariance on all basis pairs, plus invertibility."""
     if rank(gm.map_v) != alg.dim_v or (alg.dim_z and rank(gm.map_z) != alg.dim_z):
         return False
-    cols_v = [gm.map_v.col(i) for i in range(alg.dim_v)]
-    for i in range(alg.dim_v):
-        for j in range(i + 1, alg.dim_v):
-            got = bracket_of_columns(alg, cols_v[i], cols_v[j])
-            want = mat_vec(gm.map_z, alg.bracket_basis(i, j))
-            if tuple(got) != tuple(want):
-                return False
-    return True
+    return _first_bracket_violation(alg, gm) is None
 
 
 def is_isometry(ms: MetricStructure, gm: GradedMap) -> bool:
@@ -710,8 +692,8 @@ def _check_theta(ms: MetricStructure, b1, b2, theta: GradedMap) -> None:
         raise ValueError("theta is not isometric on Z")
     for i in range(len(b1)):
         for j in range(i + 1, len(b1)):
-            want = mat_vec(theta.map_z, bracket_of_columns(alg, b1[i], b1[j]))
-            got = bracket_of_columns(alg, imgs[i], imgs[j])
+            want = mat_vec(theta.map_z, alg.bracket_coords(b1[i], b1[j]))
+            got = alg.bracket_coords(imgs[i], imgs[j])
             if tuple(want) != tuple(got):
                 raise ValueError("theta is not a homomorphism of the subalgebras")
 
@@ -756,7 +738,7 @@ def _first_bracket_violation(alg: TwoStepAlgebra, gm: GradedMap
     cols = [gm.map_v.col(i) for i in range(alg.dim_v)]
     for i in range(alg.dim_v):
         for j in range(i + 1, alg.dim_v):
-            got = bracket_of_columns(alg, cols[i], cols[j])
+            got = alg.bracket_coords(cols[i], cols[j])
             want = mat_vec(gm.map_z, alg.bracket_basis(i, j))
             if tuple(got) != tuple(want):
                 return (i, j)
@@ -859,7 +841,7 @@ def _exact_report(alg, ms1, ms2, pv: Matrix, pz: Matrix, precision: int):
     cols = [pv.col(i) for i in range(alg.dim_v)]
     for i in range(alg.dim_v):
         for j in range(i + 1, alg.dim_v):
-            got = bracket_of_columns(alg, cols[i], cols[j])
+            got = alg.bracket_coords(cols[i], cols[j])
             want = mat_vec(pz, alg.bracket_basis(i, j))
             res_auto = max(res_auto, max((abs(a - b) for a, b in zip(got, want)),
                                          default=Fraction(0)))
@@ -885,7 +867,7 @@ def _float_report(alg, ms1, ms2, precision: int):
         res_auto = mpmath.mpf(0)
         for i in range(nv):
             for j in range(i + 1, nv):
-                got = _mp_bracket(alg, cols[i], cols[j])
+                got = alg.bracket_coords(cols[i], cols[j])
                 cb = alg.bracket_basis(i, j)
                 want = [sum(pz[t][s] * _mpf(cb[s]) for s in range(nz)) for t in range(nz)]
                 for a, b in zip(got, want):
@@ -940,24 +922,13 @@ def _mp_sqrt_sym(a, precision: int):
     for i in range(n):
         for j in range(n):
             mat[i, j] = a[i][j]
-    evals, q = mpmath.eigsy(mat)
+    evals, q = verified_eigsy(mat, precision)
     out = [[mpmath.mpf(0)] * n for _ in range(n)]
     for k in range(n):
         r = mpmath.sqrt(evals[k])
         for i in range(n):
             for j in range(n):
                 out[i][j] += r * q[i, k] * q[j, k]
-    return out
-
-
-def _mp_bracket(alg: TwoStepAlgebra, x, y):
-    out = [mpmath.mpf(0)] * alg.dim_z
-    for (i, j), vec in alg.brackets:
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            for t, s in enumerate(vec):
-                if s:
-                    out[t] += c * _mpf(s)
     return out
 
 

@@ -51,12 +51,11 @@ class TwoStepAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] in Z coordinates, for any i, j below dimV."""
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim_z))
-        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-        for k, vec in self.brackets:
-            if k == key:
-                return vec if sign > 0 else tuple(-c for c in vec)
+        table = self._bracket_lookup()
+        if i < j and (i, j) in table:
+            return table[(i, j)]
+        if j < i and (j, i) in table:
+            return tuple(-c for c in table[(j, i)])
         return tuple(Fraction(0) for _ in range(self.dim_z))
 
     def _bracket_lookup(self) -> Dict[Tuple[int, int], Tuple[Fraction, ...]]:
@@ -64,20 +63,28 @@ class TwoStepAlgebra:
             object.__setattr__(self, "_lookup", dict(self.brackets))
         return getattr(self, "_lookup")
 
-    def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        """Lie bracket; the result always lies in the Z layer."""
-        self._expect(x)
-        self._expect(y)
-        out = [Fraction(0)] * self.dim_z
-        table = self._bracket_lookup()
-        xv, yv = x.v_part, y.v_part
-        for (i, j), vec in table.items():
-            c = xv[i] * yv[j] - xv[j] * yv[i]
+    def bracket_coords(self, x: Sequence, y: Sequence) -> List:
+        """Z coordinates of [x, y] for V coordinate vectors x, y.
+
+        Works for any scalar type that multiplies with Fractions (Fraction,
+        int, mpf); coordinates no bracket reaches stay the int 0.
+        """
+        out = [0] * self.dim_z
+        for (i, j), vec in self._bracket_lookup().items():
+            c = x[i] * y[j] - x[j] * y[i]
             if c:
                 for t, s in enumerate(vec):
                     if s:
                         out[t] += c * s
-        return AlgebraElement(tuple(Fraction(0) for _ in range(self.dim_v)), tuple(out))
+        return out
+
+    def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
+        """Lie bracket; the result always lies in the Z layer."""
+        self._expect(x)
+        self._expect(y)
+        out = self.bracket_coords(x.v_part, y.v_part)
+        return AlgebraElement(tuple(Fraction(0) for _ in range(self.dim_v)),
+                              tuple(Fraction(c) for c in out))
 
     def ad_matrix(self, v_coords: Sequence[Fraction]) -> Matrix:
         """Matrix of y in V -> [x, y] in Z for x with the given V part."""

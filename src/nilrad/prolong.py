@@ -192,9 +192,7 @@ def _add(row: Dict[int, Fraction], col: int, val: Fraction) -> None:
 def _clear_denominators(rows: List[Dict[int, Fraction]], width: int) -> List[List[int]]:
     out = []
     for row in rows:
-        lcm = 1
-        for v in row.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        lcm = math.lcm(*(v.denominator for v in row.values()))
         dense = [0] * width
         for c, v in row.items():
             dense[c] = int(v * lcm)
@@ -209,12 +207,6 @@ def g0(alg: TwoStepAlgebra, **guard) -> ProlongationLayer:
     return compute_layer(alg, 0, [], **guard)
 
 
-def g_k(alg: TwoStepAlgebra, k: int, previous: Sequence[ProlongationLayer],
-        **guard) -> ProlongationLayer:
-    """Degree-k layer from the previously computed g_0 .. g_{k-1}."""
-    return compute_layer(alg, k, previous, **guard)
-
-
 def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
                  k: int) -> bool:
     """Re-verify the Leibniz identity for every basis element of g_k.
@@ -225,56 +217,44 @@ def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
     """
     layer = layers[k]
     nv, nz = alg.dim_v, alg.dim_z
-    d2 = layer.dim_prev2
+    d1, d2 = layer.dim_prev1, layer.dim_prev2
+    d3 = _layer_dim(alg, layers, k - 3)
+    d4 = _layer_dim(alg, layers, k - 4)
+    av1, az1 = _action_matrices(alg, layers, k - 1)
+    av2, az2 = _action_matrices(alg, layers, k - 2)
 
-    def act_v(coords: Sequence[Fraction], j: int, i: int) -> List[Fraction]:
-        av, _ = _action_matrices(alg, layers, j)
-        if av is None:
-            return []
-        return [sum((coords[b] * av[i][t][b] for b in range(len(coords))), Fraction(0))
-                for t in range(len(av[i]))]
-
-    def act_z(coords: Sequence[Fraction], j: int, a: int) -> List[Fraction]:
-        _, az = _action_matrices(alg, layers, j)
-        if az is None:
-            return []
-        return [sum((coords[b] * az[a][t][b] for b in range(len(coords))), Fraction(0))
-                for t in range(len(az[a]))]
+    def act(action, direction: int, coords: Sequence[Fraction],
+            width: int) -> List[Fraction]:
+        """Bracket of a layer element (coords) with one negative basis direction."""
+        if action is None:
+            return [Fraction(0)] * width
+        return [sum((c * x for c, x in zip(coords, row)), Fraction(0))
+                for row in action[direction]]
 
     for (m1, m2) in layer.basis:
+        u_x = [[m1[t, i] for t in range(d1)] for i in range(nv)]
+        u_z = [[m2[t, a] for t in range(d2)] for a in range(nz)]
         for i in range(nv):
             for j in range(i + 1, nv):
                 cij = alg.bracket_basis(i, j)
                 lhs = [sum((m2[t, a] * cij[a] for a in range(nz)), Fraction(0))
                        for t in range(d2)]
-                u_xi = [m1[t, i] for t in range(layer.dim_prev1)]
-                u_xj = [m1[t, j] for t in range(layer.dim_prev1)]
-                rhs1 = act_v(u_xi, k - 1, j)
-                rhs2 = act_v(u_xj, k - 1, i)
-                if not rhs1:
-                    rhs1 = [Fraction(0)] * d2
-                if not rhs2:
-                    rhs2 = [Fraction(0)] * d2
+                rhs1 = act(av1, j, u_x[i], d2)
+                rhs2 = act(av1, i, u_x[j], d2)
                 if any(l - (r1 - r2) for l, r1, r2 in zip(lhs, rhs1, rhs2)):
                     return False
-        d3 = _layer_dim(alg, layers, k - 3)
         if d3:
             for i in range(nv):
                 for a in range(nz):
-                    u_xi = [m1[t, i] for t in range(layer.dim_prev1)]
-                    u_za = [m2[t, a] for t in range(layer.dim_prev2)]
-                    lhs = act_z(u_xi, k - 1, a) or [Fraction(0)] * d3
-                    rhs = act_v(u_za, k - 2, i) or [Fraction(0)] * d3
+                    lhs = act(az1, a, u_x[i], d3)
+                    rhs = act(av2, i, u_z[a], d3)
                     if any(l - r for l, r in zip(lhs, rhs)):
                         return False
-        d4 = _layer_dim(alg, layers, k - 4)
         if d4:
             for a in range(nz):
                 for b in range(a + 1, nz):
-                    u_za = [m2[t, a] for t in range(layer.dim_prev2)]
-                    u_zb = [m2[t, b] for t in range(layer.dim_prev2)]
-                    lhs = act_z(u_za, k - 2, b) or [Fraction(0)] * d4
-                    rhs = act_z(u_zb, k - 2, a) or [Fraction(0)] * d4
+                    lhs = act(az2, b, u_z[a], d4)
+                    rhs = act(az2, a, u_z[b], d4)
                     if any(l - r for l, r in zip(lhs, rhs)):
                         return False
     return True
@@ -288,7 +268,7 @@ def prolong(alg: TwoStepAlgebra, max_degree: int, stop_when_zero: bool = True,
     The verdict is trivial_at_degree_1 when g_1 = 0, nontrivial_finite
     (with the last nonzero degree) when a later layer vanishes, and
     nontrivial_up_to_cutoff otherwise.  Once a layer vanishes all later
-    ones do (transitivity over a fundamental base), which is asserted
+    ones do (transitivity over a fundamental base), which is checked
     when they are requested with stop_when_zero=False.
     """
     if max_degree < 1:
@@ -298,8 +278,8 @@ def prolong(alg: TwoStepAlgebra, max_degree: int, stop_when_zero: bool = True,
     zero_seen = False
     for k in range(1, max_degree + 1):
         layer = compute_layer(alg, k, layers, **guard)
-        if zero_seen:
-            assert layer.dim == 0, "prolongation transitivity violated"
+        if zero_seen and layer.dim:
+            raise ArithmeticError(f"prolongation transitivity violated at degree {k}")
         layers.append(layer)
         if layer.dim == 0:
             zero_seen = True

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from importlib import resources
 
 from .division import Tag
-from .exactlin import Matrix, solve
 from .htype import HTypeFamilyId
 
 Coords = Tuple[Fraction, ...]
@@ -123,11 +123,12 @@ class RootSystem:
     def label(self) -> str:
         return self.type_tag if self.type_tag[-1].isdigit() else f"{self.type_tag}{self.rank}"
 
+    @cached_property
+    def _index(self) -> Dict[Coords, int]:
+        return {r: i for i, r in enumerate(self.roots)}
+
     def is_root(self, coords: Coords) -> Optional[int]:
-        try:
-            return self.roots.index(coords)
-        except ValueError:
-            return None
+        return self._index.get(coords)
 
     def length_sq(self, idx: int) -> Fraction:
         r = self.roots[idx]
@@ -135,50 +136,50 @@ class RootSystem:
 
 
 def build(type_tag: str, rank: int) -> RootSystem:
-    """Construct a root system by reflection closure of the simple roots."""
+    """Construct a root system by reflection closure of the simple roots.
+
+    Each root's simple-root expansion is carried along the closure:
+    s_i(beta) = beta - c alpha_i with the integer Cartan number c.
+    """
     type_tag = type_tag.upper()
     if type_tag not in _VALID_TYPES:
         raise ValueError(f"unknown root system type {type_tag!r}")
     simples = _simple_roots(type_tag, rank)
-    roots: Set[Coords] = set(simples)
+    expansion: Dict[Coords, Tuple[int, ...]] = {
+        a: tuple(1 if k == i else 0 for k in range(rank)) for i, a in enumerate(simples)}
     frontier = list(simples)
     norms = [_dot(a, a) for a in simples]
     while frontier:
         beta = frontier.pop()
-        for alpha, n2 in zip(simples, norms):
+        e_beta = expansion[beta]
+        for i, (alpha, n2) in enumerate(zip(simples, norms)):
             c = 2 * _dot(beta, alpha) / n2
+            if c.denominator != 1:
+                raise ArithmeticError(f"{type_tag}{rank}: non-integral Cartan number {c}")
             img = tuple(b - c * a for b, a in zip(beta, alpha))
-            if img not in roots:
-                roots.add(img)
+            if img not in expansion:
+                e_img = list(e_beta)
+                e_img[i] -= int(c)
+                expansion[img] = tuple(e_img)
                 frontier.append(img)
-    for r in list(roots):
-        neg = tuple(-c for c in r)
-        if neg not in roots:
-            roots.add(neg)
+    for r, e in list(expansion.items()):
+        expansion.setdefault(tuple(-c for c in r), tuple(-x for x in e))
     if type_tag == "BC":
-        shortest = min(_dot(r, r) for r in roots)
-        for r in list(roots):
+        shortest = min(_dot(r, r) for r in expansion)
+        for r, e in list(expansion.items()):
             if _dot(r, r) == shortest:
-                roots.add(tuple(2 * c for c in r))
-    ordered = sorted(roots)
+                expansion[tuple(2 * c for c in r)] = tuple(2 * x for x in e)
+    ordered = sorted(expansion)
     expected = _ROOT_COUNTS[type_tag](rank)
     if len(ordered) != expected:
         raise AssertionError(
             f"{type_tag}{rank}: generated {len(ordered)} roots, expected {expected}")
-    smat = Matrix.from_rows([[simples[k][i] for k in range(rank)]
-                             for i in range(len(simples[0]))])
-    expansions = []
-    for r in ordered:
-        sol = solve(smat, list(r))
-        assert sol is not None, "root outside the span of the simple roots"
-        coeffs = tuple(int(c) for c in sol)
-        assert all(Fraction(c) == s for c, s in zip(coeffs, sol)), \
-            "non-integer simple-root expansion"
-        expansions.append(coeffs)
+    expansions = [expansion[r] for r in ordered]
     simple_idx = tuple(ordered.index(s) for s in simples)
     positives = tuple(i for i, e in enumerate(expansions)
                       if any(e) and min(e) >= 0)
-    assert 2 * len(positives) == len(ordered)
+    if 2 * len(positives) != len(ordered):
+        raise ArithmeticError(f"{type_tag}{rank}: positive roots are not half of all roots")
     highest = _highest_root(ordered, expansions, positives)
     return RootSystem(type_tag, rank, tuple(ordered), tuple(expansions),
                       simple_idx, positives, highest)

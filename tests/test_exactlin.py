@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import mpmath
@@ -90,6 +94,55 @@ def test_modular_path_agrees_with_exact():
         assert len(exact) == len(fast)
         for v in fast:
             assert all(sum(r[j] * x for j, x in enumerate(v)) == 0 for r in rows)
+
+
+def test_modular_kernel_supersedes_primes_that_lose_rank():
+    # rows 0 and 1 vanish modulo the first and second prime, so those primes
+    # see rank 4; the third prime sees rank 5 and must supersede both
+    p0, p1 = el._PRIMES[:2]
+    rng = random.Random(5)
+    base = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(5)]
+    assert el.rank(Matrix.from_rows(base)) == 5
+    rows = [[p0 * x for x in base[0]], [p1 * x for x in base[1]]] + base[2:]
+    exact = el.nullspace_int_rows([list(r) for r in rows], 8, prefilter=False)
+    fast = el._nullspace_modular([list(r) for r in rows], 8)
+    assert len(exact) == 3
+    assert fast == exact
+    assert el.nullspace_int_rows([list(r) for r in rows], 8, prefilter=True) == exact
+
+
+def test_kernel_certification_survives_optimize_flag():
+    # a wrong exact kernel must raise even when asserts are compiled away
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from nilrad import exactlin as el
+        if __debug__:
+            sys.exit(2)
+        el._nullspace_from_rref = lambda pivots, prows, ncols: [[Fraction(1)] * ncols]
+        try:
+            el.nullspace_int_rows([[1, 1]], 2, prefilter=False)
+        except ArithmeticError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(el.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: small_matrix(n, n)))
+def test_inverse_two_sided_or_singular(m):
+    n = m.rows
+    if el.rank(m) == n:
+        inv = el.inverse(m)
+        assert m * inv == inv * m == Matrix.identity(n)
+    else:
+        with pytest.raises(ValueError):
+            el.inverse(m)
 
 
 def test_sym_eigen_diagonal():

@@ -10,7 +10,6 @@ from nilrad.prolong import (
     ProlongationResourceError,
     compute_layer,
     g0,
-    g_k,
     prolong,
     verify_layer,
 )
@@ -51,7 +50,7 @@ def test_g0_requires_fundamental():
 def test_g1_of_heisenberg_matches_monomial_oracle():
     alg = make_h_prime(Tag.C, 1, 0).algebra
     layers = [g0(alg)]
-    layer1 = g_k(alg, 1, layers)
+    layer1 = compute_layer(alg, 1, layers)
     assert layer1.dim == 6 == contact_layer_dim(1)
 
 
