@@ -11,13 +11,15 @@ unavoidable.
 Every exact answer (rank, solve, inverse, nullspace) is read off one
 fraction-free integer echelon form of the denominator-cleared rows;
 `solve` and `inverse` reduce the augmented matrices [m | rhs] and
-[m | I].  Kernels of big systems first try a modular prefilter: reduce
-modulo word-size primes, read the candidate nullspace off the modular
-echelon form, lift it back to rationals by CRT plus rational
-reconstruction, and certify the candidate by exact substitution into
-every original row.  If certification fails the exact path runs
-instead, so the modular route can never change a result, only speed it
-up.
+[m | I].  Kernels work on sparse integer rows and return primitive
+integer vectors; `Fraction` enters only when `nullspace` hands them back
+as coordinates.  Kernels of big systems first try a modular prefilter:
+reduce modulo word-size primes, lift the modular echelon form back to an
+integer one by CRT plus rational reconstruction, and read the candidate
+kernel off it as on the exact path.  Both routes certify every vector
+by exact integer substitution into every original row.  If
+certification fails the exact path runs instead, so the modular route
+can never change a result, only speed it up.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -218,10 +223,8 @@ def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
     """
     if m.cols == 0:
         return []
-    if m.rows == 0:
-        return [_unit_vector(m.cols, j) for j in range(m.cols)]
-    basis = nullspace_int_rows(_int_rows(m), m.cols)
-    return [tuple(v) for v in basis]
+    rows = [[(j, x) for j, x in enumerate(r) if x] for r in _int_rows(m)]
+    return [tuple(Fraction(x) for x in v) for v in nullspace_int_rows(rows, m.cols)]
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
@@ -284,21 +287,22 @@ def is_positive_definite(m: Matrix) -> bool:
     return True
 
 
-def _unit_vector(n: int, j: int) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(1 if i == j else 0) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Integer kernel with modular prefilter
 # ---------------------------------------------------------------------------
 
+SparseRow = Sequence[Tuple[int, int]]
+
+
+def clear_denominators(values: Sequence[Fraction]) -> List[int]:
+    """The values times the lcm of their denominators, as ints."""
+    lcm = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (lcm // x.denominator) for x in values]
+
+
 def _int_rows(m: Matrix) -> List[List[int]]:
     """Clear denominators row by row (each row times the lcm of its denominators)."""
-    out = []
-    for r in m.data:
-        lcm = math.lcm(*(x.denominator for x in r))
-        out.append([int(x * lcm) for x in r])
-    return out
+    return [clear_denominators(r) for r in m.data]
 
 
 def _row_primitive(row: List[int]) -> List[int]:
@@ -359,31 +363,28 @@ def _int_rref(rows: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
 
 
 def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
-                         ncols: int) -> List[List[Fraction]]:
+                         ncols: int) -> List[List[int]]:
+    """Kernel basis of an integer RREF (positive pivots) as primitive int vectors.
+
+    One vector per free column f, with v[f] > 0 and v[c] / v[f] = -p[f] / p[c]
+    for the pivot row p of column c; entries coprime, first nonzero positive.
+    """
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, p in zip(pivots, prows):
-            if p[f]:
-                v[c] = Fraction(-p[f], p[c])
-        basis.append(v)
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        terms = [(c, p[f], p[c]) for c, p in zip(pivots, prows) if p[f]]
+        lcm = math.lcm(*(d for _, _, d in terms))
+        v = [0] * ncols
+        v[f] = lcm
+        for c, n, d in terms:
+            v[c] = -n * (lcm // d)
+        g = math.gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append([x // g for x in v] if g != 1 else v)
     return basis
-
-
-def _primitive_fraction_vector(v: Sequence[Fraction]) -> List[Fraction]:
-    """Scale a rational vector to coprime integers (sign of first nonzero +)."""
-    lcm = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * lcm) for x in v]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
 
 
 def _mod_rref(rows_np: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
@@ -403,12 +404,13 @@ def _mod_rref(rows_np: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        a[r, c:] = (a[r, c:] * inv) % p
         col_all = a[:, c].copy()
         col_all[r] = 0
         nzr = np.nonzero(col_all)[0]
         if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(col_all[nzr], a[r])) % p
+            # row r is zero left of c, so only columns c.. change
+            a[nzr, c:] = (a[nzr, c:] - np.outer(col_all[nzr], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots, a[:len(pivots)]
@@ -420,8 +422,8 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> Tuple[int, int]:
     return x, m
 
 
-def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """Wang-style reconstruction of a rational from its residue mod m."""
+def _rational_reconstruct(a: int, m: int) -> Optional[Tuple[int, int]]:
+    """Wang-style reconstruction (numerator, denominator > 0) of a residue mod m."""
     a %= m
     bound = math.isqrt(m // 2)
     old_r, r = m, a
@@ -433,53 +435,59 @@ def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     den = abs(s)
     if den == 0 or den > bound or math.gcd(r, den) != 1:
         return None
-    num = r if s >= 0 else -r
-    return Fraction(num, den)
+    return (r if s >= 0 else -r), den
 
 
-def _verify_kernel(rows: Sequence[Sequence[int]],
-                   vecs: Sequence[Sequence[Fraction]]) -> bool:
+def _verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> bool:
+    """True when every vector satisfies every sparse row, by exact substitution."""
     for v in vecs:
-        nz = [(j, x) for j, x in enumerate(v) if x]
         for r in rows:
-            if sum(r[j] * x for j, x in nz) != 0:
+            if sum([x * v[c] for c, x in r]):
                 return False
     return True
 
 
-def nullspace_int_rows(rows: List[List[int]], ncols: int,
-                       prefilter: Optional[bool] = None) -> List[List[Fraction]]:
-    """Kernel basis (primitive integer vectors as Fractions) of integer rows.
+def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int,
+                       prefilter: Optional[bool] = None) -> List[List[int]]:
+    """Kernel basis of sparse integer rows, as primitive int vectors.
 
-    prefilter None picks the modular route automatically for big systems.
-    Every returned vector is certified against every input row exactly.
+    Each row lists its entries as (column, value) pairs; a repeated
+    column adds up.  prefilter None picks the modular route when the
+    dense system would exceed 50,000 entries.  Every returned vector is
+    certified against every input row by exact integer substitution.
     """
-    rows = [r for r in rows if any(r)]
+    rows = [r for r in rows if r]
     if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     if prefilter is None:
         prefilter = len(rows) * ncols > 50000
     if prefilter:
         basis = _nullspace_modular(rows, ncols)
         if basis is not None:
             return basis
-    pivots, prows = _int_rref(rows)
-    basis = _nullspace_from_rref(pivots, prows, ncols)
-    basis = [_primitive_fraction_vector(v) for v in basis]
+    dense = []
+    for r in rows:
+        d = [0] * ncols
+        for c, x in r:
+            d[c] += x
+        dense.append(d)
+    basis = _nullspace_from_rref(*_int_rref(dense), ncols)
     if not _verify_kernel(rows, basis):
         raise ArithmeticError("exact kernel failed certification by substitution")
     return basis
 
 
-def _nullspace_modular(rows: List[List[int]], ncols: int
-                       ) -> Optional[List[List[Fraction]]]:
+def _nullspace_modular(rows: Sequence[SparseRow], ncols: int
+                       ) -> Optional[List[List[int]]]:
     """Candidate kernel from CRT over word-size primes, exactly certified."""
     max_primes = 8
+    at = ([i for i, r in enumerate(rows) for _ in r], [c for r in rows for c, _ in r])
+    vals = [x for r in rows for _, x in r]
     residues: List[Tuple[int, List[int], np.ndarray]] = []
     pivots_ref: Optional[List[int]] = None
     for p in _PRIMES[:max_primes]:
-        arr = np.array([[x % p for x in r] for r in rows], dtype=np.int64)
+        arr = np.zeros((len(rows), ncols), dtype=np.int64)
+        np.add.at(arr, at, [x % p for x in vals])
         piv, pr = _mod_rref(arr, p)
         if pivots_ref is None or len(piv) > len(pivots_ref):
             # a prime seeing higher rank supersedes lower-rank (unlucky) ones
@@ -488,19 +496,20 @@ def _nullspace_modular(rows: List[List[int]], ncols: int
         elif piv == pivots_ref:
             residues.append((p, piv, pr))
         # try reconstruction once we have k primes accumulated
-        cand = _reconstruct_kernel(residues, ncols)
-        if cand is not None and _verify_kernel(rows, cand):
-            return cand
+        prows = _reconstruct_rref(residues, ncols)
+        if prows is not None:
+            cand = _nullspace_from_rref(pivots_ref, prows, ncols)
+            if _verify_kernel(rows, cand):
+                return cand
     return None
 
 
-def _reconstruct_kernel(residues: List[Tuple[int, List[int], np.ndarray]],
-                        ncols: int) -> Optional[List[List[Fraction]]]:
-    if not residues:
-        return None
-    pivots = residues[0][1]
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+def _reconstruct_rref(residues: List[Tuple[int, List[int], np.ndarray]],
+                      ncols: int) -> Optional[List[List[int]]]:
+    """Integer RREF rows lifted from the modular RREFs by CRT and rational
+    reconstruction; each row is scaled by the lcm of its denominators, so
+    its pivot is positive.  None when some entry does not reconstruct.
+    """
     modulus = 1
     merged: Optional[List[List[int]]] = None
     for p, _, pr in residues:
@@ -511,19 +520,22 @@ def _reconstruct_kernel(residues: List[Tuple[int, List[int], np.ndarray]],
             merged = [[_crt_pair(a, modulus, b, p)[0] for a, b in zip(ra, rb)]
                       for ra, rb in zip(merged, cur)]
             modulus *= p
-    basis: List[List[Fraction]] = []
-    for f in free:
-        v: List[Fraction] = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            a = merged[r][f]
-            if a:
+    prows = []
+    for c, row in zip(residues[0][1], merged):
+        entries = []
+        for f, a in enumerate(row):
+            if a and f != c:
                 q = _rational_reconstruct(a, modulus)
                 if q is None:
                     return None
-                v[c] = -q
-        basis.append(_primitive_fraction_vector(v))
-    return basis
+                entries.append((f, q))
+        lcm = math.lcm(*(d for _, (_, d) in entries))
+        out = [0] * ncols
+        out[c] = lcm
+        for f, (n, d) in entries:
+            out[f] = n * (lcm // d)
+        prows.append(out)
+    return prows
 
 
 # ---------------------------------------------------------------------------

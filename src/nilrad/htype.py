@@ -289,8 +289,8 @@ def clifford_generators(m: int) -> Tuple[int, List[Matrix]]:
             vol = vol * g
         if vol == -Matrix.identity(dim):
             gens = [-g for g in gens]
-        else:
-            assert vol.is_identity()
+        elif not vol.is_identity():
+            raise ArithmeticError(f"volume element of the m = {m} generators is not +-Id")
     return dim, gens
 
 
@@ -336,7 +336,8 @@ def make_clifford_module_algebra(
     alg = TwoStepAlgebra.from_brackets(
         f"clifford({center_dim};{desc})", total, center_dim, brackets)
     ms = MetricStructure(alg, Matrix.identity(total), Matrix.identity(center_dim))
-    assert is_htype(ms)
+    if not is_htype(ms):
+        raise ArithmeticError(f"{alg.name} fails the H-type certification")
     return ms
 
 
@@ -546,7 +547,8 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
     spans = len(basis) == n
     if not spans and not frontier:
         witness = tuple(tuple(b) for b in basis)
-        assert all(maps_into(g.map_v, basis, basis) for g in generators)
+        if not all(maps_into(g.map_v, basis, basis) for g in generators):
+            raise ArithmeticError("reducible witness is not invariant under the generators")
         return ProbeVerdict("reducible",
                             f"orbit closure of a random vector spans a proper "
                             f"{len(basis)}-dimensional invariant subspace",

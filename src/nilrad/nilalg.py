@@ -30,6 +30,9 @@ class TwoStepAlgebra:
     @classmethod
     def from_brackets(cls, name: str, dim_v: int, dim_z: int,
                       brackets: Mapping[Tuple[int, int], Sequence]) -> "TwoStepAlgebra":
+        if dim_v < 0 or dim_z < 0:
+            raise ValueError(f"layer dimensions must be non-negative, got dimV={dim_v}, "
+                             f"dimZ={dim_z}")
         canon: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim_v):
@@ -268,7 +271,8 @@ def is_nonsingular(alg: TwoStepAlgebra, trials: int = 64, seed: int = 0,
             x[rng.randrange(alg.dim_v)] = Fraction(1)
         if rank(alg.ad_matrix(x)) < alg.dim_z:
             witness = AlgebraElement(tuple(x), tuple(Fraction(0) for _ in range(alg.dim_z)))
-            assert rank(alg.ad_matrix(witness.v_part)) < alg.dim_z
+            if rank(alg.ad_matrix(witness.v_part)) >= alg.dim_z:
+                raise ArithmeticError("singular witness failed its exact re-check")
             return NonsingularVerdict("singular", "rank(ad X) < dim Z, verified exactly",
                                       witness)
     return NonsingularVerdict("inconclusive",
@@ -305,6 +309,8 @@ def to_json(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
 
 
 def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Matrix]]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"algebra document must be a JSON object, got {type(doc).__name__}")
     try:
         name = doc.get("name", "unnamed")
         dim_v = int(doc["dimV"])

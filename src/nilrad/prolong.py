@@ -15,12 +15,11 @@ giving the full graded derivation algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import Matrix, nullspace_int_rows
+from .exactlin import Matrix, clear_denominators, nullspace_int_rows
 from .nilalg import TwoStepAlgebra
 
 
@@ -64,30 +63,37 @@ def _layer_dim(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
     return layers[j].dim
 
 
-def _action_matrices(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
-                     j: int) -> Tuple[Optional[List[List[List[Fraction]]]],
-                                      Optional[List[List[List[Fraction]]]]]:
-    """Per-direction action of g_j: (V directions, Z directions).
+Table = List[List[List[Tuple[int, object]]]]
 
-    av[i][t][b] is the g_{j-1} coordinate t of [b-th basis element, e_i];
-    az[a][t][b] the g_{j-2} coordinate t of the bracket with z_a.
+
+def _scalar(x: Fraction):
+    """x as an int when it is integral, so table products stay in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _action_tables(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
+                   j: int) -> Tuple[Optional[Table], Optional[Table]]:
+    """Per-direction action of g_j as sparse tables: (V directions, Z directions).
+
+    av[i][t] lists the pairs (b, x) with x != 0 the g_{j-1} coordinate t
+    of [b-th basis element, e_i]; az[a][t] likewise for the bracket with
+    z_a in g_{j-2}.  Integral entries are ints.
     """
     nv, nz = alg.dim_v, alg.dim_z
-    if j < -2:
-        return None, None
-    if j == -2:
+    if j <= -2:
         return None, None          # Z brackets to zero against everything
     if j == -1:
-        av = [[[alg.bracket_basis(b, i)[t] for b in range(nv)] for t in range(nz)]
-              for i in range(nv)]
+        brk = [[alg.bracket_basis(b, i) for b in range(nv)] for i in range(nv)]
+        av = [[[(b, _scalar(x[t])) for b, x in enumerate(brk[i]) if x[t]]
+               for t in range(nz)] for i in range(nv)]
         return av, None             # [V, Z] = 0
     layer = layers[j]
-    d = layer.dim
-    d1, d2 = layer.dim_prev1, layer.dim_prev2
-    av = [[[layer.basis[b][0][t, i] for b in range(d)] for t in range(d1)]
-          for i in range(nv)]
-    az = [[[layer.basis[b][1][t, a] for b in range(d)] for t in range(d2)]
-          for a in range(nz)]
+    m1s = [m1 for m1, _ in layer.basis]
+    m2s = [m2 for _, m2 in layer.basis]
+    av = [[[(b, _scalar(m[t, i])) for b, m in enumerate(m1s) if m[t, i]]
+           for t in range(layer.dim_prev1)] for i in range(nv)]
+    az = [[[(b, _scalar(m[t, a])) for b, m in enumerate(m2s) if m[t, a]]
+           for t in range(layer.dim_prev2)] for a in range(nz)]
     return av, az
 
 
@@ -113,8 +119,8 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
         raise ProlongationResourceError(
             f"degree {k}: {unknowns} unknowns x {equations} equations "
             f"exceeds the resource guard")
-    av1, az1 = _action_matrices(alg, layers, k - 1)
-    av2, az2 = _action_matrices(alg, layers, k - 2)
+    av1, az1 = _action_tables(alg, layers, k - 1)
+    av2, az2 = _action_tables(alg, layers, k - 2)
     off2 = nv * d1       # U2 coordinates start here
     rows: List[Dict[int, Fraction]] = []
 
@@ -128,12 +134,10 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
                     if cij[a]:
                         _add(row, off2 + t * nz + a, cij[a])
                 if av1 is not None:
-                    col_j, col_i = av1[j], av1[i]
-                    for b in range(d1):
-                        if col_j[t][b]:
-                            _add(row, b * nv + i, -col_j[t][b])
-                        if col_i[t][b]:
-                            _add(row, b * nv + j, col_i[t][b])
+                    for b, x in av1[j][t]:
+                        _add(row, b * nv + i, -x)
+                    for b, x in av1[i][t]:
+                        _add(row, b * nv + j, x)
                 if row:
                     rows.append(row)
 
@@ -144,13 +148,11 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
                 for t in range(d3):
                     row = {}
                     if az1 is not None:
-                        for b in range(d1):
-                            if az1[a][t][b]:
-                                _add(row, b * nv + i, az1[a][t][b])
+                        for b, x in az1[a][t]:
+                            _add(row, b * nv + i, x)
                     if av2 is not None:
-                        for s in range(d2):
-                            if av2[i][t][s]:
-                                _add(row, off2 + s * nz + a, -av2[i][t][s])
+                        for s, x in av2[i][t]:
+                            _add(row, off2 + s * nz + a, -x)
                     if row:
                         rows.append(row)
 
@@ -160,15 +162,14 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
             for b in range(a + 1, nz):
                 for t in range(d4):
                     row = {}
-                    for s in range(d2):
-                        if az2[b][t][s]:
-                            _add(row, off2 + s * nz + a, az2[b][t][s])
-                        if az2[a][t][s]:
-                            _add(row, off2 + s * nz + b, -az2[a][t][s])
+                    for s, x in az2[b][t]:
+                        _add(row, off2 + s * nz + a, x)
+                    for s, x in az2[a][t]:
+                        _add(row, off2 + s * nz + b, -x)
                     if row:
                         rows.append(row)
 
-    int_rows = _clear_denominators(rows, unknowns)
+    int_rows = [list(zip(row, clear_denominators(list(row.values())))) for row in rows]
     kernel = nullspace_int_rows(int_rows, unknowns)
     basis = []
     for vec in kernel:
@@ -189,17 +190,6 @@ def _add(row: Dict[int, Fraction], col: int, val: Fraction) -> None:
         del row[col]
 
 
-def _clear_denominators(rows: List[Dict[int, Fraction]], width: int) -> List[List[int]]:
-    out = []
-    for row in rows:
-        lcm = math.lcm(*(v.denominator for v in row.values()))
-        dense = [0] * width
-        for c, v in row.items():
-            dense[c] = int(v * lcm)
-        out.append(dense)
-    return out
-
-
 def g0(alg: TwoStepAlgebra, **guard) -> ProlongationLayer:
     """Graded derivations (A, B) with B[x, y] = [Ax, y] + [x, Ay]."""
     if not alg.is_fundamental():
@@ -213,49 +203,45 @@ def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
 
     Evaluates u([x,y]) and [u(x), y] + [x, u(y)] through the stored
     action maps on all basis pairs of the negative part (V x V, mixed,
-    and Z x Z), exactly.
+    and Z x Z), exactly.  Each basis element is first scaled to integers
+    by the lcm of its denominators; the identity is linear in u.
     """
     layer = layers[k]
     nv, nz = alg.dim_v, alg.dim_z
     d1, d2 = layer.dim_prev1, layer.dim_prev2
     d3 = _layer_dim(alg, layers, k - 3)
     d4 = _layer_dim(alg, layers, k - 4)
-    av1, az1 = _action_matrices(alg, layers, k - 1)
-    av2, az2 = _action_matrices(alg, layers, k - 2)
+    av1, az1 = _action_tables(alg, layers, k - 1)
+    av2, az2 = _action_tables(alg, layers, k - 2)
+    pairs = [(i, j, [(a, _scalar(c)) for a, c in enumerate(alg.bracket_basis(i, j)) if c])
+             for i in range(nv) for j in range(i + 1, nv)]
 
-    def act(action, direction: int, coords: Sequence[Fraction],
-            width: int) -> List[Fraction]:
+    def act(action, direction: int, coords: Sequence, width: int) -> List:
         """Bracket of a layer element (coords) with one negative basis direction."""
         if action is None:
-            return [Fraction(0)] * width
-        return [sum((c * x for c, x in zip(coords, row)), Fraction(0))
-                for row in action[direction]]
+            return [0] * width
+        return [sum([x * coords[b] for b, x in row]) for row in action[direction]]
 
     for (m1, m2) in layer.basis:
-        u_x = [[m1[t, i] for t in range(d1)] for i in range(nv)]
-        u_z = [[m2[t, a] for t in range(d2)] for a in range(nz)]
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                cij = alg.bracket_basis(i, j)
-                lhs = [sum((m2[t, a] * cij[a] for a in range(nz)), Fraction(0))
-                       for t in range(d2)]
-                rhs1 = act(av1, j, u_x[i], d2)
-                rhs2 = act(av1, i, u_x[j], d2)
-                if any(l - (r1 - r2) for l, r1, r2 in zip(lhs, rhs1, rhs2)):
-                    return False
+        u = clear_denominators([m1[t, i] for i in range(nv) for t in range(d1)]
+                               + [m2[t, a] for a in range(nz) for t in range(d2)])
+        u_x = [u[i * d1:(i + 1) * d1] for i in range(nv)]
+        u_z = [u[nv * d1 + a * d2:nv * d1 + (a + 1) * d2] for a in range(nz)]
+        for i, j, cij in pairs:
+            lhs = [sum([u_z[a][t] * c for a, c in cij]) for t in range(d2)]
+            rhs1 = act(av1, j, u_x[i], d2)
+            rhs2 = act(av1, i, u_x[j], d2)
+            if any(l - (r1 - r2) for l, r1, r2 in zip(lhs, rhs1, rhs2)):
+                return False
         if d3:
             for i in range(nv):
                 for a in range(nz):
-                    lhs = act(az1, a, u_x[i], d3)
-                    rhs = act(av2, i, u_z[a], d3)
-                    if any(l - r for l, r in zip(lhs, rhs)):
+                    if act(az1, a, u_x[i], d3) != act(av2, i, u_z[a], d3):
                         return False
         if d4:
             for a in range(nz):
                 for b in range(a + 1, nz):
-                    lhs = act(az2, b, u_z[a], d4)
-                    rhs = act(az2, a, u_z[b], d4)
-                    if any(l - r for l, r in zip(lhs, rhs)):
+                    if act(az2, b, u_z[a], d4) != act(az2, a, u_z[b], d4):
                         return False
     return True
 

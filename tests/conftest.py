@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
 
+import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
 from nilrad.exactlin import Matrix
 from nilrad.htype import (
@@ -16,6 +21,15 @@ from nilrad.htype import (
     make_h_prime,
 )
 from nilrad.prolong import prolong
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run a snippet under `python -O` (asserts compiled away) with this nilrad."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilrad.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nilrad import nilalg
 from nilrad.cli import main
 from nilrad.division import Tag
@@ -167,6 +169,20 @@ def test_malformed_file_reports_context(tmp_path, capsys):
         fh.write("{ not json")
     code, _, err = run(capsys, "verify-htype", path)
     assert code == 2 and "line" in err
+
+
+@pytest.mark.parametrize("verb", ["verify-htype", "nonsingular"])
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "JSON object"),
+    ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, ["1/0"]]]}, "zero denominator"),
+    ({"dimV": -3, "dimZ": -3, "brackets": []}, "non-negative"),
+])
+def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, _, err = run(capsys, verb, path)
+    assert code == 2 and message in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,14 +1,12 @@
-import os
+import math
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import run_optimized
 from nilrad import exactlin as el
 from nilrad.exactlin import Matrix
 
@@ -85,15 +83,37 @@ def test_solve_residual_exactly_zero(m, rhs):
         assert list(el.mat_vec(m, x)) == [el.rat(b) for b in rhs]
 
 
-def test_modular_path_agrees_with_exact():
-    rng = random.Random(3)
-    for _ in range(10):
-        rows = [[rng.randint(-4, 4) for _ in range(9)] for _ in range(6)]
-        exact = el.nullspace_int_rows([list(r) for r in rows], 9, prefilter=False)
-        fast = el.nullspace_int_rows([list(r) for r in rows], 9, prefilter=True)
-        assert len(exact) == len(fast)
-        for v in fast:
-            assert all(sum(r[j] * x for j, x in enumerate(v)) == 0 for r in rows)
+def sparse(rows):
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+_seeded = random.Random(3)
+SEEDED_SYSTEM = (9, sparse([[_seeded.randint(-4, 4) for _ in range(9)] for _ in range(6)]))
+
+# sparse integer systems: (ncols, rows of (column, value) pairs), entries
+# mostly small so the modular route succeeds, sometimes too big for it
+sparse_systems = st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.one_of(st.integers(-9, 9), st.integers(-10**9, 10**9)),
+        max_size=n).map(lambda d: sorted(d.items())), max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_systems)
+@example(SEEDED_SYSTEM)
+def test_modular_path_agrees_with_exact(system):
+    ncols, rows = system
+    exact = el.nullspace_int_rows(rows, ncols, prefilter=False)
+    fast = el.nullspace_int_rows(rows, ncols, prefilter=True)
+    assert fast == exact
+    dense = [[dict(r).get(j, 0) for j in range(ncols)] for r in rows]
+    assert len(fast) == ncols - el.rank(Matrix.from_rows(dense or [[0] * ncols]))
+    for v in fast:
+        assert all(isinstance(x, int) for x in v)
+        assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
+        assert all(sum(x * v[c] for c, x in r) == 0 for r in rows)
 
 
 def test_modular_kernel_supersedes_primes_that_lose_rank():
@@ -103,17 +123,28 @@ def test_modular_kernel_supersedes_primes_that_lose_rank():
     rng = random.Random(5)
     base = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(5)]
     assert el.rank(Matrix.from_rows(base)) == 5
-    rows = [[p0 * x for x in base[0]], [p1 * x for x in base[1]]] + base[2:]
-    exact = el.nullspace_int_rows([list(r) for r in rows], 8, prefilter=False)
-    fast = el._nullspace_modular([list(r) for r in rows], 8)
+    rows = sparse([[p0 * x for x in base[0]], [p1 * x for x in base[1]]] + base[2:])
+    exact = el.nullspace_int_rows(rows, 8, prefilter=False)
+    fast = el._nullspace_modular(rows, 8)
     assert len(exact) == 3
     assert fast == exact
-    assert el.nullspace_int_rows([list(r) for r in rows], 8, prefilter=True) == exact
+    assert el.nullspace_int_rows(rows, 8, prefilter=True) == exact
+
+
+def test_verify_kernel_is_exact():
+    rows = sparse([[1, 2, -1], [0, 3, 3]])
+    v = [3, -1, 1]
+    assert el._verify_kernel(rows, [v])
+    assert el._verify_kernel(rows, [[-2 * x for x in v], [F(x, 7) for x in v]])
+    for k in range(3):
+        off = list(v)
+        off[k] += 1
+        assert not el._verify_kernel(rows, [v, off])
 
 
 def test_kernel_certification_survives_optimize_flag():
     # a wrong exact kernel must raise even when asserts are compiled away
-    code = textwrap.dedent("""
+    proc = run_optimized("""
         import sys
         from fractions import Fraction
         from nilrad import exactlin as el
@@ -121,15 +152,11 @@ def test_kernel_certification_survives_optimize_flag():
             sys.exit(2)
         el._nullspace_from_rref = lambda pivots, prows, ncols: [[Fraction(1)] * ncols]
         try:
-            el.nullspace_int_rows([[1, 1]], 2, prefilter=False)
+            el.nullspace_int_rows([[(0, 1), (1, 1)]], 2, prefilter=False)
         except ArithmeticError:
             sys.exit(0)
         sys.exit(1)
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(el.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -198,7 +225,7 @@ def test_rational_reconstruction_round_trip():
     p = 2147483647
     for q in (F(1, 2), F(-3, 7), F(22, 17), F(0), F(-255)):
         residue = q.numerator * pow(q.denominator, p - 2, p) % p
-        assert el._rational_reconstruct(residue, p) == q
+        assert el._rational_reconstruct(residue, p) == (q.numerator, q.denominator)
 
 
 def test_rational_reconstruction_fails_on_large_fractions():
@@ -206,7 +233,7 @@ def test_rational_reconstruction_fails_on_large_fractions():
     q = F(10**9 + 7, 10**9 + 9)      # numerator * denominator >> p
     residue = q.numerator * pow(q.denominator, p - 2, p) % p
     got = el._rational_reconstruct(residue, p)
-    assert got != q                  # too big for one prime, caller must CRT
+    assert got != (q.numerator, q.denominator)   # too big for one prime, caller must CRT
 
 
 def test_crt_pair():

@@ -7,6 +7,7 @@ from conftest import (
     conformal_automorphism_h1H,
     fleet_member,
     random_quaternion,
+    run_optimized,
     unit_z,
 )
 from nilrad.division import Tag
@@ -560,3 +561,20 @@ def test_pullback_of_htype_metric_is_htype():
                                    random_quaternion(random.Random(9)),
                                    random_quaternion(random.Random(10))))
     assert is_htype(pullback_metric(ms, gm))
+
+
+def test_clifford_certification_survives_optimize_flag():
+    # a failed H-type certificate must raise even when asserts are compiled away
+    proc = run_optimized("""
+        import sys
+        from nilrad import htype
+        if __debug__:
+            sys.exit(2)
+        htype.is_htype = lambda ms: False
+        try:
+            htype.make_clifford_module_algebra(5, 1)
+        except ArithmeticError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,11 @@ import pytest
 
 from conftest import fleet_member, prolong_dims
 from nilrad.division import Tag
+from nilrad.exactlin import Matrix
 from nilrad.htype import make_h_prime
 from nilrad.nilalg import TwoStepAlgebra, free_two_step
 from nilrad.prolong import (
+    ProlongationLayer,
     ProlongationResourceError,
     compute_layer,
     g0,
@@ -82,6 +84,19 @@ def test_layers_verify_by_substitution():
     res = prolong(alg, 3, stop_when_zero=False)
     for k in range(4):
         assert verify_layer(alg, res.layers, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_verify_layer_rejects_a_perturbed_entry(k):
+    alg = fleet_member("hp10O").algebra
+    layers = list(prolong(alg, 2).layers)
+    assert verify_layer(alg, layers, k)
+    m1, m2 = layers[k].basis[0]
+    rows = m1.to_rows()
+    rows[0][0] += F(1, 3)
+    bad = ((Matrix.from_rows(rows), m2),) + layers[k].basis[1:]
+    layers[k] = ProlongationLayer(k, layers[k].dim_prev1, layers[k].dim_prev2, bad)
+    assert not verify_layer(alg, layers, k)
 
 
 def test_deep_layers_verify_including_zz_pairs():
