@@ -69,7 +69,8 @@ def _build_table(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
             ej = [Fraction(1 if t == j else 0) for t in range(dim)]
             prod = _cd_mul(ei, ej)
             nz = [(t, v) for t, v in enumerate(prod) if v]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
+            if len(nz) != 1 or abs(nz[0][1]) != 1:
+                raise ArithmeticError(f"e_{i} e_{j} is not a signed unit in dimension {dim}")
             row.append((int(nz[0][1]), nz[0][0]))
         table.append(tuple(row))
     return tuple(table)

@@ -45,10 +45,10 @@ _PRIMES = (
 
 
 def rat(x) -> Fraction:
-    """Coerce int / str ("p/q" or "p") / Fraction to Fraction."""
+    """Coerce int (not bool) / str ("p/q" or "p") / Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -550,17 +550,13 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
     powers = [Matrix.identity(n)]
     for _ in range(n):
         powers.append(powers[-1] * m)
-    flat = [[mat.data[i][j] for i in range(n) for j in range(n)] for mat in powers]
-    for deg in range(1, n + 2):
-        # look for monic dependency x^deg + sum c_k x^k
-        sys_rows = []
-        for e in range(n * n):
-            sys_rows.append([flat[k][e] for k in range(deg)])
-        rhs = [-flat[deg][e] for e in range(n * n)]
-        sol = solve(Matrix.from_rows(sys_rows), rhs)
-        if sol is not None:
-            return list(sol) + [Fraction(1)]
-    raise AssertionError("unreachable: Cayley-Hamilton bounds the degree")
+    # columns vec(m^0) .. vec(m^n); the first free column is the lowest degree
+    # with a dependency, and its kernel vector is supported on columns 0..deg
+    cols = Matrix(n * n, n + 1, tuple(tuple(p.data[i][j] for p in powers)
+                                      for i in range(n) for j in range(n)))
+    v = nullspace(cols)[0]
+    deg = max(k for k, c in enumerate(v) if c)
+    return [c / v[deg] for c in v[:deg + 1]]
 
 
 def _divisors(n: int, cap: int = 1 << 20) -> Optional[List[int]]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,7 +60,9 @@ from .nilalg import TwoStepAlgebra
 
 @dataclass(frozen=True)
 class MetricStructure:
-    """Graded positive definite inner product on a two-step algebra."""
+    """Graded positive definite inner product on a two-step algebra.
+
+    Its J maps and H-type verdict are computed once, on first use."""
 
     algebra: TwoStepAlgebra
     gram_v: Matrix
@@ -82,17 +85,29 @@ class MetricStructure:
     def ip_z(self, z: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
         return sum((a * b for a, b in zip(mat_vec(self.gram_z, w), z)), Fraction(0))
 
+    @cached_property
+    def j_maps(self) -> Tuple[Matrix, ...]:
+        """J maps of the Z basis vectors: J_a = -gramV^{-1} S_a, where
+        S_a[i][j] = <[e_i, e_j], z_a>_Z is filled in one pass over the brackets."""
+        alg = self.algebra
+        n = alg.dim_v
+        forms = [[[Fraction(0)] * n for _ in range(n)] for _ in range(alg.dim_z)]
+        for (i, j), vec in alg.brackets:
+            for rows, s in zip(forms, mat_vec(self.gram_z, vec)):
+                rows[i][j] = -s
+                rows[j][i] = s
+        ginv = inverse(self.gram_v)
+        return tuple(ginv * Matrix.from_rows(rows) for rows in forms)
 
-def _bracket_form(alg: TwoStepAlgebra, weights: Sequence[Fraction]) -> Matrix:
-    """Antisymmetric matrix S with S[i][j] = sum_a weights[a] c_ij^a."""
-    n = alg.dim_v
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), vec in alg.brackets:
-        s = sum((w * c for w, c in zip(weights, vec)), Fraction(0))
-        if s:
-            rows[i][j] = s
-            rows[j][i] = -s
-    return Matrix.from_rows(rows)
+    @cached_property
+    def clifford(self) -> bool:
+        """The H-type verdict: J_a J_b + J_b J_a = -2 gramZ[a, b] Id for all a <= b."""
+        alg = self.algebra
+        if alg.dim_z == 0 or alg.dim_v == 0:
+            return False
+        js, ident = self.j_maps, Matrix.identity(alg.dim_v)
+        return all(js[a] * js[b] + js[b] * js[a] == ident.scale(-2 * self.gram_z[a, b])
+                   for a in range(alg.dim_z) for b in range(a, alg.dim_z))
 
 
 def jz(ms: MetricStructure, z: Sequence) -> Matrix:
@@ -100,16 +115,13 @@ def jz(ms: MetricStructure, z: Sequence) -> Matrix:
     zz = [rat(c) for c in z]
     if len(zz) != ms.algebra.dim_z:
         raise ValueError("z must live in the Z layer")
-    weights = mat_vec(ms.gram_z, zz)
-    s = _bracket_form(ms.algebra, weights)
-    return inverse(ms.gram_v) * (-s)
+    n = ms.algebra.dim_v
+    return sum((j.scale(c) for c, j in zip(zz, ms.j_maps) if c), Matrix.zeros(n, n))
 
 
 def j_basis(ms: MetricStructure) -> List[Matrix]:
     """J maps of the Z basis vectors."""
-    dim_z = ms.algebra.dim_z
-    return [jz(ms, [Fraction(1 if a == b else 0) for b in range(dim_z)])
-            for a in range(dim_z)]
+    return list(ms.j_maps)
 
 
 def is_htype(ms: MetricStructure) -> bool:
@@ -119,21 +131,7 @@ def is_htype(ms: MetricStructure) -> bool:
     all pairs, which also forces fundamentality (brackets span Z) and
     non-triviality of the module.
     """
-    alg = ms.algebra
-    if alg.dim_z == 0 or alg.dim_v == 0:
-        return False
-    js = j_basis(ms)
-    n = alg.dim_v
-    for a in range(alg.dim_z):
-        for b in range(a, alg.dim_z):
-            target = -2 * ms.gram_z[a, b]
-            anti = js[a] * js[b] + js[b] * js[a]
-            for i in range(n):
-                for j in range(n):
-                    want = target if i == j else Fraction(0)
-                    if anti[i, j] != want:
-                        return False
-    return True
+    return ms.clifford
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,8 @@ def make_h_prime(tag: Tag, p: int, q: int) -> MetricStructure:
                     w = fmul(eu, fconj(ev)) - fmul(ev, fconj(eu))
                 else:
                     w = fmul(fconj(ev), eu) - fmul(fconj(eu), ev)
-                assert w.coords[0] == 0
+                if w.coords[0] != 0:
+                    raise ArithmeticError(f"bracket of units {u}, {v} has a real part")
                 if not w.is_zero():
                     brackets[(slot * d + u, slot * d + v)] = list(w.coords[1:])
     alg = TwoStepAlgebra.from_brackets(f"h'_{p},{q}({tag.name})", dim_v, dim_z, brackets)
@@ -375,7 +374,7 @@ def identify_family(ms: MetricStructure) -> HTypeFamilyId:
 
 
 def _volume_split(ms: MetricStructure) -> Tuple[int, int]:
-    js = j_basis(ms)
+    js = ms.j_maps
     omega = js[0] * js[1] * js[2]
     n = ms.algebra.dim_v
     poly = minimal_polynomial(omega)
@@ -647,8 +646,7 @@ def build_swap_automorphism(ms: MetricStructure,
             for y in b2:
                 if ms.ip_v(x, y) != 0:
                     raise ValueError("v1 and v2 must be orthogonal")
-    js = j_basis(ms)
-    for j in js:
+    for j in ms.j_maps:
         if not (maps_into(j, b1, b1) and maps_into(j, b2, b2)):
             raise ValueError("v1 and v2 must be invariant under the Clifford action")
     _check_theta(ms, b1, b2, theta)

@@ -91,18 +91,10 @@ class TwoStepAlgebra:
 
     def ad_matrix(self, v_coords: Sequence[Fraction]) -> Matrix:
         """Matrix of y in V -> [x, y] in Z for x with the given V part."""
-        cols = []
-        for j in range(self.dim_v):
-            col = [Fraction(0)] * self.dim_z
-            for i, c in enumerate(v_coords):
-                if c:
-                    vec = self.bracket_basis(i, j)
-                    for t, s in enumerate(vec):
-                        if s:
-                            col[t] += c * s
-            cols.append(col)
-        return Matrix.from_rows([[cols[j][t] for j in range(self.dim_v)]
-                                 for t in range(self.dim_z)])
+        n = self.dim_v
+        cols = [self.bracket_coords(v_coords, [int(i == j) for i in range(n)])
+                for j in range(n)]
+        return Matrix.from_rows([[cols[j][t] for j in range(n)] for t in range(self.dim_z)])
 
     def basis_v(self, i: int) -> "AlgebraElement":
         return AlgebraElement(
@@ -234,6 +226,8 @@ def is_nonsingular(alg: TwoStepAlgebra, trials: int = 64, seed: int = 0,
     rank computation.  Negative answers carry a witness X, re-verified
     exactly.  Anything else is Inconclusive after `trials` random samples.
     """
+    if alg.dim_v == 0:
+        raise ValueError("non-singularity check needs a nonempty V layer, got dimV=0")
     if not alg.is_fundamental():
         raise ValueError("non-singularity check requires a fundamental algebra")
     cen = center(alg)
@@ -308,19 +302,26 @@ def to_json(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
     return doc
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Matrix]]:
     if not isinstance(doc, dict):
         raise ValueError(f"algebra document must be a JSON object, got {type(doc).__name__}")
     try:
         name = doc.get("name", "unnamed")
-        dim_v = int(doc["dimV"])
-        dim_z = int(doc["dimZ"])
+        dim_v = _json_int(doc["dimV"], "dimV")
+        dim_z = _json_int(doc["dimZ"], "dimZ")
         brackets = {}
         for entry in doc.get("brackets", []):
             if len(entry) != 3:
                 raise ValueError(f"bracket entry {entry!r} is not [i, j, coords]")
             i, j, coords = entry
-            brackets[(int(i), int(j))] = [rat(c) for c in coords]
+            brackets[(_json_int(i, "bracket index"), _json_int(j, "bracket index"))] = [
+                rat(c) for c in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
     alg = TwoStepAlgebra.from_brackets(name, dim_v, dim_z, brackets)

@@ -176,6 +176,9 @@ def test_malformed_file_reports_context(tmp_path, capsys):
     ([1, 2], "JSON object"),
     ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, ["1/0"]]]}, "zero denominator"),
     ({"dimV": -3, "dimZ": -3, "brackets": []}, "non-negative"),
+    ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [True]]]}, "cannot interpret True"),
+    ({"dimV": True, "dimZ": 1, "brackets": []}, "dimV must be a JSON integer"),
+    ({"dimV": 2.5, "dimZ": 1, "brackets": []}, "dimV must be a JSON integer"),
 ])
 def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
     path = str(tmp_path / "bad.json")
@@ -183,6 +186,14 @@ def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
         json.dump(doc, fh)
     code, _, err = run(capsys, verb, path)
     assert code == 2 and message in err and "Traceback" not in err
+
+
+def test_nonsingular_empty_algebra_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "empty.json")
+    with open(path, "w") as fh:
+        json.dump({"dimV": 0, "dimZ": 0, "brackets": []}, fh)
+    code, _, err = run(capsys, "nonsingular", path)
+    assert code == 2 and "dimV" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -214,6 +214,37 @@ def test_minimal_polynomial_and_roots():
     assert el.rational_roots(coeffs) == [F(1), F(4)]
 
 
+integer_squares = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)).map(Matrix.from_rows)
+
+
+def _monic_dependency(powers, deg):
+    """Solve x^deg + sum_{k<deg} c_k x^k = 0 over the given powers, or None."""
+    n = powers[0].rows
+    flat = [[p[i, j] for i in range(n) for j in range(n)] for p in powers]
+    rows = [[flat[k][e] for k in range(deg)] for e in range(n * n)]
+    return el.solve(Matrix.from_rows(rows), [-flat[deg][e] for e in range(n * n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_squares)
+@example(Matrix.identity(3).scale(2))
+@example(Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+def test_minimal_polynomial_is_the_lowest_monic_annihilator(m):
+    coeffs = el.minimal_polynomial(m)
+    n, deg = m.rows, len(coeffs) - 1
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    assert 1 <= deg <= n and coeffs[-1] == 1
+    value = Matrix.zeros(n, n)
+    for c, p in zip(coeffs, powers):
+        value = value + p.scale(c)
+    assert value.is_zero()
+    assert _monic_dependency(powers, deg - 1) is None
+
+
 def test_rational_sqrt():
     assert el.rational_sqrt(F(9, 4)) == F(3, 2)
     assert el.rational_sqrt(F(2)) is None

@@ -10,6 +10,7 @@ from conftest import (
     run_optimized,
     unit_z,
 )
+from nilrad import htype
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix, inverse, mat_vec, nullspace
 from nilrad.htype import (
@@ -149,6 +150,19 @@ def test_is_htype_rejects_free_algebra():
     ms = MetricStructure(alg, Matrix.identity(3), Matrix.identity(3))
     assert not is_htype(ms)
     assert len(nullspace(jz(ms, [F(1), F(0), F(0)]))) > 0
+
+
+def test_clifford_data_is_computed_once_per_metric(monkeypatch):
+    # the J maps, and so gramV^{-1}, belong to the metric structure: one inverse
+    # serves the verdict, the family id and all eight sigma automorphisms
+    real_inverse, calls = htype.inverse, []
+    monkeypatch.setattr(htype, "inverse", lambda m: calls.append(m) or real_inverse(m))
+    ms = make_h(Tag.O, 1)
+    assert is_htype(ms)
+    assert identify_family(ms).equivalent(HTypeFamilyId("h", Tag.O, (1,)))
+    for a in range(8):
+        sigma_automorphism(ms, unit_z(ms, a))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
