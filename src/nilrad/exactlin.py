@@ -300,6 +300,27 @@ def clear_denominators(values: Sequence[Fraction]) -> List[int]:
     return [x.numerator * (lcm // x.denominator) for x in values]
 
 
+def scaled_sparse(m: Matrix) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(d, rows) with m = rows / d: one common denominator and sparse integer rows."""
+    d = math.lcm(*(x.denominator for r in m.data for x in r))
+    return d, [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(r) if x]
+               for r in m.data]
+
+
+def sparse_mul(a: Sequence[SparseRow], b: Sequence[SparseRow]
+               ) -> List[List[Tuple[int, int]]]:
+    """Product of two matrices given as sparse rows, in Python ints; result rows
+    are sorted by column and hold no zeros, so equal products are equal lists."""
+    out = []
+    for r in a:
+        acc: dict = {}
+        for k, x in r:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(sorted((j, v) for j, v in acc.items() if v))
+    return out
+
+
 def _int_rows(m: Matrix) -> List[List[int]]:
     """Clear denominators row by row (each row times the lcm of its denominators)."""
     return [clear_denominators(r) for r in m.data]
@@ -603,19 +624,14 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     dn = _divisors(an)
     if d0 is None or dn is None:
         return None
-    seen = set()
-    for p in d0:
-        for q in dn:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = Fraction(0)
-                for c in reversed(ics):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    # each candidate +-p/q in lowest terms once; it is a root exactly when
+    # q^deg f(p/q) = sum_k a_k p^k q^(deg-k) vanishes, a sum in ints
+    deg = len(ics) - 1
+    for p, q in ((p, q) for p in d0 for q in dn if math.gcd(p, q) == 1):
+        for s in (p, -p):
+            if sum(c * s ** k * q ** (deg - k) for k, c in enumerate(ics)) == 0:
+                roots.append(Fraction(s, q))
+    return sorted(roots)
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:

@@ -44,10 +44,13 @@ from .exactlin import (
     mat_vec,
     minimal_polynomial,
     nullspace,
+    nullspace_int_rows,
     rank,
     rat,
     rational_roots,
     rational_sqrt,
+    scaled_sparse,
+    sparse_mul,
     sym_eigen,
     verified_eigsy,
 )
@@ -86,28 +89,38 @@ class MetricStructure:
         return sum((a * b for a, b in zip(mat_vec(self.gram_z, w), z)), Fraction(0))
 
     @cached_property
+    def int_j_maps(self) -> Tuple[int, Tuple[List[List[Tuple[int, int]]], ...]]:
+        """(d, maps) with J_a = maps[a] / d = -gramV^{-1} sum_c gramZ[a, c] B_c in
+        sparse integer rows, from one inverse of gramV and the bracket forms B_c."""
+        n = self.algebra.dim_v
+        dg, ginv = scaled_sparse(-inverse(self.gram_v))
+        dz, gz = scaled_sparse(self.gram_z)
+        db, forms = self.algebra.bracket_forms
+        return dg * dz * db, tuple(
+            sparse_mul(ginv, [sparse_mul([row], [f[k] for f in forms])[0] for k in range(n)])
+            for row in gz)
+
+    @cached_property
     def j_maps(self) -> Tuple[Matrix, ...]:
-        """J maps of the Z basis vectors: J_a = -gramV^{-1} S_a, where
-        S_a[i][j] = <[e_i, e_j], z_a>_Z is filled in one pass over the brackets."""
-        alg = self.algebra
-        n = alg.dim_v
-        forms = [[[Fraction(0)] * n for _ in range(n)] for _ in range(alg.dim_z)]
-        for (i, j), vec in alg.brackets:
-            for rows, s in zip(forms, mat_vec(self.gram_z, vec)):
-                rows[i][j] = -s
-                rows[j][i] = s
-        ginv = inverse(self.gram_v)
-        return tuple(ginv * Matrix.from_rows(rows) for rows in forms)
+        """J maps of the Z basis vectors as rational matrices."""
+        (d, maps), n = self.int_j_maps, self.algebra.dim_v
+        return tuple(Matrix.from_rows([[Fraction(r.get(j, 0), d) for j in range(n)]
+                                       for r in map(dict, m)]) for m in maps)
 
     @cached_property
     def clifford(self) -> bool:
-        """The H-type verdict: J_a J_b + J_b J_a = -2 gramZ[a, b] Id for all a <= b."""
+        """The H-type verdict: J_a J_b + J_b J_a = -2 gramZ[a, b] Id for all a <= b,
+        checked as M_a M_b + M_b M_a == -2 gramZ[a, b] d^2 Id on J_a = M_a / d in ints."""
         alg = self.algebra
         if alg.dim_z == 0 or alg.dim_v == 0:
             return False
-        js, ident = self.j_maps, Matrix.identity(alg.dim_v)
-        return all(js[a] * js[b] + js[b] * js[a] == ident.scale(-2 * self.gram_z[a, b])
-                   for a in range(alg.dim_z) for b in range(a, alg.dim_z))
+        (d, maps), n, gz = self.int_j_maps, alg.dim_v, self.gram_z
+        # M_a M_b + M_b M_a is the block row [M_a M_b] times the block column [M_b; M_a]
+        return all(
+            sparse_mul([ra + [(k + n, x) for k, x in rb] for ra, rb in zip(maps[a], maps[b])],
+                       maps[b] + maps[a])
+            == [[(i, -2 * gz[a, b] * d * d)] if gz[a, b] else [] for i in range(n)]
+            for a in range(alg.dim_z) for b in range(a, alg.dim_z))
 
 
 def jz(ms: MetricStructure, z: Sequence) -> Matrix:
@@ -582,26 +595,26 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
 
 
 def _symmetric_commutant(generators: Sequence[GradedMap], n: int) -> List[Matrix]:
-    """Exact basis of {S = S^t : S g = g S for all generators}."""
-    rows: List[List[Fraction]] = []
+    """Exact basis of {S = S^t : S g = g S for all generators}.
+
+    The unknowns are the entries S[i][j], j <= i, in row-major order, so the
+    basis read off the echelon form is the one over all n^2 entries; each
+    generator g = G / d adds the integer rows of S G - G S.
+    """
+    pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
+    rows = []
     for g in generators:
-        gv = g.map_v
+        _, grows = scaled_sparse(g.map_v)
+        _, gcols = scaled_sparse(g.map_v.transpose())
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += gv[k, j]
-                    row[k * n + j] -= gv[i, k]
-                rows.append(row)
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [Fraction(0)] * (n * n)
-            row[i * n + j] = Fraction(1)
-            row[j * n + i] = Fraction(-1)
-            rows.append(row)
-    basis = nullspace(Matrix.from_rows(rows))
-    return [Matrix.from_rows([[v[i * n + j] for j in range(n)] for i in range(n)])
-            for v in basis]
+                rows.append([(pos[i][k], x) for k, x in gcols[j]]
+                            + [(pos[k][j], -x) for k, x in grows[i]])
+    out = []
+    for v in nullspace_int_rows(rows, n * (n + 1) // 2):
+        sign = 1 if next(v[k] for row in pos for k in row if v[k]) > 0 else -1
+        out.append(Matrix.from_rows([[sign * v[k] for k in row] for row in pos]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +748,26 @@ def _assemble_swap(ms: MetricStructure, b1, b2, theta: GradedMap,
 
 def _first_bracket_violation(alg: TwoStepAlgebra, gm: GradedMap
                              ) -> Optional[Tuple[int, int]]:
-    cols = [gm.map_v.col(i) for i in range(alg.dim_v)]
-    for i in range(alg.dim_v):
-        for j in range(i + 1, alg.dim_v):
-            got = alg.bracket_coords(cols[i], cols[j])
-            want = mat_vec(gm.map_z, alg.bracket_basis(i, j))
-            if tuple(got) != tuple(want):
-                return (i, j)
-    return None
+    """The first basis pair i < j with [A e_i, A e_j] != C [e_i, e_j], or None.
+
+    A = map_v = GV / dV and C = map_z = GZ / dZ; for every bracket form B_c
+    the check GV^t B_c GV dZ == dV^2 sum_e GZ[c, e] B_e runs in ints.
+    """
+    n = alg.dim_v
+    dv, a = scaled_sparse(gm.map_v)
+    _, at = scaled_sparse(gm.map_v.transpose())
+    dz, c_rows = scaled_sparse(gm.map_z)
+    _, forms = alg.bracket_forms
+    a = [[(k, x * dz) for k, x in r] for r in a]
+    pairs = []
+    for form, c_row in zip(forms, c_rows):
+        got = sparse_mul(at, sparse_mul(form, a))
+        c_row = [(e, x * dv * dv) for e, x in c_row]
+        want = [sparse_mul([c_row], [f[k] for f in forms])[0] for k in range(n)]
+        # both sides are skew: the first row that differs does so right of its diagonal
+        pairs += [(i, min(set(g) ^ set(w))[0])
+                  for i, (g, w) in enumerate(zip(got, want)) if g != w][:1]
+    return min(pairs, default=None)
 
 
 # ---------------------------------------------------------------------------

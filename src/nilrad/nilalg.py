@@ -10,12 +10,14 @@ format of the whole package and of the CLI.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactlin import Matrix, rat, rat_str, rank, nullspace
+from .exactlin import Matrix, nullspace_int_rows, rat, rat_str, rank
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,19 @@ class TwoStepAlgebra:
         if not hasattr(self, "_lookup"):
             object.__setattr__(self, "_lookup", dict(self.brackets))
         return getattr(self, "_lookup")
+
+    @cached_property
+    def bracket_forms(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
+        """(d, forms) with B_c = forms[c] / d in sparse integer rows, where
+        B_c[i][j] is coordinate c of [e_i, e_j]; built once per algebra."""
+        d = math.lcm(*(s.denominator for _, vec in self.brackets for s in vec))
+        forms = [[[] for _ in range(self.dim_v)] for _ in range(self.dim_z)]
+        for (i, j), vec in self.brackets:
+            for form, s in zip(forms, vec):
+                if s:
+                    form[i].append((j, int(s * d)))
+                    form[j].append((i, -int(s * d)))
+        return d, forms
 
     def bracket_coords(self, x: Sequence, y: Sequence) -> List:
         """Z coordinates of [x, y] for V coordinate vectors x, y.
@@ -182,19 +197,10 @@ def center(alg: TwoStepAlgebra) -> List[AlgebraElement]:
     degenerate V directions this is exactly the Z layer.
     """
     basis = [alg.basis_z(a) for a in range(alg.dim_z)]
-    if alg.dim_v == 0:
-        return basis
-    rows = []
-    for j in range(alg.dim_v):
-        for t in range(alg.dim_z):
-            rows.append([alg.bracket_basis(i, j)[t] for i in range(alg.dim_v)])
-    if not rows:
-        kernel = [tuple(Fraction(1 if i == k else 0) for i in range(alg.dim_v))
-                  for k in range(alg.dim_v)]
-    else:
-        kernel = nullspace(Matrix.from_rows(rows))
+    # x in V is central exactly when B_c x = 0 for every bracket form B_c
+    kernel = nullspace_int_rows([r for form in alg.bracket_forms[1] for r in form], alg.dim_v)
     zeros_z = tuple(Fraction(0) for _ in range(alg.dim_z))
-    basis.extend(AlgebraElement(tuple(v), zeros_z) for v in kernel)
+    basis.extend(AlgebraElement(tuple(Fraction(x) for x in v), zeros_z) for v in kernel)
     return basis
 
 
@@ -320,6 +326,8 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
             if len(entry) != 3:
                 raise ValueError(f"bracket entry {entry!r} is not [i, j, coords]")
             i, j, coords = entry
+            if not isinstance(coords, list):
+                raise ValueError(f"bracket coordinates must be a JSON list, got {coords!r}")
             brackets[(_json_int(i, "bracket index"), _json_int(j, "bracket index"))] = [
                 rat(c) for c in coords]
     except (KeyError, TypeError, ValueError) as exc:

@@ -179,6 +179,8 @@ def test_malformed_file_reports_context(tmp_path, capsys):
     ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [True]]]}, "cannot interpret True"),
     ({"dimV": True, "dimZ": 1, "brackets": []}, "dimV must be a JSON integer"),
     ({"dimV": 2.5, "dimZ": 1, "brackets": []}, "dimV must be a JSON integer"),
+    ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, "1"]]}, "must be a JSON list"),
+    ({"dimV": 2, "dimZ": 2, "brackets": [[0, 1, "12"]]}, "must be a JSON list"),
 ])
 def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
     path = str(tmp_path / "bad.json")

@@ -214,6 +214,39 @@ def test_minimal_polynomial_and_roots():
     assert el.rational_roots(coeffs) == [F(1), F(4)]
 
 
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), min_size=1, max_size=4),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+       st.booleans())
+@example([(0, 1), (0, 3), (6, 4), (-6, 4)], F(1), False)
+def test_rational_roots_of_a_product_of_linear_factors(factors, scale, irreducible):
+    # scale * prod (q_i x - p_i), optionally times x^2 + 2, which has no rational root
+    coeffs = [scale]
+    for p, q in factors:
+        coeffs = _poly_mul(coeffs, [F(-p), F(q)])
+    if irreducible:
+        coeffs = _poly_mul(coeffs, [F(2), F(0), F(1)])
+    assert el.rational_roots(coeffs) == sorted({F(p, q) for p, q in factors})
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_matrix(3, 4), small_matrix(4, 2))
+def test_sparse_mul_matches_matrix_product(a, b):
+    (da, ra), (db, rb) = el.scaled_sparse(a), el.scaled_sparse(b)
+    prod = el.sparse_mul(ra, rb)
+    assert all(r == sorted(r) and all(x for _, x in r) for r in prod)
+    dense = [[F(dict(r).get(j, 0), da * db) for j in range(b.cols)] for r in prod]
+    assert Matrix.from_rows(dense) == a * b
+
+
 integer_squares = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                        min_size=n, max_size=n)).map(Matrix.from_rows)

@@ -34,7 +34,7 @@ from nilrad.htype import (
     sigma_automorphism,
     transfer_operator,
 )
-from nilrad.nilalg import free_two_step
+from nilrad.nilalg import TwoStepAlgebra, free_two_step
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +163,34 @@ def test_clifford_data_is_computed_once_per_metric(monkeypatch):
     for a in range(8):
         sigma_automorphism(ms, unit_z(ms, a))
     assert len(calls) == 1
+
+
+def _dense_j_maps(ms):
+    """Reference: J_a = -gramV^{-1} S_a with S_a[i][j] = <[e_i, e_j], z_a>, entry by entry."""
+    alg, n = ms.algebra, ms.algebra.dim_v
+    ginv = inverse(ms.gram_v)
+    return [ginv * Matrix.from_rows(
+        [[-ms.ip_z(alg.bracket_basis(i, j), unit_z(ms, a)) for j in range(n)]
+         for i in range(n)]) for a in range(alg.dim_z)]
+
+
+def test_clifford_checks_rational_metrics_exactly():
+    alg = make_h(Tag.H, 1).algebra
+    assert not is_htype(MetricStructure(alg, Matrix.identity(8), Matrix.identity(4).scale(2)))
+    ms = fleet_member("h1H")
+    pulled = pullback_metric(ms, dilation(alg, F(2, 3)).compose(
+        sigma_automorphism(ms, [F(3, 5), F(4, 5), F(0), F(0)])))
+    assert pulled.gram_v == Matrix.identity(8).scale(F(4, 9))
+    assert is_htype(pulled)
+    # the same algebra in the Z basis z'_c = sum_e P[e, c] z_e has an off-diagonal gramZ
+    p = Matrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 2]])
+    rebased = MetricStructure(
+        TwoStepAlgebra.from_brackets("rebased", 8, 4, {
+            ij: mat_vec(inverse(p), vec) for ij, vec in alg.brackets}),
+        Matrix.identity(8), p.transpose() * p)
+    assert is_htype(rebased)
+    for m in (pulled, rebased, fleet_member("hp11H"), fleet_member("cliff5")):
+        assert list(m.j_maps) == _dense_j_maps(m)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +356,35 @@ def test_sigma_accepts_rational_unit_z():
     assert is_isometry(ms, gm)
 
 
+def _pair_loop_violation(alg, gm):
+    """Reference: the first pair i < j whose image columns bracket wrongly."""
+    cols = [gm.map_v.col(i) for i in range(alg.dim_v)]
+    for i in range(alg.dim_v):
+        for j in range(i + 1, alg.dim_v):
+            got = alg.bracket_coords(cols[i], cols[j])
+            if tuple(got) != mat_vec(gm.map_z, alg.bracket_basis(i, j)):
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("key", ["h1O", "hp11H", "cliff7x2"])
+def test_first_bracket_violation_matches_pair_loop(key):
+    ms = fleet_member(key)
+    alg, rng = ms.algebra, random.Random(key)
+    for a in range(alg.dim_z):
+        sigma = sigma_automorphism(ms, unit_z(ms, a))
+        assert htype._first_bracket_violation(alg, sigma) is None
+        for on_v in (True, False):
+            rows = (sigma.map_v if on_v else sigma.map_z).to_rows()
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[i][j] += F(1, 3)
+            bent = Matrix.from_rows(rows)
+            gm = GradedMap(bent, sigma.map_z) if on_v else GradedMap(sigma.map_v, bent)
+            want = _pair_loop_violation(alg, gm)
+            assert want is not None
+            assert htype._first_bracket_violation(alg, gm) == want
+
+
 # ---------------------------------------------------------------------------
 # swap automorphisms
 # ---------------------------------------------------------------------------
@@ -440,6 +497,43 @@ def test_probe_sigma_only_splits_signature_blocks():
     assert res
     verdict2 = irreducibility_probe(ms, gens + [res.automorphism], seed=0)
     assert verdict2.kind == "irreducible"
+
+
+def _full_symmetric_commutant(generators, n):
+    """Reference: all n^2 entries as unknowns, plus the n(n-1)/2 symmetry rows."""
+    rows = []
+    for g in generators:
+        for i in range(n):
+            for j in range(n):
+                row = [F(0)] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += g.map_v[k, j]
+                    row[k * n + j] -= g.map_v[i, k]
+                rows.append(row)
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [F(0)] * (n * n)
+            row[i * n + j], row[j * n + i] = F(1), F(-1)
+            rows.append(row)
+    return [Matrix.from_rows([[v[i * n + j] for j in range(n)] for i in range(n)])
+            for v in nullspace(Matrix.from_rows(rows))]
+
+
+@pytest.mark.parametrize("key", ["h1C", "hp11H", "hp21H", "h1H"])
+def test_symmetric_commutant_matches_full_system(key):
+    ms = fleet_member(key)
+    n = ms.algebra.dim_v
+    gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(ms.algebra.dim_z)]
+    if key == "h1H":
+        # a rational generator that is not an isometry: scaled rows on both sides
+        rng = random.Random(3)
+        gens = gens[:1] + [conformal_automorphism_h1H(
+            random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))]
+    for gs in (gens, gens[:1]):  # one generator leaves a large commutant
+        basis = htype._symmetric_commutant(gs, n)
+        for s in basis:
+            assert s.is_symmetric() and all(s * g.map_v == g.map_v * s for g in gs)
+        assert basis == _full_symmetric_commutant(gs, n)
 
 
 def test_probe_rejects_non_automorphism_generators():

@@ -77,6 +77,13 @@ def test_center_sees_abelian_summand():
     assert len(v_central) == 1 and v_central[0].v_part[2] != 0
 
 
+def test_center_reads_every_bracket_form():
+    # e_2 brackets only into the second Z coordinate; e_3 is central
+    alg = TwoStepAlgebra.from_brackets("two-forms", 4, 2, {(0, 1): [F(1), F(0)],
+                                                          (0, 2): [F(0), F(1, 2)]})
+    assert [c.v_part for c in center(alg) if any(c.v_part)] == [(F(0), F(0), F(0), F(1))]
+
+
 def test_center_of_quaternionic_instance():
     alg = make_h_prime(Tag.H, 1, 1).algebra
     assert len(center(alg)) == 3
