@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
-error, 3 resource guard tripped or verdict inconclusive.  Every verb
+error, 3 resource guard tripped, verdict inconclusive or an internal
+exact check failed (an ArithmeticError).  Every verb
 takes --json for machine-readable output on stdout.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from . import nilalg
@@ -29,6 +31,7 @@ from .htype import (
 from .nilalg import is_nonsingular
 from .prolong import ProlongationResourceError, prolong
 from .rootsys import (
+    RootSystemResourceError,
     a1_exception_report,
     load_table,
     render_table,
@@ -243,7 +246,9 @@ def _cmd_probe(args) -> int:
     return EXIT_GUARD
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of the process."""
     p = argparse.ArgumentParser(
         prog="nilrad",
         description="Heisenberg-type nilpotent Lie algebras: construction, "
@@ -323,15 +328,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProlongationResourceError as exc:
+    except (ProlongationResourceError, RootSystemResourceError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except ArithmeticError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

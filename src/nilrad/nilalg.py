@@ -328,8 +328,10 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
             i, j, coords = entry
             if not isinstance(coords, list):
                 raise ValueError(f"bracket coordinates must be a JSON list, got {coords!r}")
-            brackets[(_json_int(i, "bracket index"), _json_int(j, "bracket index"))] = [
-                rat(c) for c in coords]
+            key = (_json_int(i, "bracket index"), _json_int(j, "bracket index"))
+            if key in brackets:
+                raise ValueError(f"duplicate bracket key {key}")
+            brackets[key] = [rat(c) for c in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
     alg = TwoStepAlgebra.from_brackets(name, dim_v, dim_z, brackets)

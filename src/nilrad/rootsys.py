@@ -1,21 +1,34 @@
 """Irreducible root systems and the two-step non-singular grading scan.
 
-Root systems (reduced types A..G plus the non-reduced BC) are realized
-in standard orthogonal coordinates and generated by reflection closure
-from the simple roots; BC adds the doubled short roots afterwards.  A
-parabolic choice is a subset Phi of simple roots, and two exact
+A root system (reduced types A..G plus the non-reduced BC) is generated
+in integer simple-root coordinates.  The doubled simple roots 2 a_i of
+the standard orthogonal realization have integer coordinates (F4, E6,
+E7 and E8 have half-integer ones), so their Gram form 4 (a_k, a_i) is
+integral.  It gives the integer Cartan matrix
+<a_k, a_i^vee> = 2 (a_k, a_i) / (a_i, a_i), and the simple roots are
+closed under the reflections s_i b = b - <b, a_i^vee> a_i acting on
+expansion tuples (Humphreys, Introduction to Lie Algebras and
+Representation Theory, section 10; Bourbaki, Lie Groups ch. VI).
+Squared lengths, kept as four times their value, are read off the
+diagonal of the Gram form and carried along the closure, because
+reflections preserve them; BC adds the doubled short roots afterwards.
+The ambient coordinates of the roots are a lazy view for callers that
+want them; the scan never reads them.
+
+A parabolic choice is a subset Phi of simple roots, and two exact
 combinatorial predicates on the highest root gamma drive the scan:
 
 * two-step: gamma has Phi-height exactly 2;
 * non-singular: for every positive root alpha of Phi-height 1,
   gamma - alpha is again a root of Phi-height 1.
 
-`scan` enumerates all nonempty Phi, reports the survivors and their
-orbits under diagram automorphisms.  The curated table of real forms
-records restricted root data (type, rank, multiplicities by squared
-root length) for named real forms; `nilradical_profile` recomputes the
-graded layer dimensions from that data and cross-checks them against
-the declared H-type family, so an inconsistent row cannot load silently.
+`scan` tests the Phi that can be two-step, reports the survivors and
+their orbits under diagram automorphisms.  The curated table of real
+forms records restricted root data (type, rank, multiplicities by
+squared root length) for named real forms; `nilradical_profile`
+recomputes the graded layer dimensions from that data and cross-checks
+them against the declared H-type family, so an inconsistent row cannot
+load silently.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from importlib import resources
@@ -33,12 +46,16 @@ from .division import Tag
 from .htype import HTypeFamilyId
 
 Coords = Tuple[Fraction, ...]
+Expansion = Tuple[int, ...]
 
 _VALID_TYPES = ("A", "B", "C", "D", "BC", "G2", "F4", "E6", "E7", "E8")
 
+# Largest root system `build` accepts; BC30, the largest at rank 30, has 1,860 roots.
+MAX_ROOTS = 5000
 
-def _dot(x: Coords, y: Coords) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+class RootSystemResourceError(RuntimeError):
+    """Raised when a requested root system has more roots than MAX_ROOTS."""
 
 
 def _simple_roots(type_tag: str, rank: int) -> List[Coords]:
@@ -109,13 +126,18 @@ _ROOT_COUNTS = {
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Roots in orthogonal coordinates with simple-root bookkeeping."""
+    """Roots as integer expansions on the simple roots, with their lengths.
+
+    `expansions[i]` holds the simple-root coefficients of root i and
+    `length4[i]` four times its squared length.  `roots` gives the same roots
+    in the standard orthogonal coordinates, computed on first use.
+    """
 
     type_tag: str
     rank: int
-    roots: Tuple[Coords, ...]
-    expansions: Tuple[Tuple[int, ...], ...]   # per root, coefficients on simples
-    simples: Tuple[int, ...]                  # indices into roots
+    expansions: Tuple[Expansion, ...]
+    length4: Tuple[int, ...]
+    simples: Tuple[int, ...]                  # indices into expansions
     positives: Tuple[int, ...]
     highest: int
 
@@ -124,73 +146,133 @@ class RootSystem:
         return self.type_tag if self.type_tag[-1].isdigit() else f"{self.type_tag}{self.rank}"
 
     @cached_property
+    def roots(self) -> Tuple[Coords, ...]:
+        """Ambient coordinates: each expansion applied to the simple roots."""
+        dim, doubled = _doubled_simple_roots(self.type_tag, self.rank)
+        sums = []
+        for e in self.expansions:
+            v = [0] * dim
+            for k, c in enumerate(e):
+                if c:
+                    for d, x in doubled[k]:
+                        v[d] += c * x
+            sums.append(v)
+        half = {x: Fraction(x, 2) for x in {x for v in sums for x in v}}
+        return tuple(tuple(half[x] for x in v) for v in sums)
+
+    @cached_property
     def _index(self) -> Dict[Coords, int]:
         return {r: i for i, r in enumerate(self.roots)}
 
     def is_root(self, coords: Coords) -> Optional[int]:
+        """Index of the root with these ambient coordinates, or None."""
         return self._index.get(coords)
 
+    @cached_property
+    def gamma_minus(self) -> Dict[int, Optional[int]]:
+        """For each positive root alpha, the index of gamma - alpha, or None."""
+        index = {e: i for i, e in enumerate(self.expansions)}
+        gamma = self.expansions[self.highest]
+        return {i: index.get(tuple(g - a for g, a in zip(gamma, self.expansions[i])))
+                for i in self.positives}
+
     def length_sq(self, idx: int) -> Fraction:
-        r = self.roots[idx]
-        return _dot(r, r)
+        return Fraction(self.length4[idx], 4)
 
 
+def _check_root_count(type_tag: str, rank: int) -> None:
+    count = _ROOT_COUNTS[type_tag](rank)
+    if count > MAX_ROOTS:
+        raise RootSystemResourceError(
+            f"{type_tag} at rank {rank} has {count} roots, above the ceiling of {MAX_ROOTS}")
+
+
+def _doubled_simple_roots(type_tag: str, rank: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """The ambient dimension, and twice each simple root as (coordinate, int) pairs."""
+    simples = _simple_roots(type_tag, rank)
+    doubled = [[(d, 2 * x) for d, x in enumerate(a) if x] for a in simples]
+    if any(x.denominator != 1 for a in doubled for _, x in a):
+        raise ArithmeticError(f"{type_tag}{rank}: a simple root is not in (1/2)Z^n")
+    return len(simples[0]), [[(d, x.numerator) for d, x in a] for a in doubled]
+
+
+@lru_cache(maxsize=None)
 def build(type_tag: str, rank: int) -> RootSystem:
     """Construct a root system by reflection closure of the simple roots.
 
-    Each root's simple-root expansion is carried along the closure:
-    s_i(beta) = beta - c alpha_i with the integer Cartan number c.
+    Roots are integer expansion tuples on the simple roots, and s_i moves
+    beta to beta - c a_i with the integer Cartan number
+    c = <beta, a_i^vee> = sum_k beta_k <a_k, a_i^vee>.  A reflection keeps
+    the length, so each new root inherits it.  The root count is checked
+    against MAX_ROOTS before anything is allocated.  The result is frozen
+    and cached per (type, rank), so every caller shares one object.
     """
     type_tag = type_tag.upper()
     if type_tag not in _VALID_TYPES:
         raise ValueError(f"unknown root system type {type_tag!r}")
-    simples = _simple_roots(type_tag, rank)
-    expansion: Dict[Coords, Tuple[int, ...]] = {
-        a: tuple(1 if k == i else 0 for k in range(rank)) for i, a in enumerate(simples)}
-    frontier = list(simples)
-    norms = [_dot(a, a) for a in simples]
+    _check_root_count(type_tag, rank)
+    doubled = [dict(a) for a in _doubled_simple_roots(type_tag, rank)[1]]
+    # gram4[k][i] = 4 (a_k, a_i), and <a_k, a_i^vee> = 2 gram4[k][i] / gram4[i][i]
+    gram4 = [[sum(x * t.get(d, 0) for d, x in s.items()) for t in doubled] for s in doubled]
+    cartan = []
+    for k in range(rank):
+        row = []
+        for i in range(rank):
+            c, r = divmod(2 * gram4[k][i], gram4[i][i])
+            if r:
+                raise ArithmeticError(f"{type_tag}{rank}: non-integral Cartan number "
+                                      f"{Fraction(2 * gram4[k][i], gram4[i][i])}")
+            row.append(c)
+        cartan.append(row)
+    sparse_rows = [[(i, c) for i, c in enumerate(row) if c] for row in cartan]
+    units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    length4: Dict[Expansion, int] = {e: gram4[i][i] for i, e in enumerate(units)}
+    # each frontier root travels with its pairings <beta, a_i^vee>, which
+    # s_i changes by -c <a_i, a_j^vee>
+    frontier = [(e, list(row)) for e, row in zip(units, cartan)]
     while frontier:
-        beta = frontier.pop()
-        e_beta = expansion[beta]
-        for i, (alpha, n2) in enumerate(zip(simples, norms)):
-            c = 2 * _dot(beta, alpha) / n2
-            if c.denominator != 1:
-                raise ArithmeticError(f"{type_tag}{rank}: non-integral Cartan number {c}")
-            img = tuple(b - c * a for b, a in zip(beta, alpha))
-            if img not in expansion:
-                e_img = list(e_beta)
-                e_img[i] -= int(c)
-                expansion[img] = tuple(e_img)
-                frontier.append(img)
-    for r, e in list(expansion.items()):
-        expansion.setdefault(tuple(-c for c in r), tuple(-x for x in e))
+        beta, pairing = frontier.pop()
+        for i, c in enumerate(pairing):
+            if c:
+                img = list(beta)
+                img[i] -= c
+                img = tuple(img)
+                if img not in length4:
+                    length4[img] = length4[beta]
+                    moved = pairing.copy()
+                    for j, a in sparse_rows[i]:
+                        moved[j] -= c * a
+                    frontier.append((img, moved))
+    for e, n in list(length4.items()):
+        length4.setdefault(tuple(-x for x in e), n)
     if type_tag == "BC":
-        shortest = min(_dot(r, r) for r in expansion)
-        for r, e in list(expansion.items()):
-            if _dot(r, r) == shortest:
-                expansion[tuple(2 * c for c in r)] = tuple(2 * x for x in e)
-    ordered = sorted(expansion)
+        shortest = min(length4.values())
+        for e, n in list(length4.items()):
+            if n == shortest:
+                length4[tuple(2 * x for x in e)] = 4 * n
+    expansions = sorted(length4)
     expected = _ROOT_COUNTS[type_tag](rank)
-    if len(ordered) != expected:
-        raise AssertionError(
-            f"{type_tag}{rank}: generated {len(ordered)} roots, expected {expected}")
-    expansions = [expansion[r] for r in ordered]
-    simple_idx = tuple(ordered.index(s) for s in simples)
+    if len(expansions) != expected:
+        raise ArithmeticError(
+            f"{type_tag}{rank}: generated {len(expansions)} roots, expected {expected}")
+    index = {e: i for i, e in enumerate(expansions)}
+    simple_idx = tuple(index[u] for u in units)
     positives = tuple(i for i, e in enumerate(expansions)
                       if any(e) and min(e) >= 0)
-    if 2 * len(positives) != len(ordered):
+    if 2 * len(positives) != len(expansions):
         raise ArithmeticError(f"{type_tag}{rank}: positive roots are not half of all roots")
-    highest = _highest_root(ordered, expansions, positives)
-    return RootSystem(type_tag, rank, tuple(ordered), tuple(expansions),
+    highest = _highest_root(expansions, positives)
+    return RootSystem(type_tag, rank, tuple(expansions),
+                      tuple(length4[e] for e in expansions),
                       simple_idx, positives, highest)
 
 
-def _highest_root(roots, expansions, positives) -> int:
+def _highest_root(expansions, positives) -> int:
     best = max(positives, key=lambda i: sum(expansions[i]))
     be = expansions[best]
     for i in positives:
         if any(b < e for b, e in zip(be, expansions[i])):
-            raise AssertionError("no dominant highest root; system not irreducible?")
+            raise ArithmeticError("no dominant highest root; system not irreducible?")
     return best
 
 
@@ -221,14 +303,8 @@ def is_two_step(pc: ParabolicChoice) -> bool:
 
 def is_nonsingular_combinatorial(pc: ParabolicChoice) -> bool:
     """For every height-1 positive root a, gamma - a is a height-1 root."""
-    sys_ = pc.system
-    gamma = sys_.roots[sys_.highest]
-    for i in sys_.positives:
-        if phi_height(pc, i) != 1:
-            continue
-        diff = tuple(g - a for g, a in zip(gamma, sys_.roots[i]))
-        j = sys_.is_root(diff)
-        if j is None or phi_height(pc, j) != 1:
+    for i, j in pc.system.gamma_minus.items():
+        if phi_height(pc, i) == 1 and (j is None or phi_height(pc, j) != 1):
             return False
     return True
 
@@ -276,14 +352,26 @@ class ScanReport:
 
 
 def scan(type_tag: str, rank: int) -> ScanReport:
-    """All Phi passing both predicates, grouped by diagram-automorphism orbit."""
+    """All Phi passing both predicates, grouped by diagram-automorphism orbit.
+
+    Only the Phi that can be two-step are tested.  `build` checks that the
+    highest root gamma dominates every positive root, the simple roots
+    included, so its coefficients m_i are positive integers.  The
+    Phi-height sum_{i in Phi} m_i is then 2 only for Phi = {i} with
+    m_i = 2 or Phi = {i, j} with m_i = m_j = 1: O(rank^2) candidates out of
+    the 2^rank - 1 nonempty subsets.  Singletons are tested before pairs,
+    each in lexicographic order; this is the size-then-lex order of a scan
+    over all subsets, and it fixes the order of `orbits`.
+    """
     system = build(type_tag, rank)
+    top = system.expansions[system.highest]
+    candidates = [(i,) for i, m in enumerate(top) if m == 2]
+    candidates += itertools.combinations([i for i, m in enumerate(top) if m == 1], 2)
     passing: List[Tuple[int, ...]] = []
-    for size in range(1, system.rank + 1):
-        for combo in itertools.combinations(range(system.rank), size):
-            pc = ParabolicChoice(system, frozenset(combo))
-            if is_two_step(pc) and is_nonsingular_combinatorial(pc):
-                passing.append(combo)
+    for combo in candidates:
+        pc = ParabolicChoice(system, frozenset(combo))
+        if is_two_step(pc) and is_nonsingular_combinatorial(pc):
+            passing.append(combo)
     autos = diagram_automorphisms(system)
     seen: Set[Tuple[int, ...]] = set()
     orbits: List[Tuple[Tuple[int, ...], ...]] = []
@@ -299,20 +387,20 @@ def scan(type_tag: str, rank: int) -> ScanReport:
 
 
 def scan_standard_types(max_rank: int = 8) -> Dict[str, ScanReport]:
-    """The default sweep: classical families to max_rank plus G2 F4 E6 E7 E8."""
-    reports: Dict[str, ScanReport] = {}
-    for n in range(1, max_rank + 1):
-        reports[f"A{n}"] = scan("A", n)
-    for n in range(2, max_rank + 1):
-        reports[f"B{n}"] = scan("B", n)
-        reports[f"C{n}"] = scan("C", n)
-    for n in range(4, max_rank + 1):
-        reports[f"D{n}"] = scan("D", n)
-    for n in range(1, max_rank + 1):
-        reports[f"BC{n}"] = scan("BC", n)
-    for name in ("G2", "F4", "E6", "E7", "E8"):
-        reports[name] = scan(name, int(name[1]))
-    return reports
+    """The default sweep: classical families to max_rank plus G2 F4 E6 E7 E8.
+
+    Every system's root count is checked against MAX_ROOTS before the
+    first one is built.
+    """
+    systems = [("A", n) for n in range(1, max_rank + 1)]
+    systems += [(t, n) for n in range(2, max_rank + 1) for t in ("B", "C")]
+    systems += [("D", n) for n in range(4, max_rank + 1)]
+    systems += [("BC", n) for n in range(1, max_rank + 1)]
+    systems += [(name, int(name[1])) for name in ("G2", "F4", "E6", "E7", "E8")]
+    for t, n in systems:
+        _check_root_count(t, n)
+    reports = [scan(t, n) for t, n in systems]
+    return {rep.system.label: rep for rep in reports}
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,8 @@ def test_malformed_file_reports_context(tmp_path, capsys):
     ({"dimV": 2.5, "dimZ": 1, "brackets": []}, "dimV must be a JSON integer"),
     ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, "1"]]}, "must be a JSON list"),
     ({"dimV": 2, "dimZ": 2, "brackets": [[0, 1, "12"]]}, "must be a JSON list"),
+    ({"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [1]], [0, 1, [2]]]},
+     "duplicate bracket key (0, 1)"),
 ])
 def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
     path = str(tmp_path / "bad.json")
@@ -196,6 +198,43 @@ def test_nonsingular_empty_algebra_exits_two(tmp_path, capsys):
         json.dump({"dimV": 0, "dimZ": 0, "brackets": []}, fh)
     code, _, err = run(capsys, "nonsingular", path)
     assert code == 2 and "dimV" in err and "Traceback" not in err
+
+
+def test_failed_certification_exits_three(tmp_path, capsys, monkeypatch):
+    from nilrad import cli
+
+    def broken(ms):
+        raise ArithmeticError("certificate rejected")
+
+    ms = make_h_prime(Tag.C, 1, 0)
+    path = str(tmp_path / "h.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    monkeypatch.setattr(cli, "is_htype", broken)
+    code, out, err = run(capsys, "verify-htype", path, "--json")
+    assert code == 3 and out == "" and "certificate rejected" in err
+    assert "Traceback" not in err
+
+
+def test_failed_root_system_check_exits_three(capsys, monkeypatch):
+    from nilrad import rootsys
+
+    def broken(expansions, positives):
+        raise ArithmeticError("no dominant highest root")
+
+    monkeypatch.setattr(rootsys, "_highest_root", broken)
+    rootsys.build.cache_clear()
+    code, out, err = run(capsys, "classify", "--type", "B", "--rank", "3", "--json")
+    assert code == 3 and out == "" and "no dominant highest root" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--type", "C", "--rank", "1000000"], "C at rank 1000000 has 2000000000000 roots"),
+    (["scan-all", "--max-rank", "1000000", "--json"], "roots, above the ceiling of"),
+], ids=["classify", "scan-all"])
+def test_root_count_guard_exits_three(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "resource guard" in err and message in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -6,8 +6,11 @@ import pytest
 from nilrad.division import Tag
 from nilrad.htype import HTypeFamilyId
 from nilrad.rootsys import (
+    MAX_ROOTS,
     ParabolicChoice,
     RealFormEntry,
+    RootSystemResourceError,
+    _ROOT_COUNTS,
     a1_exception_report,
     build,
     diagram_automorphisms,
@@ -77,6 +80,33 @@ def test_closed_under_negation():
     rs = build("F4", 4)
     roots = set(rs.roots)
     assert all(tuple(-c for c in r) in roots for r in rs.roots)
+
+
+def test_lengths_match_the_ambient_view():
+    for rep in scan_standard_types(8).values():
+        rs = rep.system
+        for i, r in enumerate(rs.roots):
+            assert rs.length_sq(i) == sum(c * c for c in r)
+
+
+@pytest.mark.parametrize("tag, count", [("A", 930), ("B", 1800), ("C", 1800),
+                                        ("D", 1740), ("BC", 1860)])
+def test_root_counts_at_rank_30(tag, count):
+    assert len(build(tag, 30).expansions) == _ROOT_COUNTS[tag](30) == count
+    assert count <= MAX_ROOTS
+
+
+def test_build_is_shared_per_type_and_rank():
+    assert build("E8", 8) is build("E8", 8)
+
+
+def test_root_count_guard_trips_before_building():
+    with pytest.raises(RootSystemResourceError, match="A at rank 100000 has 10000100000 roots"):
+        build("A", 100_000)
+    built = build.cache_info()
+    with pytest.raises(RootSystemResourceError, match="above the ceiling"):
+        scan_standard_types(500)
+    assert build.cache_info() == built
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +203,47 @@ def test_diagram_automorphism_groups():
     assert len(diagram_automorphisms(build("E6", 6))) == 2
     assert len(diagram_automorphisms(build("BC", 3))) == 1
     assert len(diagram_automorphisms(build("F4", 4))) == 1
+
+
+def _ambient_nonsingular(choice):
+    """The non-singularity predicate on ambient coordinates, root by root."""
+    rs = choice.system
+    gamma = rs.roots[rs.highest]
+    for i in rs.positives:
+        if phi_height(choice, i) == 1:
+            j = rs.is_root(tuple(g - a for g, a in zip(gamma, rs.roots[i])))
+            if j is None or phi_height(choice, j) != 1:
+                return False
+    return True
+
+
+def _brute_force_scan(rs):
+    """Every nonempty Phi in size-then-lex order, and its orbits."""
+    passing = [combo for size in range(1, rs.rank + 1)
+               for combo in itertools.combinations(range(rs.rank), size)
+               if is_two_step(pc(rs, *combo)) and _ambient_nonsingular(pc(rs, *combo))]
+    autos = diagram_automorphisms(rs)
+    seen, orbits = set(), []
+    for phi in passing:
+        if phi not in seen:
+            orbit = [o for o in sorted({tuple(sorted(g[i] for i in phi)) for g in autos})
+                     if o in passing]
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
+    return tuple(sorted(passing)), tuple(orbits)
+
+
+def test_scan_matches_brute_force_subset_scan():
+    for name, rep in scan_standard_types(10).items():
+        assert (rep.passing, rep.orbits) == _brute_force_scan(rep.system), name
+
+
+@pytest.mark.parametrize("tag, survivor", [("A", None), ("B", (1,)), ("C", (0,)),
+                                           ("D", (1,)), ("BC", (0,))],
+                         ids=["A", "B", "C", "D", "BC"])
+def test_survivor_pattern_to_rank_30(tag, survivor):
+    for n in range(9, 31):
+        assert scan(tag, n).passing == ((survivor or (0, n - 1)),), f"{tag}{n}"
 
 
 def test_scan_standard_types_summary():
