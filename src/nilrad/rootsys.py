@@ -58,18 +58,26 @@ class RootSystemResourceError(RuntimeError):
     """Raised when a requested root system has more roots than MAX_ROOTS."""
 
 
+_MIN_RANKS = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}
+
+
+def _check_rank(type_tag: str, rank: int) -> None:
+    """Reject a rank the type does not have; G2, F4 and E6-E8 have one fixed rank."""
+    if type_tag in _MIN_RANKS:
+        if rank < _MIN_RANKS[type_tag]:
+            raise ValueError(f"{type_tag} needs rank >= {_MIN_RANKS[type_tag]}")
+    elif rank != int(type_tag[1]):
+        raise ValueError(f"{type_tag} has rank {type_tag[1]}")
+
+
 def _simple_roots(type_tag: str, rank: int) -> List[Coords]:
+    """The simple roots of the standard realization, for a checked rank."""
     F = Fraction
     if type_tag == "A":
-        if rank < 1:
-            raise ValueError("A needs rank >= 1")
         dim = rank + 1
         return [tuple(F(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(dim))
                 for i in range(rank)]
     if type_tag in ("B", "C", "D", "BC"):
-        min_rank = {"B": 2, "C": 2, "D": 4, "BC": 1}[type_tag]
-        if rank < min_rank:
-            raise ValueError(f"{type_tag} needs rank >= {min_rank}")
         dim = rank
         base = [tuple(F(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(dim))
                 for i in range(rank - 1)]
@@ -81,20 +89,13 @@ def _simple_roots(type_tag: str, rank: int) -> List[Coords]:
             last = tuple(F(1 if k >= rank - 2 else 0) for k in range(dim))
         return base + [last]
     if type_tag == "G2":
-        if rank != 2:
-            raise ValueError("G2 has rank 2")
         return [(F(1), F(-1), F(0)), (F(-2), F(1), F(1))]
     if type_tag == "F4":
-        if rank != 4:
-            raise ValueError("F4 has rank 4")
         return [(F(0), F(1), F(-1), F(0)),
                 (F(0), F(0), F(1), F(-1)),
                 (F(0), F(0), F(0), F(1)),
                 (F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2))]
     if type_tag in ("E6", "E7", "E8"):
-        want = int(type_tag[1])
-        if rank != want:
-            raise ValueError(f"{type_tag} has rank {want}")
         half = F(1, 2)
         e8 = [
             (half, -half, -half, -half, -half, -half, -half, half),
@@ -106,7 +107,7 @@ def _simple_roots(type_tag: str, rank: int) -> List[Coords]:
             (F(0), F(0), F(0), F(0), F(-1), F(1), F(0), F(0)),
             (F(0), F(0), F(0), F(0), F(0), F(-1), F(1), F(0)),
         ]
-        return e8[:want]
+        return e8[:rank]
     raise ValueError(f"unknown root system type {type_tag!r}")
 
 
@@ -148,25 +149,11 @@ class RootSystem:
     @cached_property
     def roots(self) -> Tuple[Coords, ...]:
         """Ambient coordinates: each expansion applied to the simple roots."""
-        dim, doubled = _doubled_simple_roots(self.type_tag, self.rank)
-        sums = []
-        for e in self.expansions:
-            v = [0] * dim
-            for k, c in enumerate(e):
-                if c:
-                    for d, x in doubled[k]:
-                        v[d] += c * x
-            sums.append(v)
-        half = {x: Fraction(x, 2) for x in {x for v in sums for x in v}}
-        return tuple(tuple(half[x] for x in v) for v in sums)
-
-    @cached_property
-    def _index(self) -> Dict[Coords, int]:
-        return {r: i for i, r in enumerate(self.roots)}
-
-    def is_root(self, coords: Coords) -> Optional[int]:
-        """Index of the root with these ambient coordinates, or None."""
-        return self._index.get(coords)
+        # summed in ints on the doubled simple roots, which `build` checked are integral
+        doubled = [[int(2 * x) for x in a] for a in _simple_roots(self.type_tag, self.rank)]
+        return tuple(tuple(Fraction(sum(c * a[d] for c, a in zip(e, doubled)), 2)
+                           for d in range(len(doubled[0])))
+                     for e in self.expansions)
 
     @cached_property
     def gamma_minus(self) -> Dict[int, Optional[int]]:
@@ -187,15 +174,6 @@ def _check_root_count(type_tag: str, rank: int) -> None:
             f"{type_tag} at rank {rank} has {count} roots, above the ceiling of {MAX_ROOTS}")
 
 
-def _doubled_simple_roots(type_tag: str, rank: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """The ambient dimension, and twice each simple root as (coordinate, int) pairs."""
-    simples = _simple_roots(type_tag, rank)
-    doubled = [[(d, 2 * x) for d, x in enumerate(a) if x] for a in simples]
-    if any(x.denominator != 1 for a in doubled for _, x in a):
-        raise ArithmeticError(f"{type_tag}{rank}: a simple root is not in (1/2)Z^n")
-    return len(simples[0]), [[(d, x.numerator) for d, x in a] for a in doubled]
-
-
 @lru_cache(maxsize=None)
 def build(type_tag: str, rank: int) -> RootSystem:
     """Construct a root system by reflection closure of the simple roots.
@@ -210,8 +188,13 @@ def build(type_tag: str, rank: int) -> RootSystem:
     type_tag = type_tag.upper()
     if type_tag not in _VALID_TYPES:
         raise ValueError(f"unknown root system type {type_tag!r}")
+    _check_rank(type_tag, rank)
     _check_root_count(type_tag, rank)
-    doubled = [dict(a) for a in _doubled_simple_roots(type_tag, rank)[1]]
+    # twice each simple root, as {coordinate: integer}
+    doubled = [{d: 2 * x for d, x in enumerate(a) if x} for a in _simple_roots(type_tag, rank)]
+    if any(x.denominator != 1 for a in doubled for x in a.values()):
+        raise ArithmeticError(f"{type_tag}{rank}: a simple root is not in (1/2)Z^n")
+    doubled = [{d: x.numerator for d, x in a.items()} for a in doubled]
     # gram4[k][i] = 4 (a_k, a_i), and <a_k, a_i^vee> = 2 gram4[k][i] / gram4[i][i]
     gram4 = [[sum(x * t.get(d, 0) for d, x in s.items()) for t in doubled] for s in doubled]
     cartan = []
@@ -227,11 +210,14 @@ def build(type_tag: str, rank: int) -> RootSystem:
     sparse_rows = [[(i, c) for i, c in enumerate(row) if c] for row in cartan]
     units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     length4: Dict[Expansion, int] = {e: gram4[i][i] for i, e in enumerate(units)}
-    # each frontier root travels with its pairings <beta, a_i^vee>, which
-    # s_i changes by -c <a_i, a_j^vee>
-    frontier = [(e, list(row)) for e, row in zip(units, cartan)]
+    frontier = list(units)
     while frontier:
-        beta, pairing = frontier.pop()
+        beta = frontier.pop()
+        pairing = [0] * rank
+        for k, b in enumerate(beta):
+            if b:
+                for i, a in sparse_rows[k]:
+                    pairing[i] += b * a
         for i, c in enumerate(pairing):
             if c:
                 img = list(beta)
@@ -239,10 +225,7 @@ def build(type_tag: str, rank: int) -> RootSystem:
                 img = tuple(img)
                 if img not in length4:
                     length4[img] = length4[beta]
-                    moved = pairing.copy()
-                    for j, a in sparse_rows[i]:
-                        moved[j] -= c * a
-                    frontier.append((img, moved))
+                    frontier.append(img)
     for e, n in list(length4.items()):
         length4.setdefault(tuple(-x for x in e), n)
     if type_tag == "BC":

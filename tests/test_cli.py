@@ -239,5 +239,8 @@ def test_root_count_guard_exits_three(capsys, argv, message):
 
 def test_usage_errors_exit_two(capsys):
     assert main(["classify", "--type", "Z", "--rank", "1"]) == 2
+    # an invalid rank is a usage error, whatever root count its formula gives
+    assert main(["classify", "--type", "A", "--rank", "-100"]) == 2
+    assert main(["classify", "--type", "G2", "--rank", "100000"]) == 2
     assert main(["no-such-verb"]) == 2
     assert main(["construct", "--family", "h", "--field", "C"]) == 2

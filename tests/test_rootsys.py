@@ -31,6 +31,11 @@ def pc(system, *positions):
     return ParabolicChoice(system, frozenset(positions))
 
 
+def ambient_index(rs):
+    """Root index by ambient coordinates."""
+    return {r: i for i, r in enumerate(rs.roots)}
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -70,8 +75,8 @@ def test_highest_root_dominates_every_positive_root():
 
 
 def test_invalid_ranks_rejected():
-    for tag, rank in [("A", 0), ("B", 1), ("D", 3), ("BC", 0),
-                      ("G2", 3), ("E6", 5), ("X", 2)]:
+    for tag, rank in [("A", 0), ("B", 1), ("D", 3), ("BC", 0), ("A", -100),
+                      ("G2", 3), ("E6", 5), ("E8", 100_000), ("X", 2)]:
         with pytest.raises(ValueError):
             build(tag, rank)
 
@@ -127,13 +132,14 @@ def test_phi_height_additive_on_root_differences():
     for tag, rank in [("A", 3), ("B", 3), ("C", 3), ("BC", 2), ("G2", 2), ("F4", 4)]:
         rs = build(tag, rank)
         gamma = rs.roots[rs.highest]
+        index = ambient_index(rs)
         for phi_positions in itertools.chain.from_iterable(
                 itertools.combinations(range(rs.rank), k) for k in (1, 2)):
             choice = pc(rs, *phi_positions)
             hg = phi_height(choice, rs.highest)
             for i, alpha in enumerate(rs.roots):
                 diff = tuple(g - a for g, a in zip(gamma, alpha))
-                j = rs.is_root(diff)
+                j = index.get(diff)
                 if j is not None:
                     assert hg == phi_height(choice, i) + phi_height(choice, j)
 
@@ -209,9 +215,10 @@ def _ambient_nonsingular(choice):
     """The non-singularity predicate on ambient coordinates, root by root."""
     rs = choice.system
     gamma = rs.roots[rs.highest]
+    index = ambient_index(rs)
     for i in rs.positives:
         if phi_height(choice, i) == 1:
-            j = rs.is_root(tuple(g - a for g, a in zip(gamma, rs.roots[i])))
+            j = index.get(tuple(g - a for g, a in zip(gamma, rs.roots[i])))
             if j is None or phi_height(choice, j) != 1:
                 return False
     return True
