@@ -44,6 +44,15 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# largest dimV or dimZ that the metric verbs (verify-htype, nonsingular,
+# transfer, identify, probe-irreducible) accept; a dense metric block
+# holds dim^2 rationals
+MAX_METRIC_DIM = 512
+
+
+class MetricResourceError(RuntimeError):
+    """Raised when a metric verb's input exceeds MAX_METRIC_DIM in either layer."""
+
 
 def _emit(doc: dict, as_json: bool, text: str) -> None:
     if as_json:
@@ -53,8 +62,18 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
-def _load_metric(path: str) -> MetricStructure:
+def _load_bounded(path: str):
+    """nilalg.load, refusing layers above MAX_METRIC_DIM before any metric exists."""
     alg, gv, gz = nilalg.load(path)
+    if max(alg.dim_v, alg.dim_z) > MAX_METRIC_DIM:
+        raise MetricResourceError(
+            f"dimV = {alg.dim_v}, dimZ = {alg.dim_z} exceeds the ceiling "
+            f"of {MAX_METRIC_DIM} per layer")
+    return alg, gv, gz
+
+
+def _load_metric(path: str) -> MetricStructure:
+    alg, gv, gz = _load_bounded(path)
     if gv is None:
         gv = Matrix.identity(alg.dim_v)
     if gz is None:
@@ -96,7 +115,7 @@ def _cmd_verify_htype(args) -> int:
 
 
 def _cmd_nonsingular(args) -> int:
-    alg, gv, gz = nilalg.load(args.file)
+    alg, gv, gz = _load_bounded(args.file)
     verdict = is_nonsingular(alg, trials=args.trials, seed=args.seed,
                              gram_v=gv, gram_z=gz)
     doc = {"command": "nonsingular", "file": args.file, "verdict": verdict.kind,
@@ -335,7 +354,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ProlongationResourceError, RootSystemResourceError) as exc:
+    except (ProlongationResourceError, RootSystemResourceError,
+            MetricResourceError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ArithmeticError as exc:

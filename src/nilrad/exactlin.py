@@ -13,35 +13,26 @@ fraction-free integer echelon form of the denominator-cleared rows;
 `solve` and `inverse` reduce the augmented matrices [m | rhs] and
 [m | I].  Kernels work on sparse integer rows and return primitive
 integer vectors; `Fraction` enters only when `nullspace` hands them back
-as coordinates.  Kernels of big systems first try a modular prefilter:
-reduce modulo word-size primes, lift the modular echelon form back to an
-integer one by CRT plus rational reconstruction, and read the candidate
-kernel off it as on the exact path.  Both routes certify every vector
-by exact integer substitution into every original row.  If
-certification fails the exact path runs instead, so the modular route
-can never change a result, only speed it up.
+as coordinates.  A kernel is one exact route for every size: structured
+elimination drains the rows with one or two nonzeros, the integer
+echelon form reduces what is left, and back-substitution in Python ints
+recovers the echelon-form basis of the whole system.  Every vector is
+certified by exact integer substitution into every original row.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
-import numpy as np
 
 Rational = Fraction
 
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 128
-
-# primes just under 2**31 so that (p-1)**2 fits comfortably in int64
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-)
 
 
 def rat(x) -> Fraction:
@@ -217,9 +208,9 @@ def rank(m: Matrix) -> int:
 def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
     """Basis of the right kernel of m, as coordinate vectors.
 
-    Column-matrix views are available through `Matrix.column`.  Large
-    systems take the modular-prefilter route; results are always
-    certified by exact substitution.
+    Column-matrix views are available through `Matrix.column`.  The
+    basis is the one read off the reduced echelon form, computed by
+    `nullspace_int_rows` and certified by exact substitution.
     """
     if m.cols == 0:
         return []
@@ -288,7 +279,7 @@ def is_positive_definite(m: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernel with modular prefilter
+# Integer kernel by structured elimination
 # ---------------------------------------------------------------------------
 
 SparseRow = Sequence[Tuple[int, int]]
@@ -383,6 +374,14 @@ def _int_rref(rows: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     return pivots, prows
 
 
+def _primitive(v: List[int]) -> List[int]:
+    """A nonzero int vector divided by its content, signed so its first nonzero is positive."""
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return [x // g for x in v] if g != 1 else v
+
+
 def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
                          ncols: int) -> List[List[int]]:
     """Kernel basis of an integer RREF (positive pivots) as primitive int vectors.
@@ -401,162 +400,132 @@ def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
         v[f] = lcm
         for c, n, d in terms:
             v[c] = -n * (lcm // d)
-        g = math.gcd(*v)
-        if next(x for x in v if x) < 0:
-            g = -g
-        basis.append([x // g for x in v] if g != 1 else v)
+        basis.append(_primitive(v))
     return basis
 
 
-def _mod_rref(rows_np: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
-    """RREF mod p via numpy; returns (pivot columns, reduced pivot rows)."""
-    a = rows_np % p
-    nr, nc = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        col_all = a[:, c].copy()
-        col_all[r] = 0
-        nzr = np.nonzero(col_all)[0]
-        if nzr.size:
-            # row r is zero left of c, so only columns c.. change
-            a[nzr, c:] = (a[nzr, c:] - np.outer(col_all[nzr], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return pivots, a[:len(pivots)]
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> Tuple[int, int]:
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m
-    return x, m
-
-
-def _rational_reconstruct(a: int, m: int) -> Optional[Tuple[int, int]]:
-    """Wang-style reconstruction (numerator, denominator > 0) of a residue mod m."""
-    a %= m
-    bound = math.isqrt(m // 2)
-    old_r, r = m, a
-    old_s, s = 0, 1
-    while r > bound:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    den = abs(s)
-    if den == 0 or den > bound or math.gcd(r, den) != 1:
-        return None
-    return (r if s >= 0 else -r), den
-
-
 def _verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> bool:
-    """True when every vector satisfies every sparse row, by exact substitution."""
+    """True when every vector satisfies every sparse row, by exact substitution.
+
+    A row holding no column of a vector's support vanishes on it, so each
+    vector is substituted into the rows that meet its support.
+    """
+    holds: dict = {}
+    for k, r in enumerate(rows):
+        for c, _ in r:
+            holds.setdefault(c, []).append(k)
     for v in vecs:
-        for r in rows:
-            if sum([x * v[c] for c, x in r]):
+        meet = set()
+        for c, x in enumerate(v):
+            if x and c in holds:
+                meet.update(holds[c])
+        for k in meet:
+            if sum([x * v[c] for c, x in rows[k]]):
                 return False
     return True
 
 
-def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int,
-                       prefilter: Optional[bool] = None) -> List[List[int]]:
+def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]:
     """Kernel basis of sparse integer rows, as primitive int vectors.
 
     Each row lists its entries as (column, value) pairs; a repeated
-    column adds up.  prefilter None picks the modular route when the
-    dense system would exceed 50,000 entries.  Every returned vector is
+    column adds up.  Structured elimination first drains the rows with
+    one or two nonzeros: a singleton a x_c = 0 sets x_c = 0, and a
+    doubleton a x_i + b x_j = 0 with i < j substitutes x_i = -b/a x_j
+    into every row holding i, so no row gains a nonzero.  The residual
+    rows go through `_int_rref` with their columns in the original order,
+    and its basis is back-substituted in reverse.  An eliminated column
+    is never the last nonzero of a kernel vector, so the residual's free
+    columns are those of the full echelon form and the result is the
+    basis `_nullspace_from_rref` reads off it: one vector per free column,
+    entries coprime, first nonzero positive.  Every returned vector is
     certified against every input row by exact integer substitution.
     """
-    rows = [r for r in rows if r]
-    if not rows:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    if prefilter is None:
-        prefilter = len(rows) * ncols > 50000
-    if prefilter:
-        basis = _nullspace_modular(rows, ncols)
-        if basis is not None:
-            return basis
-    dense = []
+    work: List[Optional[dict]] = []
+    holds: List[set] = [set() for _ in range(ncols)]    # column -> rows holding it
     for r in rows:
-        d = [0] * ncols
-        for c, x in r:
-            d[c] += x
-        dense.append(d)
-    basis = _nullspace_from_rref(*_int_rref(dense), ncols)
-    if not _verify_kernel(rows, basis):
-        raise ArithmeticError("exact kernel failed certification by substitution")
-    return basis
-
-
-def _nullspace_modular(rows: Sequence[SparseRow], ncols: int
-                       ) -> Optional[List[List[int]]]:
-    """Candidate kernel from CRT over word-size primes, exactly certified."""
-    max_primes = 8
-    at = ([i for i, r in enumerate(rows) for _ in r], [c for r in rows for c, _ in r])
-    vals = [x for r in rows for _, x in r]
-    residues: List[Tuple[int, List[int], np.ndarray]] = []
-    pivots_ref: Optional[List[int]] = None
-    for p in _PRIMES[:max_primes]:
-        arr = np.zeros((len(rows), ncols), dtype=np.int64)
-        np.add.at(arr, at, [x % p for x in vals])
-        piv, pr = _mod_rref(arr, p)
-        if pivots_ref is None or len(piv) > len(pivots_ref):
-            # a prime seeing higher rank supersedes lower-rank (unlucky) ones
-            residues = [(p, piv, pr)]
-            pivots_ref = piv
-        elif piv == pivots_ref:
-            residues.append((p, piv, pr))
-        # try reconstruction once we have k primes accumulated
-        prows = _reconstruct_rref(residues, ncols)
-        if prows is not None:
-            cand = _nullspace_from_rref(pivots_ref, prows, ncols)
-            if _verify_kernel(rows, cand):
-                return cand
-    return None
-
-
-def _reconstruct_rref(residues: List[Tuple[int, List[int], np.ndarray]],
-                      ncols: int) -> Optional[List[List[int]]]:
-    """Integer RREF rows lifted from the modular RREFs by CRT and rational
-    reconstruction; each row is scaled by the lcm of its denominators, so
-    its pivot is positive.  None when some entry does not reconstruct.
-    """
-    modulus = 1
-    merged: Optional[List[List[int]]] = None
-    for p, _, pr in residues:
-        cur = pr.tolist()
-        if merged is None:
-            merged, modulus = cur, p
+        d = dict(r)
+        if len(d) < len(r):
+            d = {}
+            for c, x in r:
+                d[c] = d.get(c, 0) + x
+        if not all(d.values()):
+            d = {c: x for c, x in d.items() if x}
+        if d:
+            for c in d:
+                holds[c].add(len(work))
+            work.append(d)
+    dead = set()
+    subs = []               # (i, a, j, b): a x_i + b x_j = 0, in elimination order
+    queue = deque(k for k, d in enumerate(work) if len(d) <= 2)
+    while queue:
+        k = queue.popleft()
+        d = work[k]
+        if d is None:
+            continue
+        work[k] = None
+        if not d:
+            continue
+        for c in d:
+            holds[c].discard(k)
+        if len(d) == 1:
+            (i, _), = d.items()
+            for m in holds[i]:
+                r = work[m]
+                del r[i]
+                if len(r) <= 2:
+                    queue.append(m)
         else:
-            merged = [[_crt_pair(a, modulus, b, p)[0] for a, b in zip(ra, rb)]
-                      for ra, rb in zip(merged, cur)]
-            modulus *= p
-    prows = []
-    for c, row in zip(residues[0][1], merged):
-        entries = []
-        for f, a in enumerate(row):
-            if a and f != c:
-                q = _rational_reconstruct(a, modulus)
-                if q is None:
-                    return None
-                entries.append((f, q))
-        lcm = math.lcm(*(d for _, (_, d) in entries))
-        out = [0] * ncols
-        out[c] = lcm
-        for f, (n, d) in entries:
-            out[f] = n * (lcm // d)
-        prows.append(out)
-    return prows
+            (i, a), (j, b) = sorted(d.items())
+            subs.append((i, a, j, b))
+            for m in holds[i]:
+                r = work[m]
+                x = r.pop(i)
+                g = math.gcd(a, x)
+                s, t = a // g, x // g
+                if s != 1:
+                    for c in r:
+                        r[c] *= s
+                y = r.get(j, 0) - t * b
+                if y:
+                    r[j] = y
+                    holds[j].add(m)
+                elif j in r:
+                    del r[j]
+                    holds[j].discard(m)
+                g = math.gcd(*r.values())
+                if g > 1:
+                    for c in r:
+                        r[c] //= g
+                if len(r) <= 2:
+                    queue.append(m)
+        dead.add(i)
+        holds[i] = set()
+    live = [c for c in range(ncols) if c not in dead]
+    pos = {c: n for n, c in enumerate(live)}
+    residual = []
+    for d in work:
+        if d is not None:
+            dense = [0] * len(live)
+            for c, x in d.items():
+                dense[pos[c]] = x
+            residual.append(dense)
+    basis = []
+    for w in _nullspace_from_rref(*_int_rref(residual), len(live)):
+        v = [0] * ncols
+        for c, x in zip(live, w):
+            v[c] = x
+        for i, a, j, b in reversed(subs):
+            y = -b * v[j]
+            if y % a:
+                s = abs(a) // math.gcd(a, y)
+                v = [x * s for x in v]
+                y *= s
+            v[i] = y // a
+        basis.append(_primitive(v))
+    if not _verify_kernel(rows, basis):
+        raise ArithmeticError("kernel failed certification by substitution")
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
-from nilrad.exactlin import Matrix
+from nilrad.exactlin import Matrix, _int_rref, _nullspace_from_rref
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -23,30 +23,48 @@ from nilrad.htype import (
 from nilrad.prolong import prolong
 
 
-def run_optimized(code: str) -> subprocess.CompletedProcess:
-    """Run a snippet under `python -O` (asserts compiled away) with this nilrad."""
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a snippet in a fresh interpreter, with the given flags, with this nilrad."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nilrad.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+    return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run a snippet under `python -O` (asserts compiled away) with this nilrad."""
+    return run_python(code, "-O")
+
+
+def dense_kernel(rows, ncols):
+    """Reference kernel basis of sparse integer rows, read off the dense
+    integer echelon form."""
+    dense = [[0] * ncols for _ in rows]
+    for d, r in zip(dense, rows):
+        for c, x in r:
+            d[c] += x
+    return _nullspace_from_rref(*_int_rref(dense), ncols)
+
+
+_BUILDERS = {
+    "h1C": lambda: make_h(Tag.C, 1),
+    "h1H": lambda: make_h(Tag.H, 1),
+    "h1O": lambda: make_h(Tag.O, 1),
+    "hp10C": lambda: make_h_prime(Tag.C, 1, 0),
+    "hp10H": lambda: make_h_prime(Tag.H, 1, 0),
+    "hp11H": lambda: make_h_prime(Tag.H, 1, 1),
+    "hp21H": lambda: make_h_prime(Tag.H, 2, 1),
+    "hp10O": lambda: make_h_prime(Tag.O, 1, 0),
+    "cliff5": lambda: make_clifford_module_algebra(5, 1),
+    "cliff7x2": lambda: make_clifford_module_algebra(7, 2),
+}
+FLEET = tuple(_BUILDERS)
+
+
 @lru_cache(maxsize=None)
 def fleet_member(key: str) -> MetricStructure:
-    builders = {
-        "h1C": lambda: make_h(Tag.C, 1),
-        "h1H": lambda: make_h(Tag.H, 1),
-        "h1O": lambda: make_h(Tag.O, 1),
-        "hp10C": lambda: make_h_prime(Tag.C, 1, 0),
-        "hp10H": lambda: make_h_prime(Tag.H, 1, 0),
-        "hp11H": lambda: make_h_prime(Tag.H, 1, 1),
-        "hp21H": lambda: make_h_prime(Tag.H, 2, 1),
-        "hp10O": lambda: make_h_prime(Tag.O, 1, 0),
-        "cliff5": lambda: make_clifford_module_algebra(5, 1),
-        "cliff7x2": lambda: make_clifford_module_algebra(7, 2),
-    }
-    return builders[key]()
+    return _BUILDERS[key]()
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
+from conftest import run_python
 from nilrad import nilalg
-from nilrad.cli import main
+from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
 from nilrad.htype import is_htype, make_h_prime
@@ -244,3 +246,45 @@ def test_usage_errors_exit_two(capsys):
     assert main(["classify", "--type", "G2", "--rank", "100000"]) == 2
     assert main(["no-such-verb"]) == 2
     assert main(["construct", "--family", "h", "--field", "C"]) == 2
+
+
+def test_prolong_runs_without_numpy(tmp_path):
+    path = tmp_path / "h1H.json"
+    proc = run_python(f"""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None          # any import of numpy now fails
+        from nilrad.cli import main
+        path = {str(path)!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", "--family", "h", "--field", "H", "--n", "1",
+                         "-o", path]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["prolong", path, "--max-degree", "3", "--stop-when-zero",
+                         "--json"])
+        print(code, json.loads(out.getvalue())["dims"])
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 [11, 8, 4, 0]"
+
+
+def test_metric_verbs_refuse_huge_layers_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dimV": 2000000, "dimZ": 1, "brackets": []}')
+    gram2 = tmp_path / "gram2.json"
+    gram2.write_text('{"v": [[1]], "z": [[1]]}')
+    for argv in (["verify-htype", str(path)], ["identify", str(path)],
+                 ["probe-irreducible", str(path)], ["nonsingular", str(path)],
+                 ["transfer", str(path), "--gram2", str(gram2)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 3, (argv, err)
+        assert "Traceback" not in err
+        assert f"dimV = 2000000, dimZ = 1 exceeds the ceiling of {MAX_METRIC_DIM}" in err
+    proc = run_python(f"""
+        import sys
+        from nilrad.cli import main
+        sys.exit(main(["verify-htype", {str(path)!r}]))
+    """)
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import run_optimized
+from conftest import dense_kernel, run_optimized
 from nilrad import exactlin as el
 from nilrad.exactlin import Matrix
 
@@ -89,46 +89,66 @@ def sparse(rows):
 
 _seeded = random.Random(3)
 SEEDED_SYSTEM = (9, sparse([[_seeded.randint(-4, 4) for _ in range(9)] for _ in range(6)]))
-
-# sparse integer systems: (ncols, rows of (column, value) pairs), entries
-# mostly small so the modular route succeeds, sometimes too big for it
-sparse_systems = st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.dictionaries(
-        st.integers(min_value=0, max_value=n - 1),
-        st.one_of(st.integers(-9, 9), st.integers(-10**9, 10**9)),
-        max_size=n).map(lambda d: sorted(d.items())), max_size=8)))
+WORD_PRIMES = (2147483647, 2147483629)
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_systems)
+@st.composite
+def sparse_systems(draw):
+    """(ncols, rows of (column, value) pairs): mostly one- and two-term rows
+    and chains of doubletons, columns may repeat within a row, some
+    coefficients near 10^9 and some rows scaled by a word-size prime."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    term = st.tuples(st.integers(0, n - 1),
+                     st.one_of(st.integers(-9, 9), st.integers(-10**9, 10**9)))
+    short = st.lists(term, min_size=1, max_size=2)
+    rows = draw(st.lists(st.one_of(short, short, st.lists(term, max_size=n + 2)),
+                         max_size=10))
+    if n > 1 and draw(st.booleans()):
+        lo = draw(st.integers(0, n - 2))
+        hi = draw(st.integers(lo + 1, n - 1))
+        rows += [[(c, draw(term)[1] or 1), (c + 1, draw(term)[1] or 1)]
+                 for c in range(lo, hi)]
+    scales = draw(st.lists(st.sampled_from((1, 1, 1) + WORD_PRIMES),
+                           min_size=len(rows), max_size=len(rows)))
+    rows = [[(c, x * s) for c, x in r] for r, s in zip(rows, scales)]
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
 @example(SEEDED_SYSTEM)
-def test_modular_path_agrees_with_exact(system):
+def test_structured_kernel_is_the_echelon_basis(system):
     ncols, rows = system
-    exact = el.nullspace_int_rows(rows, ncols, prefilter=False)
-    fast = el.nullspace_int_rows(rows, ncols, prefilter=True)
-    assert fast == exact
-    dense = [[dict(r).get(j, 0) for j in range(ncols)] for r in rows]
-    assert len(fast) == ncols - el.rank(Matrix.from_rows(dense or [[0] * ncols]))
-    for v in fast:
+    got = el.nullspace_int_rows(rows, ncols)
+    assert got == dense_kernel(rows, ncols)
+    dense = [[sum(x for c, x in r if c == j) for j in range(ncols)] for r in rows]
+    assert len(got) == ncols - el.rank(Matrix.from_rows(dense or [[0] * ncols]))
+    for v in got:
         assert all(isinstance(x, int) for x in v)
         assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
         assert all(sum(x * v[c] for c, x in r) == 0 for r in rows)
 
 
-def test_modular_kernel_supersedes_primes_that_lose_rank():
-    # rows 0 and 1 vanish modulo the first and second prime, so those primes
-    # see rank 4; the third prime sees rank 5 and must supersede both
-    p0, p1 = el._PRIMES[:2]
+def test_kernel_of_rows_scaled_by_word_size_primes():
+    # rows 0 and 1 vanish modulo the first and the second prime; the kernel
+    # is the echelon basis of the integer system all the same
+    p0, p1 = WORD_PRIMES
     rng = random.Random(5)
     base = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(5)]
     assert el.rank(Matrix.from_rows(base)) == 5
     rows = sparse([[p0 * x for x in base[0]], [p1 * x for x in base[1]]] + base[2:])
-    exact = el.nullspace_int_rows(rows, 8, prefilter=False)
-    fast = el._nullspace_modular(rows, 8)
-    assert len(exact) == 3
-    assert fast == exact
-    assert el.nullspace_int_rows(rows, 8, prefilter=True) == exact
+    got = el.nullspace_int_rows(rows, 8)
+    assert len(got) == 3
+    assert got == dense_kernel(rows, 8)
+
+
+def test_doubleton_chain_back_substitutes_large_entries():
+    # p x0 + q x1 = 0 and p x1 + q x2 = 0: the kernel (q^2, -pq, p^2) needs
+    # integer scaling at each back-substitution step
+    p, q = 10**9 + 7, 10**9 + 9
+    rows = [[(1, p), (2, q)], [(0, p), (1, q)]]
+    assert el.nullspace_int_rows(rows, 3) == [[q * q, -p * q, p * p]]
+    assert el.nullspace_int_rows(rows, 3) == dense_kernel(rows, 3)
 
 
 def test_verify_kernel_is_exact():
@@ -143,16 +163,21 @@ def test_verify_kernel_is_exact():
 
 
 def test_kernel_certification_survives_optimize_flag():
-    # a wrong exact kernel must raise even when asserts are compiled away
+    # a wrong kernel from the residual echelon form must raise even when
+    # asserts are compiled away
     proc = run_optimized("""
         import sys
-        from fractions import Fraction
         from nilrad import exactlin as el
         if __debug__:
             sys.exit(2)
-        el._nullspace_from_rref = lambda pivots, prows, ncols: [[Fraction(1)] * ncols]
+        rows = [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (3, 1)],
+                [(1, 1), (2, 3), (3, 1)]]
+        if len(el.nullspace_int_rows(rows, 4)) != 1:
+            sys.exit(3)
+        # the three-term rows all reach the residual echelon form
+        el._nullspace_from_rref = lambda pivots, prows, ncols: [[1] * ncols]
         try:
-            el.nullspace_int_rows([[(0, 1), (1, 1)]], 2, prefilter=False)
+            el.nullspace_int_rows(rows, 4)
         except ArithmeticError:
             sys.exit(0)
         sys.exit(1)
@@ -285,28 +310,8 @@ def test_rational_sqrt():
     assert el.rational_sqrt(F(0)) == 0
 
 
-def test_rational_reconstruction_round_trip():
-    p = 2147483647
-    for q in (F(1, 2), F(-3, 7), F(22, 17), F(0), F(-255)):
-        residue = q.numerator * pow(q.denominator, p - 2, p) % p
-        assert el._rational_reconstruct(residue, p) == (q.numerator, q.denominator)
-
-
-def test_rational_reconstruction_fails_on_large_fractions():
-    p = 2147483647
-    q = F(10**9 + 7, 10**9 + 9)      # numerator * denominator >> p
-    residue = q.numerator * pow(q.denominator, p - 2, p) % p
-    got = el._rational_reconstruct(residue, p)
-    assert got != (q.numerator, q.denominator)   # too big for one prime, caller must CRT
-
-
-def test_crt_pair():
-    x, m = el._crt_pair(3, 7, 4, 11)
-    assert m == 77 and x % 7 == 3 and x % 11 == 4
-
-
 def test_nullspace_entries_beyond_one_prime():
-    # kernel vector (q, -1) with q needing two primes to reconstruct
+    # kernel vector (q, -1) with q a ratio of two ten-digit integers
     q = F(10**9 + 7, 10**9 + 9)
     m = Matrix.from_rows([[F(1), q]])
     ker = el.nullspace(m)

@@ -1,10 +1,11 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import fleet_member, prolong_dims
+from conftest import FLEET, dense_kernel, fleet_member, prolong_dims
 from nilrad.division import Tag
-from nilrad.exactlin import Matrix
+from nilrad.exactlin import Matrix, nullspace_int_rows
 from nilrad.htype import make_h_prime
 from nilrad.nilalg import TwoStepAlgebra, free_two_step
 from nilrad.prolong import (
@@ -155,3 +156,21 @@ def test_compute_layer_argument_validation():
         compute_layer(alg, 2, [])
     with pytest.raises(ValueError):
         prolong(alg, 0)
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_layer_kernels_are_the_dense_echelon_basis(key, monkeypatch):
+    # every kernel compute_layer asks for, to degree 3, against the basis read
+    # off the dense integer echelon form of the same rows
+    module = importlib.import_module("nilrad.prolong")
+    sizes = []
+
+    def checked(rows, ncols):
+        got = nullspace_int_rows(rows, ncols)
+        assert got == dense_kernel(rows, ncols)
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(module, "nullspace_int_rows", checked)
+    dims = prolong(fleet_member(key).algebra, 3).dims()
+    assert sizes == dims
