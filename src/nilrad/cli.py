@@ -209,8 +209,7 @@ def _cmd_prolong(args) -> int:
 
 def _cmd_transfer(args) -> int:
     ms1 = _load_metric(args.file)
-    with open(args.gram2, encoding="utf-8") as fh:
-        doc2 = json.load(fh)
+    doc2 = nilalg.read_json(args.gram2)
     gram = doc2.get("gram", doc2) if isinstance(doc2, dict) else doc2
     try:
         gv = nilalg.matrix_from_json(gram["v"])

@@ -8,16 +8,21 @@ here by exact elimination; floating point enters only through
 eigendecomposition for the one computation where square roots are
 unavoidable.
 
-Every exact answer (rank, solve, inverse, nullspace) is read off one
-fraction-free integer echelon form of the denominator-cleared rows;
-`solve` and `inverse` reduce the augmented matrices [m | rhs] and
-[m | I].  Kernels work on sparse integer rows and return primitive
-integer vectors; `Fraction` enters only when `nullspace` hands them back
-as coordinates.  A kernel is one exact route for every size: structured
-elimination drains the rows with one or two nonzeros, the integer
-echelon form reduces what is left, and back-substitution in Python ints
-recovers the echelon-form basis of the whole system.  Every vector is
-certified by exact integer substitution into every original row.
+Arithmetic runs in Python ints.  A product clears each operand to one
+common denominator and sparse integer rows (`scaled_sparse`),
+multiplies those (`sparse_mul`) and divides the product's denominator
+back in.  Every exact answer (rank, solve, inverse, nullspace) is read
+off one fraction-free integer echelon form of the denominator-cleared
+rows; `solve` and `inverse` reduce the augmented matrices [m | rhs] and
+[m | I], and `is_positive_definite` reads the leading minors off one
+fraction-free elimination.  Kernels work on sparse integer rows and
+return primitive integer vectors; `Fraction` enters only when
+`nullspace` hands them back as coordinates.  A kernel is one exact
+route for every size: structured elimination drains the rows with one
+or two nonzeros, the integer echelon form reduces what is left, and
+back-substitution in Python ints recovers the echelon-form basis of the
+whole system.  Every vector is certified by exact integer substitution
+into every original row.
 """
 
 from __future__ import annotations
@@ -92,10 +97,6 @@ class Matrix:
         return cls(n, n, tuple(
             tuple(es[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def column(cls, vec: Sequence) -> "Matrix":
-        return cls.from_rows([[v] for v in vec])
-
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
@@ -103,9 +104,6 @@ class Matrix:
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> Tuple[Fraction, ...]:
-        return self.data[i]
 
     def col(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
@@ -145,10 +143,11 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            bt = other.transpose().data
+            (da, a), (db, b) = scaled_sparse(self), scaled_sparse(other)
+            d, zero = da * db, Fraction(0)
+            prod = [{j: Fraction(x, d) for j, x in r} for r in sparse_mul(a, b)]
             return Matrix(self.rows, other.cols, tuple(
-                tuple(sum(a * b for a, b in zip(ra, cb) if a) for cb in bt)
-                for ra in self.data))
+                tuple(r.get(j, zero) for j in range(other.cols)) for r in prod))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -208,8 +207,7 @@ def rank(m: Matrix) -> int:
 def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
     """Basis of the right kernel of m, as coordinate vectors.
 
-    Column-matrix views are available through `Matrix.column`.  The
-    basis is the one read off the reduced echelon form, computed by
+    The basis is the one read off the reduced echelon form, computed by
     `nullspace_int_rows` and certified by exact substitution.
     """
     if m.cols == 0:
@@ -245,36 +243,26 @@ def inverse(m: Matrix) -> Matrix:
                               for i, p in enumerate(prows)))
 
 
-def det(m: Matrix) -> Fraction:
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    a = m.to_rows()
-    n = m.rows
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
-
-
 def is_positive_definite(m: Matrix) -> bool:
-    """Exact leading-principal-minor test; requires symmetry."""
+    """Sylvester's criterion: m is symmetric and every leading minor is positive.
+
+    The minors are the pivots of one fraction-free (Bareiss) elimination
+    of the denominator-cleared rows, with no row exchanges.  Each row is
+    scaled by a positive integer, which changes no minor's sign.
+    """
     if not m.is_symmetric():
         return False
-    for k in range(1, m.rows + 1):
-        sub = Matrix.from_rows([list(m.data[i][:k]) for i in range(k)])
-        if det(sub) <= 0:
+    a = _int_rows(m)
+    prev = 1
+    for k, pk in enumerate(a):
+        p = pk[k]
+        if p <= 0:
             return False
+        for r in a[k + 1:]:
+            x = r[k]
+            for j in range(k + 1, len(r)):
+                r[j] = (p * r[j] - x * pk[j]) // prev
+        prev = p
     return True
 
 

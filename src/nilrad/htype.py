@@ -734,10 +734,7 @@ def _assemble_swap(ms: MetricStructure, b1, b2, theta: GradedMap,
             imgs2.append(list(mat_vec(span1, coeff)))
         cols_in = b1 + b2
         cols_out = imgs1 + imgs2
-    gv = ms.gram_v
-    comp_rows = [[sum(gv[r, c] * b[r] for r in range(n)) for c in range(n)]
-                 for b in cols_in]
-    comp = nullspace(Matrix.from_rows(comp_rows))
+    comp = nullspace(Matrix.from_rows(cols_in) * ms.gram_v)
     cols_in = cols_in + [list(w) for w in comp]
     cols_out = cols_out + [list(w) for w in comp]
     basis_mat = Matrix.from_rows([[cols_in[k][i] for k in range(n)] for i in range(n)])

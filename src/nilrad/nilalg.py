@@ -355,12 +355,20 @@ def save(path: str, alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
         fh.write("\n")
 
 
-def load(path: str) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Matrix]]:
+def read_json(path) -> object:
+    """The JSON document in a file; ValueError naming the path when the file
+    is not JSON or nests too deeply for the parser."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def load(path: str) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Matrix]]:
+    doc = read_json(path)
     try:
         return from_json(doc)
     except ValueError as exc:

@@ -34,7 +34,6 @@ load silently.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -44,6 +43,7 @@ from importlib import resources
 
 from .division import Tag
 from .htype import HTypeFamilyId
+from .nilalg import read_json
 
 Coords = Tuple[Fraction, ...]
 Expansion = Tuple[int, ...]
@@ -485,8 +485,10 @@ def _family_to_json(fid: Optional[HTypeFamilyId]) -> Optional[dict]:
 
 
 def entry_from_json(obj: dict) -> RealFormEntry:
+    if not isinstance(obj, dict):
+        raise ValueError(f"real-form entry must be a JSON object, got {type(obj).__name__}")
     try:
-        return RealFormEntry(
+        entry = RealFormEntry(
             name=obj["name"],
             restricted_type=obj["restricted"]["type"],
             restricted_rank=int(obj["restricted"]["rank"]),
@@ -497,7 +499,11 @@ def entry_from_json(obj: dict) -> RealFormEntry:
             abelian_only=bool(obj.get("abelian_only", False)),
             notes=obj.get("notes", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not all(isinstance(x, str) for x in (entry.name, entry.restricted_type,
+                                                 entry.satake_label, entry.notes)):
+            raise ValueError("name, type, satake_label and notes must be JSON strings")
+        return entry
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed real-form entry {obj.get('name', '?')!r}: {exc}") from exc
 
 
@@ -519,17 +525,14 @@ def entry_to_json(entry: RealFormEntry) -> dict:
 def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
     """The curated table, from a file or the packaged data.
 
-    Every row is validated through `nilradical_profile` on load.
+    The document must be a JSON list of objects; every row is validated
+    through `nilradical_profile` on load.
     """
     if path is None:
-        text = resources.files("nilrad").joinpath("data/real_forms.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        docs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"real-form table: invalid JSON at line {exc.lineno}") from exc
+        path = resources.files("nilrad").joinpath("data/real_forms.json")
+    docs = read_json(path)
+    if not isinstance(docs, list):
+        raise ValueError(f"{path}: real-form table must be a JSON list of objects")
     entries = [entry_from_json(d) for d in docs]
     for e in entries:
         nilradical_profile(e)

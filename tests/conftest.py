@@ -47,6 +47,37 @@ def dense_kernel(rows, ncols):
     return _nullspace_from_rref(*_int_rref(dense), ncols)
 
 
+def dense_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Reference product: the dense triple loop over Fractions."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} * {b.shape}")
+    bt = b.transpose().data
+    return Matrix(a.rows, b.cols, tuple(
+        tuple(sum((x * y for x, y in zip(ra, cb)), Fraction(0)) for cb in bt)
+        for ra in a.data))
+
+
+def dense_det(m: Matrix) -> Fraction:
+    """Reference determinant by Fraction elimination with row exchanges."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a = m.to_rows()
+    n = m.rows
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = -d
+        d *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return d
+
+
 _BUILDERS = {
     "h1C": lambda: make_h(Tag.C, 1),
     "h1H": lambda: make_h(Tag.H, 1),

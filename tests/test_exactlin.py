@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_kernel, run_optimized
+from conftest import dense_det, dense_kernel, dense_mul, run_optimized
 from nilrad import exactlin as el
 from nilrad.exactlin import Matrix
 
@@ -56,7 +56,6 @@ def test_solve_and_inverse():
 
 
 def test_determinant_and_positive_definite():
-    assert el.det(Matrix.from_rows([[2, 1], [1, 3]])) == 5
     assert el.is_positive_definite(Matrix.from_rows([[2, 1], [1, 3]]))
     assert not el.is_positive_definite(Matrix.from_rows([[1, 2], [2, 1]]))
     assert not el.is_positive_definite(Matrix.from_rows([[0, 1], [1, 0]]))
@@ -262,14 +261,76 @@ def test_rational_roots_of_a_product_of_linear_factors(factors, scale, irreducib
     assert el.rational_roots(coeffs) == sorted({F(p, q) for p, q in factors})
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_matrix(3, 4), small_matrix(4, 2))
-def test_sparse_mul_matches_matrix_product(a, b):
+def shaped(rows, cols):
+    """Matrices of exactly rows x cols, empty shapes included."""
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: Matrix(rows, cols, tuple(map(tuple, data))))
+
+
+product_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(shaped(s[0], s[1]), shaped(s[1], s[2])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_pairs)
+@example((Matrix.zeros(0, 3), Matrix.zeros(3, 2)))
+@example((Matrix.zeros(2, 0), Matrix.zeros(0, 3)))
+@example((Matrix.from_rows([["1/2", "2/3"], ["-3/4", "5/6"]]),
+          Matrix.from_rows([["7/5", 0, "1/9"], ["-1/7", "3/2", 0]])))
+def test_sparse_mul_matches_matrix_product(pair):
+    a, b = pair
+    want = dense_mul(a, b)
+    assert a * b == want
     (da, ra), (db, rb) = el.scaled_sparse(a), el.scaled_sparse(b)
     prod = el.sparse_mul(ra, rb)
+    assert len(prod) == a.rows
     assert all(r == sorted(r) and all(x for _, x in r) for r in prod)
-    dense = [[F(dict(r).get(j, 0), da * db) for j in range(b.cols)] for r in prod]
-    assert Matrix.from_rows(dense) == a * b
+    assert [[F(dict(r).get(j, 0), da * db) for j in range(b.cols)] for r in prod] == \
+        [list(r) for r in want.data]
+
+
+def test_product_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        Matrix.identity(2) * Matrix.identity(3)
+
+
+def leading_minors_positive(m):
+    return all(dense_det(Matrix.from_rows([list(r[:k]) for r in m.data[:k]])) > 0
+               for k in range(1, m.rows + 1))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rationals up to 5x5; half of them Gram matrices B^t B."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        b = draw(shaped(draw(st.integers(1, 5)), n))
+        return dense_mul(b.transpose(), b)
+    m = draw(shaped(n, n))
+    return m + m.transpose()
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_matrices())
+@example(Matrix.from_rows([[0, 1], [1, 0]]))
+@example(Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+@example(Matrix.from_rows([[1, 0], [0, 0]]))
+@example(Matrix.from_rows([["1/3", "1/2"], ["1/2", "7/5"]]))
+def test_positive_definite_is_sylvesters_criterion(m):
+    assert el.is_positive_definite(m) == leading_minors_positive(m)
+
+
+def test_positive_definite_edge_cases():
+    # a zero leading minor with positive later ones, a semidefinite matrix,
+    # a non-symmetric one whose symmetric part is definite, and 0x0
+    assert not el.is_positive_definite(Matrix.from_rows([[0, 1], [1, 0]]))
+    assert not el.is_positive_definite(Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    assert not el.is_positive_definite(Matrix.from_rows([[1, 0], [0, 0]]))
+    assert not el.is_positive_definite(Matrix.from_rows([[2, 1], [0, 2]]))
+    assert not el.is_positive_definite(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    assert el.is_positive_definite(Matrix.zeros(0, 0))
+    assert el.is_positive_definite(Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
 
 
 integer_squares = st.integers(min_value=1, max_value=4).flatmap(
