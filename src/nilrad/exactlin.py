@@ -55,13 +55,13 @@ def rat(x) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    q = rat(q)
+    """Serialize a rational (a Fraction or an int) as "p/q", or "p" when the denominator is 1."""
+    q = q if type(q) is int else rat(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions (or ints, when all are integral), row-major."""
 
     __slots__ = ("rows", "cols", "data")
 

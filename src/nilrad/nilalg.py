@@ -308,7 +308,7 @@ def to_json(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
     return doc
 
 
-def _json_int(value, what: str) -> int:
+def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {value!r}")
     return value
@@ -319,8 +319,8 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
         raise ValueError(f"algebra document must be a JSON object, got {type(doc).__name__}")
     try:
         name = doc.get("name", "unnamed")
-        dim_v = _json_int(doc["dimV"], "dimV")
-        dim_z = _json_int(doc["dimZ"], "dimZ")
+        dim_v = json_int(doc["dimV"], "dimV")
+        dim_z = json_int(doc["dimZ"], "dimZ")
         brackets = {}
         for entry in doc.get("brackets", []):
             if len(entry) != 3:
@@ -328,7 +328,7 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
             i, j, coords = entry
             if not isinstance(coords, list):
                 raise ValueError(f"bracket coordinates must be a JSON list, got {coords!r}")
-            key = (_json_int(i, "bracket index"), _json_int(j, "bracket index"))
+            key = (json_int(i, "bracket index"), json_int(j, "bracket index"))
             if key in brackets:
                 raise ValueError(f"duplicate bracket key {key}")
             brackets[key] = [rat(c) for c in coords]

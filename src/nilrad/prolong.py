@@ -5,9 +5,13 @@ u1 : V -> g_{k-1}, u2 : Z -> g_{k-2} (with g_{-1} = V, g_{-2} = Z)
 subject to the Leibniz condition u([x,y]) = [u(x), y] + [x, u(y)] over
 all pairs of negative-degree basis elements, where the bracket of a
 previously computed layer element with a negative element is its stored
-action.  Each degree is therefore one exact integer kernel computation;
-basis elements come back as primitive integer matrices and are verified
-against every assembled equation.
+action.  Each degree is therefore one exact integer kernel computation.
+Its equations are sparse integer rows: the bracket constants come from
+the algebra's integer bracket forms over their denominator d, the action
+of each earlier layer from integer tables built once per layer (scaled
+by the lcm of that layer's denominators), and every equation is
+multiplied through by the scales it meets.  Basis elements come back as
+primitive integer matrices, certified against every assembled equation.
 
 Degree 0 fits the same scheme with u1 = A in End(V), u2 = B in End(Z),
 giving the full graded derivation algebra.
@@ -15,12 +19,17 @@ giving the full graded derivation algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import Matrix, clear_denominators, nullspace_int_rows
 from .nilalg import TwoStepAlgebra
+
+# Table[direction][coordinate] lists (basis index, int); see ProlongationLayer.actions.
+Table = List[List[List[Tuple[int, int]]]]
+Actions = Tuple[int, Optional[Table], Optional[Table]]
 
 
 class ProlongationResourceError(RuntimeError):
@@ -29,7 +38,8 @@ class ProlongationResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProlongationLayer:
-    """Basis of g_k as coordinate blocks over the previous layers."""
+    """Basis of g_k as coordinate blocks over the previous layers; the blocks
+    `compute_layer` returns hold primitive integer vectors as int entries."""
 
     degree: int
     dim_prev1: int     # dim g_{k-1}, the codomain of the V block
@@ -39,6 +49,30 @@ class ProlongationLayer:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def actions(self) -> Actions:
+        """(s, av, az): the bracket of g_k with each negative basis direction.
+
+        av[i][t] lists the pairs (b, x) with x / s the g_{k-1} coordinate t
+        of [b-th basis element, e_i]; az[a][t] likewise for the bracket with
+        z_a in g_{k-2}.  The x are ints and s is the lcm of the blocks'
+        denominators (1 for the integer blocks `compute_layer` returns), so
+        blocks built elsewhere are scaled, never rounded.  Built once per layer.
+        """
+        if not self.basis:
+            return 1, None, None
+        s = math.lcm(*(x.denominator for pair in self.basis for m in pair
+                       for r in m.data for x in r))
+        av, az = ([[[] for _ in range(m.rows)] for _ in range(m.cols)]
+                  for m in self.basis[0])
+        for b, pair in enumerate(self.basis):
+            for table, m in zip((av, az), pair):
+                for t, r in enumerate(m.data):
+                    for i, x in enumerate(r):
+                        if x:
+                            table[i][t].append((b, x.numerator * (s // x.denominator)))
+        return s, av, az
 
 
 @dataclass(frozen=True)
@@ -63,38 +97,36 @@ def _layer_dim(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
     return layers[j].dim
 
 
-Table = List[List[List[Tuple[int, object]]]]
-
-
-def _scalar(x: Fraction):
-    """x as an int when it is integral, so table products stay in ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _action_tables(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
-                   j: int) -> Tuple[Optional[Table], Optional[Table]]:
-    """Per-direction action of g_j as sparse tables: (V directions, Z directions).
-
-    av[i][t] lists the pairs (b, x) with x != 0 the g_{j-1} coordinate t
-    of [b-th basis element, e_i]; az[a][t] likewise for the bracket with
-    z_a in g_{j-2}.  Integral entries are ints.
-    """
-    nv, nz = alg.dim_v, alg.dim_z
-    if j <= -2:
-        return None, None          # Z brackets to zero against everything
+def _actions(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
+             j: int) -> Actions:
+    """The action of g_j (j >= -2) as `ProlongationLayer.actions` gives it;
+    V acts on V through the integer bracket forms, scaled by their denominator."""
+    if j >= 0:
+        return layers[j].actions
     if j == -1:
-        brk = [[alg.bracket_basis(b, i) for b in range(nv)] for i in range(nv)]
-        av = [[[(b, _scalar(x[t])) for b, x in enumerate(brk[i]) if x[t]]
-               for t in range(nz)] for i in range(nv)]
-        return av, None             # [V, Z] = 0
-    layer = layers[j]
-    m1s = [m1 for m1, _ in layer.basis]
-    m2s = [m2 for _, m2 in layer.basis]
-    av = [[[(b, _scalar(m[t, i])) for b, m in enumerate(m1s) if m[t, i]]
-           for t in range(layer.dim_prev1)] for i in range(nv)]
-    az = [[[(b, _scalar(m[t, a])) for b, m in enumerate(m2s) if m[t, a]]
-           for t in range(layer.dim_prev2)] for a in range(nz)]
-    return av, az
+        d, forms = alg.bracket_forms
+        return d, [[[(b, -x) for b, x in form[i]] for form in forms]
+                   for i in range(alg.dim_v)], None        # [V, Z] = 0
+    return 1, None, None           # Z brackets to zero against everything
+
+
+def _pairs(alg: TwoStepAlgebra) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
+    """(i, j, [(a, x), ...]) for every i < j, with x / d the z_a coordinate of
+    [e_i, e_j] in the bracket forms over their denominator d."""
+    cij: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for a, form in enumerate(alg.bracket_forms[1]):
+        for i, r in enumerate(form):
+            for j, x in r:
+                if i < j:
+                    cij.setdefault((i, j), []).append((a, x))
+    nv = alg.dim_v
+    return [(i, j, cij.get((i, j), [])) for i in range(nv) for j in range(i + 1, nv)]
+
+
+def _block(vec: Sequence[int], start: int, rows: int, cols: int) -> Matrix:
+    """The rows x cols block of vec at start, row-major, with its int entries."""
+    return Matrix(rows, cols, tuple(tuple(vec[start + r * cols:start + (r + 1) * cols])
+                                    for r in range(rows)))
 
 
 def compute_layer(alg: TwoStepAlgebra, k: int,
@@ -119,75 +151,47 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
         raise ProlongationResourceError(
             f"degree {k}: {unknowns} unknowns x {equations} equations "
             f"exceeds the resource guard")
-    av1, az1 = _action_tables(alg, layers, k - 1)
-    av2, az2 = _action_tables(alg, layers, k - 2)
+    d = alg.bracket_forms[0]
+    s1, av1, az1 = _actions(alg, layers, k - 1)
+    s2, av2, az2 = _actions(alg, layers, k - 2)
     off2 = nv * d1       # U2 coordinates start here
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[List[Tuple[int, int]]] = []
+    # No row repeats a column, so each equation is a plain list of its terms.
 
-    # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            cij = alg.bracket_basis(i, j)
-            for t in range(d2):
-                row: Dict[int, Fraction] = {}
-                for a in range(nz):
-                    if cij[a]:
-                        _add(row, off2 + t * nz + a, cij[a])
-                if av1 is not None:
-                    for b, x in av1[j][t]:
-                        _add(row, b * nv + i, -x)
-                    for b, x in av1[i][t]:
-                        _add(row, b * nv + j, x)
-                if row:
-                    rows.append(row)
+    # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i], times d s1
+    for i, j, cij in _pairs(alg):
+        for t in range(d2):
+            row = [(off2 + t * nz + a, c * s1) for a, c in cij]
+            if av1 is not None:
+                row += [(b * nv + i, -x * d) for b, x in av1[j][t]]
+                row += [(b * nv + j, x * d) for b, x in av1[i][t]]
+            if row:
+                rows.append(row)
 
-    # mixed pairs: [u1(x_i), z_a] = [u2(z_a), x_i]
+    # mixed pairs: [u1(x_i), z_a] = [u2(z_a), x_i], times s1 s2
     if d3:
         for i in range(nv):
             for a in range(nz):
                 for t in range(d3):
-                    row = {}
-                    if az1 is not None:
-                        for b, x in az1[a][t]:
-                            _add(row, b * nv + i, x)
+                    row = [] if az1 is None else [(b * nv + i, x * s2) for b, x in az1[a][t]]
                     if av2 is not None:
-                        for s, x in av2[i][t]:
-                            _add(row, off2 + s * nz + a, -x)
+                        row += [(off2 + s * nz + a, -x * s1) for s, x in av2[i][t]]
                     if row:
                         rows.append(row)
 
-    # pairs in Z x Z: [u2(z_a), z_b] = [u2(z_b), z_a]
+    # pairs in Z x Z: [u2(z_a), z_b] = [u2(z_b), z_a], times s2
     if d4 and az2 is not None:
         for a in range(nz):
             for b in range(a + 1, nz):
                 for t in range(d4):
-                    row = {}
-                    for s, x in az2[b][t]:
-                        _add(row, off2 + s * nz + a, x)
-                    for s, x in az2[a][t]:
-                        _add(row, off2 + s * nz + b, -x)
+                    row = ([(off2 + s * nz + a, x) for s, x in az2[b][t]]
+                           + [(off2 + s * nz + b, -x) for s, x in az2[a][t]])
                     if row:
                         rows.append(row)
 
-    int_rows = [list(zip(row, clear_denominators(list(row.values())))) for row in rows]
-    kernel = nullspace_int_rows(int_rows, unknowns)
-    basis = []
-    for vec in kernel:
-        m1 = Matrix.from_rows([[vec[b * nv + i] for i in range(nv)]
-                               for b in range(d1)]) if d1 else Matrix.zeros(0, nv)
-        m2 = Matrix.from_rows([[vec[off2 + s * nz + a] for a in range(nz)]
-                               for s in range(d2)]) if d2 else Matrix.zeros(0, nz)
-        basis.append((m1, m2))
-    return ProlongationLayer(k, d1, d2, tuple(basis))
-
-
-def _add(row: Dict[int, Fraction], col: int, val: Fraction) -> None:
-    cur = row.get(col)
-    new = val if cur is None else cur + val
-    if new:
-        row[col] = new
-    elif cur is not None:
-        del row[col]
+    kernel = nullspace_int_rows(rows, unknowns)
+    return ProlongationLayer(k, d1, d2, tuple(
+        (_block(vec, 0, d1, nv), _block(vec, off2, d2, nz)) for vec in kernel))
 
 
 def g0(alg: TwoStepAlgebra, **guard) -> ProlongationLayer:
@@ -201,47 +205,49 @@ def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
                  k: int) -> bool:
     """Re-verify the Leibniz identity for every basis element of g_k.
 
-    Evaluates u([x,y]) and [u(x), y] + [x, u(y)] through the stored
-    action maps on all basis pairs of the negative part (V x V, mixed,
-    and Z x Z), exactly.  Each basis element is first scaled to integers
-    by the lcm of its denominators; the identity is linear in u.
+    Evaluates u([x,y]) and [u(x), y] + [x, u(y)] through the integer
+    bracket forms and the cached integer action tables of g_{k-1} and
+    g_{k-2} on all basis pairs of the negative part (V x V, mixed, and
+    Z x Z), exactly, each side multiplied by the scales of the other.
+    Each basis element is first scaled to integers by the lcm of its
+    denominators; the identity is linear in u.
     """
     layer = layers[k]
     nv, nz = alg.dim_v, alg.dim_z
     d1, d2 = layer.dim_prev1, layer.dim_prev2
     d3 = _layer_dim(alg, layers, k - 3)
     d4 = _layer_dim(alg, layers, k - 4)
-    av1, az1 = _action_tables(alg, layers, k - 1)
-    av2, az2 = _action_tables(alg, layers, k - 2)
-    pairs = [(i, j, [(a, _scalar(c)) for a, c in enumerate(alg.bracket_basis(i, j)) if c])
-             for i in range(nv) for j in range(i + 1, nv)]
+    d = alg.bracket_forms[0]
+    s1, av1, az1 = _actions(alg, layers, k - 1)
+    s2, av2, az2 = _actions(alg, layers, k - 2)
+    pairs = _pairs(alg)
 
-    def act(action, direction: int, coords: Sequence, width: int) -> List:
-        """Bracket of a layer element (coords) with one negative basis direction."""
+    def act(action, direction: int, coords: Sequence[int], width: int, scale: int) -> List[int]:
+        """scale times the bracket of a layer element (coords) with one negative
+        basis direction, in the action's integer units."""
         if action is None:
             return [0] * width
-        return [sum([x * coords[b] for b, x in row]) for row in action[direction]]
+        return [scale * sum([x * coords[b] for b, x in row]) for row in action[direction]]
 
     for (m1, m2) in layer.basis:
-        u = clear_denominators([m1[t, i] for i in range(nv) for t in range(d1)]
-                               + [m2[t, a] for a in range(nz) for t in range(d2)])
+        u = clear_denominators([x for m in (m1, m2) for c in m.transpose().data for x in c])
         u_x = [u[i * d1:(i + 1) * d1] for i in range(nv)]
         u_z = [u[nv * d1 + a * d2:nv * d1 + (a + 1) * d2] for a in range(nz)]
         for i, j, cij in pairs:
-            lhs = [sum([u_z[a][t] * c for a, c in cij]) for t in range(d2)]
-            rhs1 = act(av1, j, u_x[i], d2)
-            rhs2 = act(av1, i, u_x[j], d2)
+            lhs = [s1 * sum([u_z[a][t] * c for a, c in cij]) for t in range(d2)]
+            rhs1 = act(av1, j, u_x[i], d2, d)
+            rhs2 = act(av1, i, u_x[j], d2, d)
             if any(l - (r1 - r2) for l, r1, r2 in zip(lhs, rhs1, rhs2)):
                 return False
         if d3:
             for i in range(nv):
                 for a in range(nz):
-                    if act(az1, a, u_x[i], d3) != act(av2, i, u_z[a], d3):
+                    if act(az1, a, u_x[i], d3, s2) != act(av2, i, u_z[a], d3, s1):
                         return False
         if d4:
             for a in range(nz):
                 for b in range(a + 1, nz):
-                    if act(az2, b, u_z[a], d4) != act(az2, a, u_z[b], d4):
+                    if act(az2, b, u_z[a], d4, 1) != act(az2, a, u_z[b], d4, 1):
                         return False
     return True
 

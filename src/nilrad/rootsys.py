@@ -43,7 +43,7 @@ from importlib import resources
 
 from .division import Tag
 from .htype import HTypeFamilyId
-from .nilalg import read_json
+from .nilalg import json_int, read_json
 
 Coords = Tuple[Fraction, ...]
 Expansion = Tuple[int, ...]
@@ -469,9 +469,9 @@ def _family_from_json(obj: Optional[dict]) -> Optional[HTypeFamilyId]:
     kind = obj["kind"]
     tag = Tag.parse(obj["field"])
     if kind == "h":
-        return HTypeFamilyId("h", tag, (int(obj["n"]),))
+        return HTypeFamilyId("h", tag, (json_int(obj["n"], "n"),))
     if kind == "hprime":
-        return HTypeFamilyId("hprime", tag, (int(obj["p"]), int(obj["q"])))
+        return HTypeFamilyId("hprime", tag, (json_int(obj["p"], "p"), json_int(obj["q"], "q")))
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -491,9 +491,10 @@ def entry_from_json(obj: dict) -> RealFormEntry:
         entry = RealFormEntry(
             name=obj["name"],
             restricted_type=obj["restricted"]["type"],
-            restricted_rank=int(obj["restricted"]["rank"]),
-            multiplicities={int(k): int(v) for k, v in obj["multiplicities"].items()},
-            phi=tuple(int(i) for i in obj["phi"]),
+            restricted_rank=json_int(obj["restricted"]["rank"], "rank"),
+            multiplicities={int(k): json_int(v, "a multiplicity")
+                            for k, v in obj["multiplicities"].items()},
+            phi=tuple(json_int(i, "a phi entry") for i in obj["phi"]),
             satake_label=obj.get("satake_label", ""),
             nilradical=_family_from_json(obj.get("nilradical")),
             abelian_only=bool(obj.get("abelian_only", False)),

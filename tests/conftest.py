@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
-from nilrad.exactlin import Matrix, _int_rref, _nullspace_from_rref
+from nilrad.exactlin import Matrix, _int_rref, _nullspace_from_rref, clear_denominators
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -20,6 +20,7 @@ from nilrad.htype import (
     make_h,
     make_h_prime,
 )
+from nilrad.nilalg import TwoStepAlgebra
 from nilrad.prolong import prolong
 
 
@@ -45,6 +46,83 @@ def dense_kernel(rows, ncols):
         for c, x in r:
             d[c] += x
     return _nullspace_from_rref(*_int_rref(dense), ncols)
+
+
+def _fraction_actions(alg, layers, j):
+    """Reference action tables of g_j over Fractions: (V directions, Z directions)."""
+    nv, nz = alg.dim_v, alg.dim_z
+    if j <= -2:
+        return None, None
+    if j == -1:
+        brk = [[alg.bracket_basis(b, i) for b in range(nv)] for i in range(nv)]
+        return [[[(b, x[t]) for b, x in enumerate(brk[i]) if x[t]] for t in range(nz)]
+                for i in range(nv)], None
+    layer = layers[j]
+    m1s = [m1 for m1, _ in layer.basis]
+    m2s = [m2 for _, m2 in layer.basis]
+    av = [[[(b, Fraction(m[t, i])) for b, m in enumerate(m1s) if m[t, i]]
+           for t in range(layer.dim_prev1)] for i in range(nv)]
+    az = [[[(b, Fraction(m[t, a])) for b, m in enumerate(m2s) if m[t, a]]
+           for t in range(layer.dim_prev2)] for a in range(nz)]
+    return av, az
+
+
+def reference_leibniz_rows(alg, k, layers):
+    """(rows, unknowns): the degree-k Leibniz equations assembled as dicts of
+    Fractions through `bracket_basis`, each row then cleared of denominators.
+    The assembly `prolong.compute_layer` used before it read the integer
+    bracket forms; kept as the reference its integer rows are checked against."""
+    nv, nz = alg.dim_v, alg.dim_z
+
+    def dim(j):
+        return {-1: nv, -2: nz}.get(j, 0) if j < 0 else layers[j].dim
+
+    d1, d2, d3, d4 = (dim(k - n) for n in (1, 2, 3, 4))
+    av1, az1 = _fraction_actions(alg, layers, k - 1)
+    av2, az2 = _fraction_actions(alg, layers, k - 2)
+    off2 = nv * d1
+    rows = []
+
+    def emit(terms):
+        row = {}
+        for col, val in terms:
+            row[col] = row.get(col, Fraction(0)) + val
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            rows.append(list(zip(row, clear_denominators(list(row.values())))))
+
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            cij = alg.bracket_basis(i, j)
+            for t in range(d2):
+                terms = [(off2 + t * nz + a, cij[a]) for a in range(nz) if cij[a]]
+                if av1 is not None:
+                    terms += [(b * nv + i, -x) for b, x in av1[j][t]]
+                    terms += [(b * nv + j, x) for b, x in av1[i][t]]
+                emit(terms)
+    for i in range(nv):
+        for a in range(nz):
+            for t in range(d3):
+                terms = [] if az1 is None else [(b * nv + i, x) for b, x in az1[a][t]]
+                if av2 is not None:
+                    terms += [(off2 + s * nz + a, -x) for s, x in av2[i][t]]
+                emit(terms)
+    if az2 is not None:
+        for a in range(nz):
+            for b in range(a + 1, nz):
+                for t in range(d4):
+                    emit([(off2 + s * nz + a, x) for s, x in az2[b][t]]
+                         + [(off2 + s * nz + b, -x) for s, x in az2[a][t]])
+    return rows, nv * d1 + nz * d2
+
+
+def rescaled(alg, v_scale, z_scale):
+    """The algebra in the basis v_scale[i] e_i, z_scale[a] z_a: the bracket
+    constant c_ij^a becomes v_scale[i] v_scale[j] c_ij^a / z_scale[a]."""
+    return TwoStepAlgebra.from_brackets(
+        alg.name + " rescaled", alg.dim_v, alg.dim_z,
+        {(i, j): [v_scale[i] * v_scale[j] * c / z_scale[a] for a, c in enumerate(vec)]
+         for (i, j), vec in alg.brackets})
 
 
 def dense_mul(a: Matrix, b: Matrix) -> Matrix:

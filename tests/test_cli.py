@@ -165,6 +165,24 @@ def test_table_rejects_inconsistent_file(tmp_path, capsys):
     assert code == 2 and "bogus" in err
 
 
+@pytest.mark.parametrize("row", [
+    {"name": "x", "restricted": {"type": "A", "rank": 2.9}, "multiplicities": {"2": True},
+     "phi": [0.7]},
+    {"name": "x", "restricted": {"type": "A", "rank": 2}, "multiplicities": {"2": 1},
+     "phi": [0, "1"]},
+    {"name": "x", "restricted": {"type": "A", "rank": 2}, "multiplicities": {"2": 2},
+     "phi": [0, 1], "nilradical": {"kind": "h", "field": "C", "n": 1.0}},
+    {"name": "x", "restricted": {"type": "BC", "rank": 1}, "multiplicities": {"1": 8, "4": 7},
+     "phi": [0], "nilradical": {"kind": "hprime", "field": "O", "p": True, "q": 0}},
+])
+def test_table_rejects_numbers_that_are_not_json_integers(tmp_path, capsys, row):
+    path = str(tmp_path / "table.json")
+    with open(path, "w") as fh:
+        json.dump([row], fh)
+    code, _, err = run(capsys, "table", "--file", path)
+    assert code == 2 and "must be a JSON integer" in err and "Traceback" not in err
+
+
 def test_malformed_file_reports_context(tmp_path, capsys):
     path = str(tmp_path / "broken.json")
     with open(path, "w") as fh:

@@ -23,6 +23,20 @@ SHALLOW_DEEP = "[" * 400 + "1" + "]" * 400          # parses, but is no document
 
 ROW = {"name": "x", "restricted": {"type": "A", "rank": 2}, "multiplicities": {"2": 1},
        "phi": [0]}
+# read as A2 with multiplicity 1 and phi = {a1} while numbers went through int()
+FLOAT_ROW = {"name": "x", "restricted": {"type": "A", "rank": 2.9},
+             "multiplicities": {"2": True}, "phi": [0.7]}
+# two consistent rows of the packaged table, one per nilradical family kind
+GOOD_ROWS = [
+    {"name": "sl(3,C)_R", "restricted": {"type": "A", "rank": 2}, "multiplicities": {"2": 2},
+     "phi": [0, 1], "nilradical": {"kind": "h", "field": "C", "n": 1}},
+    {"name": "sp(3,2)", "restricted": {"type": "BC", "rank": 2},
+     "multiplicities": {"1": 4, "2": 4, "4": 3}, "phi": [0],
+     "nilradical": {"kind": "hprime", "field": "H", "p": 2, "q": 1}},
+]
+NUMBER_PATHS = [(0, "restricted", "rank"), (0, "multiplicities", "2"), (0, "phi", 1),
+                (0, "nilradical", "n"), (1, "multiplicities", "4"), (1, "phi", 0),
+                (1, "nilradical", "p"), (1, "nilradical", "q")]
 KEYS = ("dimV", "dimZ", "brackets", "gram", "v", "z", "name", "restricted", "type",
         "rank", "multiplicities", "phi", "nilradical", "kind", "field", "n", "p", "q",
         "abelian_only", "satake_label", "notes")
@@ -138,6 +152,7 @@ cases = st.sampled_from(VERBS).flatmap(lambda verb: st.tuples(st.just(verb), mos
 @example((["table", "--file"], json.dumps([dict(ROW, restricted={"type": 5, "rank": 1})])))
 @example((["table", "--file"], json.dumps([dict(ROW, restricted={"type": ["A"], "rank": 1})])))
 @example((["table", "--file"], json.dumps([dict(ROW, satake_label=5, notes=[1])])))
+@example((["table", "--file"], json.dumps([FLOAT_ROW])))
 def test_every_file_verb_keeps_the_exit_code_contract(tmp_path, capsys, case):
     code, err = run_verb(tmp_path, capsys, *case)
     assert code in (0, 1, 2, 3)
@@ -151,3 +166,25 @@ def test_deep_and_misshapen_inputs_exit_two(tmp_path, capsys):
     for text in ("5", '"x"', '{"a": 1}', "[5]", "[[1]]"):
         code, err = run_verb(tmp_path, capsys, ["table", "--file"], text)
         assert code == 2 and err.startswith("error:") and "JSON" in err, text
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(NUMBER_PATHS),
+       st.one_of(st.booleans(), st.floats(width=16), st.none(),
+                 st.sampled_from(["2", "1", "0"]), st.lists(st.integers(0, 2), max_size=1)))
+@example((0, "restricted", "rank"), 2.0)
+@example((0, "multiplicities", "2"), True)
+def test_table_numbers_must_be_json_integers(tmp_path, capsys, where, value):
+    # every number of a real-form row is a JSON integer: a bool, float, string
+    # or list in its place exits 2 rather than being coerced
+    code, _ = run_verb(tmp_path, capsys, ["table", "--file"], json.dumps(GOOD_ROWS))
+    assert code == 0
+    rows = json.loads(json.dumps(GOOD_ROWS))
+    row, *keys, last = where
+    node = rows[row]
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    code, err = run_verb(tmp_path, capsys, ["table", "--file"], json.dumps(rows))
+    assert code == 2 and "must be a JSON integer" in err, err

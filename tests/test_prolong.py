@@ -1,9 +1,19 @@
 import importlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import FLEET, dense_kernel, fleet_member, prolong_dims
+from conftest import (
+    FLEET,
+    dense_kernel,
+    fleet_member,
+    prolong_dims,
+    reference_leibniz_rows,
+    rescaled,
+)
+from nilrad import nilalg
+from nilrad.cli import main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix, nullspace_int_rows
 from nilrad.htype import make_h_prime
@@ -174,3 +184,63 @@ def test_layer_kernels_are_the_dense_echelon_basis(key, monkeypatch):
     monkeypatch.setattr(module, "nullspace_int_rows", checked)
     dims = prolong(fleet_member(key).algebra, 3).dims()
     assert sizes == dims
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_rational_brackets_match_the_fraction_assembly(key):
+    # rational diagonal changes of V and Z give bracket forms over d > 1, so
+    # the integer rows carry the d-scaling; to degree 3 their kernels must be
+    # those of the Fraction rows the reference assembles through bracket_basis
+    base = fleet_member(key).algebra
+    alg = rescaled(base, [F((-1) ** i * (i % 3 + 1), 2 + i % 2) for i in range(base.dim_v)],
+                   [F(7, 1 + a % 3) for a in range(base.dim_z)])
+    assert alg.bracket_forms[0] > 1
+    res = prolong(alg, 3)
+    assert tuple(res.dims()) == prolong_dims(key, 3)[0]
+    for k, layer in enumerate(res.layers):
+        rows, unknowns = reference_leibniz_rows(alg, k, res.layers[:k])
+        got = [[x for m in pair for r in m.data for x in r] for pair in layer.basis]
+        assert got == dense_kernel(rows, unknowns), k
+        assert verify_layer(alg, res.layers, k), k
+
+
+@pytest.mark.parametrize("key, k", [("hp10O", 0), ("hp10O", 1), ("hp11H", 0), ("h1H", 1)])
+def test_layers_handed_in_with_fractional_blocks(key, k):
+    # a layer built outside compute_layer may hold non-integral blocks; its
+    # action tables must be scaled by the lcm of their denominators, never
+    # truncated to ints
+    alg = fleet_member(key).algebra
+    layers = list(prolong(alg, k + 1, stop_when_zero=False).layers)
+    third = F(2, 3)
+    g_k = layers[k]
+    layers[k] = ProlongationLayer(k, g_k.dim_prev1, g_k.dim_prev2,
+                                  tuple((m1.scale(third), m2.scale(third))
+                                        for m1, m2 in g_k.basis))
+    assert verify_layer(alg, layers, k)
+    nxt = compute_layer(alg, k + 1, layers[:k + 1])
+    assert nxt.dim == layers[k + 1].dim
+    assert verify_layer(alg, layers[:k + 1] + [nxt], k + 1)
+
+
+@pytest.mark.parametrize("key", ["hp11H", "hp10O"])
+def test_layers_rebuilt_from_json_verify(key, tmp_path, capsys):
+    # rebuild the layers from `prolong --basis --json`, as a consumer of the
+    # output would, and re-verify every degree
+    alg = fleet_member(key).algebra
+    path = str(tmp_path / "alg.json")
+    nilalg.save(path, alg)
+    assert main(["prolong", path, "--max-degree", "3", "--basis", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    dims = {-1: alg.dim_v, -2: alg.dim_z, **dict(enumerate(doc["dims"]))}
+    layers = []
+    for entry in doc["layers"]:
+        k = entry["degree"]
+        shapes = ((dims.get(k - 1, 0), alg.dim_v), (dims.get(k - 2, 0), alg.dim_z))
+        layers.append(ProlongationLayer(k, dims.get(k - 1, 0), dims.get(k - 2, 0), tuple(
+            tuple(nilalg.matrix_from_json(b[name]) if b[name] else Matrix.zeros(*shape)
+                  for name, shape in zip(("v_block", "z_block"), shapes))
+            for b in entry["basis"])))
+    assert [layer.dim for layer in layers] == doc["dims"] == list(prolong_dims(key, 3)[0])
+    assert layers == list(prolong(alg, 3).layers)
+    for k in range(len(layers)):
+        assert verify_layer(alg, layers, k)
