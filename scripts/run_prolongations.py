@@ -5,7 +5,9 @@ Computes the Tanaka layers g_0..g_3 for the four finite-type family
 members, checks the layer dims against the ambient simple-algebra
 dimension bookkeeping, and prints the infinite-type Heisenberg series
 next to its weighted-monomial oracle.  The two H-type algebras outside
-the families are shown with their vanishing first prolongation.
+the families are shown with their vanishing first prolongation.  Every
+computed layer is re-verified by substitution into its Leibniz rows
+(`verify_layer`); the script exits 1 when a check or a verification fails.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import time
 
 from nilrad.division import Tag
 from nilrad.htype import make_clifford_module_algebra, make_h, make_h_prime
-from nilrad.prolong import prolong
+from nilrad.prolong import prolong, verify_layer
 
 
 def main() -> int:
@@ -32,11 +34,18 @@ def main() -> int:
         cases.append((lambda: make_h(Tag.O, 1), "E6(-26)", 78))
 
     ok = True
+    unverified = []
+
+    def verify(res) -> None:
+        if not all(verify_layer(res.algebra, res.layers, k) for k in range(len(res.layers))):
+            unverified.append(res.algebra.name)
+
     for build, ambient, dim_ambient in cases:
         ms = build()
         alg = ms.algebra
         t0 = time.monotonic()
         res = prolong(alg, 3)
+        verify(res)
         dims = res.dims()
         booked = alg.dim_v + alg.dim_z + sum(dims[:3])
         good = (res.verdict == "nontrivial_finite" and dims[-1] == 0
@@ -49,6 +58,7 @@ def main() -> int:
 
     heis = make_h_prime(Tag.C, 1, 0)
     res = prolong(heis.algebra, 4, stop_when_zero=False)
+    verify(res)
     oracle = [sum(1 for a in range(k + 3) for b in range(k + 3)
                   for c in range(k // 2 + 2) if a + b + 2 * c == k + 2)
               for k in range(5)]
@@ -58,10 +68,13 @@ def main() -> int:
 
     for ms in (make_clifford_module_algebra(5, 1), make_clifford_module_algebra(7, 2)):
         res = prolong(ms.algebra, 1)
+        verify(res)
         ok &= res.dims()[1] == 0
         print(f"{ms.algebra.name:14s} dims {res.dims()}  (outside the families: "
               f"first prolongation vanishes)")
-    return 0 if ok else 1
+    print("every layer verified by substitution" if not unverified else
+          f"layers FAILED verification: {', '.join(unverified)}")
+    return 0 if ok and not unverified else 1
 
 
 if __name__ == "__main__":

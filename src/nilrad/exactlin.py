@@ -392,7 +392,7 @@ def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
     return basis
 
 
-def _verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> bool:
+def verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> bool:
     """True when every vector satisfies every sparse row, by exact substitution.
 
     A row holding no column of a vector's support vanishes on it, so each
@@ -511,7 +511,7 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                 y *= s
             v[i] = y // a
         basis.append(_primitive(v))
-    if not _verify_kernel(rows, basis):
+    if not verify_kernel(rows, basis):
         raise ArithmeticError("kernel failed certification by substitution")
     return basis
 

@@ -743,28 +743,39 @@ def _assemble_swap(ms: MetricStructure, b1, b2, theta: GradedMap,
     return GradedMap(map_v, theta.map_z)
 
 
-def _first_bracket_violation(alg: TwoStepAlgebra, gm: GradedMap
-                             ) -> Optional[Tuple[int, int]]:
-    """The first basis pair i < j with [A e_i, A e_j] != C [e_i, e_j], or None.
+def _bracket_defects(alg: TwoStepAlgebra, gm: GradedMap
+                     ) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
+    """(s, D): the z_c coordinate of [A e_i, A e_j] - C [e_i, e_j] is D[c][i][j] / s.
 
     A = map_v = GV / dV and C = map_z = GZ / dZ; for every bracket form B_c
-    the check GV^t B_c GV dZ == dV^2 sum_e GZ[c, e] B_e runs in ints.
+    (over the forms' denominator d) the skew defect
+    D_c = GV^t B_c GV dZ - dV^2 sum_e GZ[c, e] B_e is formed in ints as sparse
+    rows, and s = d dV^2 dZ.
     """
     n = alg.dim_v
     dv, a = scaled_sparse(gm.map_v)
     _, at = scaled_sparse(gm.map_v.transpose())
     dz, c_rows = scaled_sparse(gm.map_z)
-    _, forms = alg.bracket_forms
+    d, forms = alg.bracket_forms
     a = [[(k, x * dz) for k, x in r] for r in a]
-    pairs = []
+    defects = []
     for form, c_row in zip(forms, c_rows):
-        got = sparse_mul(at, sparse_mul(form, a))
-        c_row = [(e, x * dv * dv) for e, x in c_row]
-        want = [sparse_mul([c_row], [f[k] for f in forms])[0] for k in range(n)]
-        # both sides are skew: the first row that differs does so right of its diagonal
-        pairs += [(i, min(set(g) ^ set(w))[0])
-                  for i, (g, w) in enumerate(zip(got, want)) if g != w][:1]
-    return min(pairs, default=None)
+        # row k of D_c: (row k of GV^t, -dV^2 GZ[c, :]) times the stacked
+        # rows of B_c GV dZ and the rows k of every B_e
+        stacked = sparse_mul(form, a)
+        mix = [(n + e, -x * dv * dv) for e, x in c_row]
+        defects.append([sparse_mul([at[k] + mix], stacked + [f[k] for f in forms])[0]
+                        for k in range(n)])
+    return d * dv * dv * dz, defects
+
+
+def _first_bracket_violation(alg: TwoStepAlgebra, gm: GradedMap
+                             ) -> Optional[Tuple[int, int]]:
+    """The first basis pair i < j with [A e_i, A e_j] != C [e_i, e_j], or None."""
+    _, defects = _bracket_defects(alg, gm)
+    # a skew defect's first nonzero row is nonzero only right of its diagonal
+    return min(((i, r[0][0]) for dc in defects for i, r in enumerate(dc) if r),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -859,14 +870,9 @@ def _exact_report(alg, ms1, ms2, pv: Matrix, pz: Matrix, precision: int):
     res_center = max((abs(pz[i, j] - (lam if i == j else 0))
                       for i in range(pz.rows) for j in range(pz.cols)),
                      default=Fraction(0))
-    res_auto = Fraction(0)
-    cols = [pv.col(i) for i in range(alg.dim_v)]
-    for i in range(alg.dim_v):
-        for j in range(i + 1, alg.dim_v):
-            got = alg.bracket_coords(cols[i], cols[j])
-            want = mat_vec(pz, alg.bracket_basis(i, j))
-            res_auto = max(res_auto, max((abs(a - b) for a, b in zip(got, want)),
-                                         default=Fraction(0)))
+    scale, defects = _bracket_defects(alg, GradedMap(pv, pz))
+    res_auto = Fraction(max((abs(x) for dc in defects for r in dc for _, x in r),
+                            default=0), scale)
     res_metric = (pv.transpose() * ms1.gram_v * pv - ms2.gram_v).max_abs()
     res_l2 = (ms1.gram_z.scale(lam * lam) - ms2.gram_z).max_abs()
     tol = 2.0 ** (-(precision // 2))

@@ -56,17 +56,16 @@ class TwoStepAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] in Z coordinates, for any i, j below dimV."""
-        table = self._bracket_lookup()
+        table = self._bracket_lookup
         if i < j and (i, j) in table:
             return table[(i, j)]
         if j < i and (j, i) in table:
             return tuple(-c for c in table[(j, i)])
         return tuple(Fraction(0) for _ in range(self.dim_z))
 
+    @cached_property
     def _bracket_lookup(self) -> Dict[Tuple[int, int], Tuple[Fraction, ...]]:
-        if not hasattr(self, "_lookup"):
-            object.__setattr__(self, "_lookup", dict(self.brackets))
-        return getattr(self, "_lookup")
+        return dict(self.brackets)
 
     @cached_property
     def bracket_forms(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
@@ -88,7 +87,7 @@ class TwoStepAlgebra:
         int, mpf); coordinates no bracket reaches stay the int 0.
         """
         out = [0] * self.dim_z
-        for (i, j), vec in self._bracket_lookup().items():
+        for (i, j), vec in self._bracket_lookup.items():
             c = x[i] * y[j] - x[j] * y[i]
             if c:
                 for t, s in enumerate(vec):

@@ -10,8 +10,10 @@ Its equations are sparse integer rows: the bracket constants come from
 the algebra's integer bracket forms over their denominator d, the action
 of each earlier layer from integer tables built once per layer (scaled
 by the lcm of that layer's denominators), and every equation is
-multiplied through by the scales it meets.  Basis elements come back as
-primitive integer matrices, certified against every assembled equation.
+multiplied through by the scales it meets.  One assembly serves both
+directions: `compute_layer` takes the kernel of the rows, whose basis
+elements come back as primitive integer matrices certified against every
+row, and `verify_layer` substitutes a layer's basis into the same rows.
 
 Degree 0 fits the same scheme with u1 = A in End(V), u2 = B in End(Z),
 giving the full graded derivation algebra.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import Matrix, clear_denominators, nullspace_int_rows
+from .exactlin import Matrix, clear_denominators, nullspace_int_rows, verify_kernel
 from .nilalg import TwoStepAlgebra
 
 # Table[direction][coordinate] lists (basis index, int); see ProlongationLayer.actions.
@@ -88,13 +90,7 @@ class ProlongationResult:
 
 def _layer_dim(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
                j: int) -> int:
-    if j == -1:
-        return alg.dim_v
-    if j == -2:
-        return alg.dim_z
-    if j < -2:
-        return 0
-    return layers[j].dim
+    return layers[j].dim if j >= 0 else {-1: alg.dim_v, -2: alg.dim_z}.get(j, 0)
 
 
 def _actions(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
@@ -129,34 +125,20 @@ def _block(vec: Sequence[int], start: int, rows: int, cols: int) -> Matrix:
                                     for r in range(rows)))
 
 
-def compute_layer(alg: TwoStepAlgebra, k: int,
-                  layers: Sequence[ProlongationLayer],
-                  max_unknowns: int = 20000,
-                  max_entries: int = 10**8) -> ProlongationLayer:
-    """g_k as one exact kernel computation (k >= 0, layers = g_0..g_{k-1})."""
-    if k < 0:
-        raise ValueError("layers are computed for degree >= 0")
-    if len(layers) != k:
-        raise ValueError(f"need previous layers g_0..g_{k-1}, got {len(layers)}")
+def _leibniz_rows(alg: TwoStepAlgebra, k: int, layers: Sequence[ProlongationLayer],
+                  d1: int, d2: int) -> List[List[Tuple[int, int]]]:
+    """The degree-k Leibniz equations as sparse integer rows (d1 = dim g_{k-1},
+    d2 = dim g_{k-2}); unknown b * dimV + i is coordinate b of u1(e_i), and
+    dimV * d1 + t * dimZ + a is coordinate t of u2(z_a).  No row repeats a
+    column, so each equation is a plain list of its terms."""
     nv, nz = alg.dim_v, alg.dim_z
-    d1 = _layer_dim(alg, layers, k - 1)
-    d2 = _layer_dim(alg, layers, k - 2)
     d3 = _layer_dim(alg, layers, k - 3)
     d4 = _layer_dim(alg, layers, k - 4)
-    unknowns = nv * d1 + nz * d2
-    if unknowns == 0:
-        return ProlongationLayer(k, d1, d2, ())
-    equations = (nv * (nv - 1) // 2) * d2 + nv * nz * d3 + (nz * (nz - 1) // 2) * d4
-    if unknowns > max_unknowns or unknowns * max(equations, 1) > max_entries:
-        raise ProlongationResourceError(
-            f"degree {k}: {unknowns} unknowns x {equations} equations "
-            f"exceeds the resource guard")
     d = alg.bracket_forms[0]
     s1, av1, az1 = _actions(alg, layers, k - 1)
     s2, av2, az2 = _actions(alg, layers, k - 2)
     off2 = nv * d1       # U2 coordinates start here
     rows: List[List[Tuple[int, int]]] = []
-    # No row repeats a column, so each equation is a plain list of its terms.
 
     # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i], times d s1
     for i, j, cij in _pairs(alg):
@@ -188,10 +170,34 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
                            + [(off2 + s * nz + b, -x) for s, x in az2[a][t]])
                     if row:
                         rows.append(row)
+    return rows
 
-    kernel = nullspace_int_rows(rows, unknowns)
+
+def compute_layer(alg: TwoStepAlgebra, k: int,
+                  layers: Sequence[ProlongationLayer],
+                  max_unknowns: int = 20000,
+                  max_entries: int = 10**8) -> ProlongationLayer:
+    """g_k as one exact kernel computation (k >= 0, layers = g_0..g_{k-1})."""
+    if k < 0:
+        raise ValueError("layers are computed for degree >= 0")
+    if len(layers) != k:
+        raise ValueError(f"need previous layers g_0..g_{k-1}, got {len(layers)}")
+    nv, nz = alg.dim_v, alg.dim_z
+    d1 = _layer_dim(alg, layers, k - 1)
+    d2 = _layer_dim(alg, layers, k - 2)
+    d3 = _layer_dim(alg, layers, k - 3)
+    d4 = _layer_dim(alg, layers, k - 4)
+    unknowns = nv * d1 + nz * d2
+    if unknowns == 0:
+        return ProlongationLayer(k, d1, d2, ())
+    equations = (nv * (nv - 1) // 2) * d2 + nv * nz * d3 + (nz * (nz - 1) // 2) * d4
+    if unknowns > max_unknowns or unknowns * max(equations, 1) > max_entries:
+        raise ProlongationResourceError(
+            f"degree {k}: {unknowns} unknowns x {equations} equations "
+            f"exceeds the resource guard")
+    kernel = nullspace_int_rows(_leibniz_rows(alg, k, layers, d1, d2), unknowns)
     return ProlongationLayer(k, d1, d2, tuple(
-        (_block(vec, 0, d1, nv), _block(vec, off2, d2, nz)) for vec in kernel))
+        (_block(vec, 0, d1, nv), _block(vec, nv * d1, d2, nz)) for vec in kernel))
 
 
 def g0(alg: TwoStepAlgebra, **guard) -> ProlongationLayer:
@@ -205,51 +211,23 @@ def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
                  k: int) -> bool:
     """Re-verify the Leibniz identity for every basis element of g_k.
 
-    Evaluates u([x,y]) and [u(x), y] + [x, u(y)] through the integer
-    bracket forms and the cached integer action tables of g_{k-1} and
-    g_{k-2} on all basis pairs of the negative part (V x V, mixed, and
-    Z x Z), exactly, each side multiplied by the scales of the other.
-    Each basis element is first scaled to integers by the lcm of its
-    denominators; the identity is linear in u.
+    Rebuilds the degree-k rows `compute_layer` solves, from the bracket
+    forms and the action tables of g_{k-1} and g_{k-2}, and substitutes
+    each basis element into all of them exactly (`verify_kernel`): its V
+    block then its Z block, row-major, scaled to integers by the lcm of
+    their denominators.  A layer whose previous dims or block shapes are
+    not those of g_{k-1} and g_{k-2} is rejected.
     """
     layer = layers[k]
-    nv, nz = alg.dim_v, alg.dim_z
-    d1, d2 = layer.dim_prev1, layer.dim_prev2
-    d3 = _layer_dim(alg, layers, k - 3)
-    d4 = _layer_dim(alg, layers, k - 4)
-    d = alg.bracket_forms[0]
-    s1, av1, az1 = _actions(alg, layers, k - 1)
-    s2, av2, az2 = _actions(alg, layers, k - 2)
-    pairs = _pairs(alg)
-
-    def act(action, direction: int, coords: Sequence[int], width: int, scale: int) -> List[int]:
-        """scale times the bracket of a layer element (coords) with one negative
-        basis direction, in the action's integer units."""
-        if action is None:
-            return [0] * width
-        return [scale * sum([x * coords[b] for b, x in row]) for row in action[direction]]
-
-    for (m1, m2) in layer.basis:
-        u = clear_denominators([x for m in (m1, m2) for c in m.transpose().data for x in c])
-        u_x = [u[i * d1:(i + 1) * d1] for i in range(nv)]
-        u_z = [u[nv * d1 + a * d2:nv * d1 + (a + 1) * d2] for a in range(nz)]
-        for i, j, cij in pairs:
-            lhs = [s1 * sum([u_z[a][t] * c for a, c in cij]) for t in range(d2)]
-            rhs1 = act(av1, j, u_x[i], d2, d)
-            rhs2 = act(av1, i, u_x[j], d2, d)
-            if any(l - (r1 - r2) for l, r1, r2 in zip(lhs, rhs1, rhs2)):
-                return False
-        if d3:
-            for i in range(nv):
-                for a in range(nz):
-                    if act(az1, a, u_x[i], d3, s2) != act(av2, i, u_z[a], d3, s1):
-                        return False
-        if d4:
-            for a in range(nz):
-                for b in range(a + 1, nz):
-                    if act(az2, b, u_z[a], d4, 1) != act(az2, a, u_z[b], d4, 1):
-                        return False
-    return True
+    d1 = _layer_dim(alg, layers, k - 1)
+    d2 = _layer_dim(alg, layers, k - 2)
+    shapes = ((d1, alg.dim_v), (d2, alg.dim_z))
+    if (layer.dim_prev1, layer.dim_prev2) != (d1, d2) or any(
+            (m1.shape, m2.shape) != shapes for m1, m2 in layer.basis):
+        return False
+    return verify_kernel(_leibniz_rows(alg, k, layers, d1, d2), [
+        clear_denominators([x for m in pair for r in m.data for x in r])
+        for pair in layer.basis])
 
 
 def prolong(alg: TwoStepAlgebra, max_degree: int, stop_when_zero: bool = True,

@@ -153,12 +153,12 @@ def test_doubleton_chain_back_substitutes_large_entries():
 def test_verify_kernel_is_exact():
     rows = sparse([[1, 2, -1], [0, 3, 3]])
     v = [3, -1, 1]
-    assert el._verify_kernel(rows, [v])
-    assert el._verify_kernel(rows, [[-2 * x for x in v], [F(x, 7) for x in v]])
+    assert el.verify_kernel(rows, [v])
+    assert el.verify_kernel(rows, [[-2 * x for x in v], [F(x, 7) for x in v]])
     for k in range(3):
         off = list(v)
         off[k] += 1
-        assert not el._verify_kernel(rows, [v, off])
+        assert not el.verify_kernel(rows, [v, off])
 
 
 def test_kernel_certification_survives_optimize_flag():

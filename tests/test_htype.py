@@ -385,6 +385,31 @@ def test_first_bracket_violation_matches_pair_loop(key):
             assert htype._first_bracket_violation(alg, gm) == want
 
 
+def _pair_loop_residual(alg, pv, pz):
+    """Reference: max |[P e_i, P e_j] - pz [e_i, e_j]| over the pairs i < j."""
+    cols = [pv.col(i) for i in range(alg.dim_v)]
+    return max((abs(a - b) for i in range(alg.dim_v) for j in range(i + 1, alg.dim_v)
+                for a, b in zip(alg.bracket_coords(cols[i], cols[j]),
+                                mat_vec(pz, alg.bracket_basis(i, j)))), default=F(0))
+
+
+@pytest.mark.parametrize("key", ["h1H", "hp11H", "cliff7x2"])
+def test_exact_transfer_residual_matches_pair_loop(key):
+    ms = fleet_member(key)
+    alg, rng = ms.algebra, random.Random(key)
+    dil = dilation(alg, F(3, 2))
+    pv, pz = dil.map_v, dil.map_z
+    _, rep = htype._exact_report(alg, ms, ms, pv, pz, 128)
+    assert rep.residual_automorphism == 0
+    for _ in range(4):
+        rows = pv.to_rows()
+        rows[rng.randrange(alg.dim_v)][rng.randrange(alg.dim_v)] += F(rng.randint(1, 5), 7)
+        bent = Matrix.from_rows(rows)
+        _, rep = htype._exact_report(alg, ms, ms, bent, pz, 128)
+        want = _pair_loop_residual(alg, bent, pz)
+        assert want > 0 and rep.residual_automorphism == float(want)
+
+
 # ---------------------------------------------------------------------------
 # swap automorphisms
 # ---------------------------------------------------------------------------

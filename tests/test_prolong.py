@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
 from nilrad import nilalg
 from nilrad.cli import main
 from nilrad.division import Tag
-from nilrad.exactlin import Matrix, nullspace_int_rows
+from nilrad.exactlin import Matrix, clear_denominators, nullspace_int_rows
 from nilrad.htype import make_h_prime
 from nilrad.nilalg import TwoStepAlgebra, free_two_step
 from nilrad.prolong import (
@@ -108,6 +109,68 @@ def test_verify_layer_rejects_a_perturbed_entry(k):
     bad = ((Matrix.from_rows(rows), m2),) + layers[k].basis[1:]
     layers[k] = ProlongationLayer(k, layers[k].dim_prev1, layers[k].dim_prev2, bad)
     assert not verify_layer(alg, layers, k)
+
+
+def _reshaped(layer, v=None, z=None, dim_prev1=None):
+    """layer with each basis element's V rows passed through v and its Z rows
+    through z, and dim_prev1 replaced when given."""
+    def apply(m, change):
+        return m if change is None else Matrix.from_rows(change(m.to_rows()))
+    return ProlongationLayer(layer.degree,
+                             layer.dim_prev1 if dim_prev1 is None else dim_prev1,
+                             layer.dim_prev2,
+                             tuple((apply(m1, v), apply(m2, z)) for m1, m2 in layer.basis))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_verify_layer_rejects_misshapen_blocks(k):
+    # entries beyond the unknowns of g_k, or blocks too short, are no layer:
+    # a flat substitution alone would ignore an appended Z row
+    alg = fleet_member("hp11H").algebra
+    layers = list(prolong(alg, 1, stop_when_zero=False).layers)
+    assert verify_layer(alg, layers, k)
+    layer = layers[k]
+    bent = [
+        _reshaped(layer, z=lambda rows: rows + [[0] * len(rows[0])]),   # extra zero row
+        _reshaped(layer, z=lambda rows: rows + [[1] * len(rows[0])]),   # extra nonzero row
+        _reshaped(layer, v=lambda rows: rows[:-1]),                     # dropped row
+        _reshaped(layer, v=lambda rows: [r + [0] for r in rows]),       # extra column
+        _reshaped(layer, dim_prev1=layer.dim_prev1 + 1),
+    ]
+    for wrong in bent:
+        assert not verify_layer(alg, layers[:k] + [wrong] + layers[k + 1:], k)
+
+
+def _satisfies(rows, layer):
+    """Every basis vector of layer, flattened and cleared of denominators,
+    vanishes on every reference row."""
+    vecs = [clear_denominators([x for m in pair for r in m.data for x in r])
+            for pair in layer.basis]
+    return all(sum(x * v[c] for c, x in row) == 0 for v in vecs for row in rows)
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_verify_layer_matches_the_reference_rows(key):
+    # verify_layer accepts a layer exactly when its basis satisfies the
+    # Fraction assembly of the Leibniz rows, the encoding kept apart from it
+    alg = fleet_member(key).algebra
+    layers = list(prolong(alg, 3).layers)
+    rng, rejected = random.Random(key), 0
+    for k, layer in enumerate(layers):
+        rows, _ = reference_leibniz_rows(alg, k, layers[:k])
+        assert _satisfies(rows, layer) and verify_layer(alg, layers, k), k
+        for side in (0, 1) if layer.basis else ():     # the V block, then the Z block
+            b = rng.randrange(layer.dim)
+            pair = list(layer.basis[b])
+            entries = pair[side].to_rows()
+            entries[rng.randrange(len(entries))][rng.randrange(len(entries[0]))] += F(1, 3)
+            pair[side] = Matrix.from_rows(entries)
+            bent = ProlongationLayer(k, layer.dim_prev1, layer.dim_prev2,
+                                     layer.basis[:b] + (tuple(pair),) + layer.basis[b + 1:])
+            want = _satisfies(rows, bent)
+            assert verify_layer(alg, layers[:k] + [bent] + layers[k + 1:], k) == want, k
+            rejected += not want
+    assert rejected       # an entry off the kernel was among the changes
 
 
 def test_deep_layers_verify_including_zz_pairs():
