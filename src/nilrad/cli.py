@@ -326,7 +326,8 @@ def _parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("transfer", help="transfer operator between two H-type metrics")
     tr.add_argument("file")
     tr.add_argument("--gram2", required=True)
-    tr.add_argument("--precision", type=int, default=128)
+    tr.add_argument("--precision", type=int, default=128,
+                    help="bits of an irrational lambda, 64 to 4096")
     tr.add_argument("--json", action="store_true")
     tr.set_defaults(func=_cmd_transfer)
 

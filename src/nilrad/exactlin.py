@@ -3,10 +3,7 @@
 Scalars are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator), matrices are small immutable dense arrays of
 rationals.  Everything that the rest of the package proves is proved
-here by exact elimination; floating point enters only through
-`sym_eigen`, which wraps an arbitrary-precision symmetric
-eigendecomposition for the one computation where square roots are
-unavoidable.
+here by exact elimination; there is no floating point.
 
 Arithmetic runs in Python ints.  A product clears each operand to one
 common denominator and sparse integer rows (`scaled_sparse`),
@@ -32,12 +29,7 @@ from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-
 Rational = Fraction
-
-MIN_PRECISION = 64
-DEFAULT_PRECISION = 128
 
 
 def rat(x) -> Fraction:
@@ -601,60 +593,3 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     if ns * ns == q.numerator and ds * ds == q.denominator:
         return Fraction(ns, ds)
     return None
-
-
-# ---------------------------------------------------------------------------
-# High-precision symmetric eigendecomposition
-# ---------------------------------------------------------------------------
-
-def _to_mp(m: Matrix) -> mpmath.matrix:
-    out = mpmath.matrix(m.rows, m.cols)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = m.data[i][j]
-            out[i, j] = mpmath.mpf(x.numerator) / x.denominator
-    return out
-
-
-def sym_eigen(m: Matrix, precision: int = DEFAULT_PRECISION
-              ) -> Tuple[List[mpmath.mpf], List[List[mpmath.mpf]]]:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
-
-    Computed at `precision` bits (>= 64) and verified by `verified_eigsy`.
-    Vectors are returned as rows.
-    """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
-    if not m.is_symmetric():
-        raise ValueError("sym_eigen requires a symmetric matrix")
-    n = m.rows
-    with mpmath.workprec(precision + 32):
-        evals, q = verified_eigsy(_to_mp(m), precision)
-        return ([+e for e in evals],
-                [[+q[i, j] for i in range(n)] for j in range(n)])
-
-
-def verified_eigsy(a: mpmath.matrix, precision: int
-                   ) -> Tuple[mpmath.matrix, mpmath.matrix]:
-    """Symmetric eigendecomposition at the working precision, checked.
-
-    Each pair must satisfy ``|a v - lambda v| <= 2**(-precision/2)`` and
-    the eigenvector columns must be orthonormal to the same tolerance;
-    otherwise ArithmeticError is raised.
-    """
-    n = a.rows
-    evals, q = mpmath.eigsy(a)
-    tol = mpmath.mpf(2) ** (-(precision // 2))
-    for j in range(n):
-        v = [q[i, j] for i in range(n)]
-        res = [sum(a[i, k] * v[k] for k in range(n)) - evals[j] * v[i]
-               for i in range(n)]
-        if max((abs(x) for x in res), default=mpmath.mpf(0)) > tol:
-            raise ArithmeticError("eigenpair residual exceeds tolerance")
-    for j in range(n):
-        for k in range(j, n):
-            g = sum(q[i, j] * q[i, k] for i in range(n))
-            target = 1 if j == k else 0
-            if abs(g - target) > tol:
-                raise ArithmeticError("eigenvectors not orthonormal within tolerance")
-    return evals, q

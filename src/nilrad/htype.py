@@ -27,17 +27,14 @@ examples outside the two families.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import mpmath
-
 from .division import Tag, mul as fmul, conj as fconj, unit as funit
 from .exactlin import (
-    DEFAULT_PRECISION,
-    MIN_PRECISION,
     Matrix,
     inverse,
     is_positive_definite,
@@ -51,8 +48,6 @@ from .exactlin import (
     rational_sqrt,
     scaled_sparse,
     sparse_mul,
-    sym_eigen,
-    verified_eigsy,
 )
 from .nilalg import TwoStepAlgebra
 
@@ -524,7 +519,8 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
 
     Reducible comes with an exactly verified invariant subspace; the
     irreducible certificate combines a spanning orbit of a vector with
-    the exact commutant computation (no symmetric non-scalar element).
+    the exact commutant computation (no gramV-self-adjoint non-scalar
+    element).
     Only verified orthogonal automorphisms are accepted as generators.
     """
     alg = ms.algebra
@@ -566,7 +562,7 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
                             f"{len(basis)}-dimensional invariant subspace",
                             witness)
 
-    sym_comm = _symmetric_commutant(generators, n)
+    sym_comm = _symmetric_commutant(generators, ms.gram_v)
     if len(sym_comm) == 1 and spans:
         return ProbeVerdict(
             "irreducible",
@@ -594,26 +590,31 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
                         "rational spectral split was found")
 
 
-def _symmetric_commutant(generators: Sequence[GradedMap], n: int) -> List[Matrix]:
-    """Exact basis of {S = S^t : S g = g S for all generators}.
+def _symmetric_commutant(generators: Sequence[GradedMap], gram: Matrix) -> List[Matrix]:
+    """Exact basis of the gram-self-adjoint commutant {S : S g = g S, gram S = S^t gram}.
 
-    The unknowns are the entries S[i][j], j <= i, in row-major order, so the
-    basis read off the echelon form is the one over all n^2 entries; each
-    generator g = G / d adds the integer rows of S G - G S.
+    It is S = gram^{-1} T for the invariant symmetric forms T = T^t with
+    T g = h T, h = gram g gram^{-1}; for gram = c Id these are the symmetric
+    S = T / c with S g = g S.  The unknowns are the entries T[i][j], j <= i, in
+    row-major order, so the basis read off the echelon form is the one over
+    all n^2 entries; g = Gg / dg and h = Gh / dh add the integer rows of
+    dh T Gg - dg Gh T.
     """
+    n = gram.rows
+    gram_inv = inverse(gram)
     pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
     rows = []
     for g in generators:
-        _, grows = scaled_sparse(g.map_v)
-        _, gcols = scaled_sparse(g.map_v.transpose())
+        dg, gcols = scaled_sparse(g.map_v.transpose())
+        dh, hrows = scaled_sparse(gram * g.map_v * gram_inv)
         for i in range(n):
             for j in range(n):
-                rows.append([(pos[i][k], x) for k, x in gcols[j]]
-                            + [(pos[k][j], -x) for k, x in grows[i]])
+                rows.append([(pos[i][k], x * dh) for k, x in gcols[j]]
+                            + [(pos[k][j], -x * dg) for k, x in hrows[i]])
     out = []
     for v in nullspace_int_rows(rows, n * (n + 1) // 2):
         sign = 1 if next(v[k] for row in pos for k in row if v[k]) > 0 else -1
-        out.append(Matrix.from_rows([[sign * v[k] for k in row] for row in pos]))
+        out.append(gram_inv * Matrix.from_rows([[sign * v[k] for k in row] for row in pos]))
     return out
 
 
@@ -782,21 +783,37 @@ def _first_bracket_violation(alg: TwoStepAlgebra, gm: GradedMap
 # Transfer operator between two H-type metrics
 # ---------------------------------------------------------------------------
 
+# bits of an irrational lambda; the ceiling keeps its printed digits under
+# Python's int-to-str limit of 4,300 digits
+MIN_PRECISION = 64
+MAX_PRECISION = 4096
+DEFAULT_PRECISION = 128
+
+
 @dataclass(frozen=True)
 class TransferOperator:
-    """Graded positive map P with <x,y>_2 = (Px, Py)_1, P|_Z = lambda Id."""
+    """Rational graded positive map P with <x,y>_2 = (Px, Py)_1, P|_Z = lambda Id."""
 
-    map_v: Union[Matrix, Tuple[Tuple[object, ...], ...]]
-    map_z: Union[Matrix, Tuple[Tuple[object, ...], ...]]
-    exact: bool
+    map_v: Matrix
+    map_z: Matrix
 
 
 @dataclass(frozen=True)
 class TransferReport:
+    """The exact verdict of `transfer_operator`.
+
+    `exact` says whether P is rational.  The residuals are exact rationals
+    read as floats: of P when it is rational, of M = P^2 otherwise, so every
+    one is zero when `ok` holds.  `lam` is lambda when it is rational, else its
+    decimal truncation at `precision` bits; `lam_sq` is lambda^2.  No verdict
+    reads `tolerance` = 2^(-precision/2); it stays in the `--json` output.
+    """
+
     precision: int
     tolerance: float
     exact: bool
-    lam: object
+    lam: Union[Fraction, str]
+    lam_sq: Fraction
     residual_automorphism: float
     residual_center: float
     residual_metric: float
@@ -806,21 +823,25 @@ class TransferReport:
 
 def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
                       precision: int = DEFAULT_PRECISION
-                      ) -> Tuple[TransferOperator, TransferReport]:
+                      ) -> Tuple[Optional[TransferOperator], TransferReport]:
     """Unique positive gram1-self-adjoint P with <x,y>_2 = (Px, Py)_1.
 
     Both metrics must make the (same) algebra H-type; that hypothesis is
-    checked exactly before any computation.  P is computed blockwise as
-    the positive square root of gram1^{-1} gram2, exactly when that
-    matrix splits over the rationals with square eigenvalues and in
-    `precision`-bit floating point otherwise.  The report certifies,
-    within 2^(-precision/2): P is an automorphism, P restricted to Z is
-    a scalar lambda, the metrics transfer, and gramZ_2 = lambda^2 gramZ_1.
+    checked exactly before any computation.  P is the blockwise positive
+    square root of M = gram1^{-1} gram2, so P^t gram1 P = gram2 by
+    construction.  M is gram1-self-adjoint and positive; if it is a graded
+    automorphism with M|_Z = lambda^2 Id, a nonzero bracket of eigenvectors
+    e_i, e_j forces mu_i mu_j = lambda^2, so sqrt(mu_i) sqrt(mu_j) = lambda
+    and P is a graded automorphism with P|_Z = lambda Id.  Conversely M = P^2,
+    and gramZ_2 = lambda^2 gramZ_1 is M|_Z = lambda^2 Id.  So every claim is
+    an exact check on M.  A rational P is returned and its own residuals are
+    checked; otherwise the operator is None and the residuals are M's.
     """
     if ms1.algebra is not ms2.algebra and ms1.algebra != ms2.algebra:
         raise ValueError("transfer operator needs two metrics on the same algebra")
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
+    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be between {MIN_PRECISION} and "
+                         f"{MAX_PRECISION} bits")
     if not is_htype(ms1):
         raise ValueError("first metric is not H-type; the transfer operator is undefined")
     if not is_htype(ms2):
@@ -832,7 +853,7 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
     pz = _rational_positive_sqrt(mz, ms1.gram_z)
     if pv is not None and pz is not None:
         return _exact_report(alg, ms1, ms2, pv, pz, precision)
-    return _float_report(alg, ms1, ms2, precision)
+    return _square_report(alg, ms1, ms2, mv, mz, precision)
 
 
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
@@ -866,104 +887,42 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
 
 
 def _exact_report(alg, ms1, ms2, pv: Matrix, pz: Matrix, precision: int):
-    lam = pz[0, 0] if pz.rows else Fraction(1)
-    res_center = max((abs(pz[i, j] - (lam if i == j else 0))
-                      for i in range(pz.rows) for j in range(pz.cols)),
-                     default=Fraction(0))
-    scale, defects = _bracket_defects(alg, GradedMap(pv, pz))
+    """(P, report) for a rational P, whose residuals are P's own."""
+    lam = pz[0, 0]
+    res_metric = (pv.transpose() * ms1.gram_v * pv - ms2.gram_v).max_abs()
+    return TransferOperator(pv, pz), _report(alg, ms1, ms2, GradedMap(pv, pz), res_metric,
+                                             True, lam, lam * lam, precision)
+
+
+def _square_report(alg, ms1, ms2, mv: Matrix, mz: Matrix, precision: int):
+    """(None, report) for an irrational P, whose residuals are those of M = P^2."""
+    lam_sq = mz[0, 0]
+    lam = rational_sqrt(lam_sq)
+    if lam is None:
+        lam = _decimal_sqrt(lam_sq, precision)
+    return None, _report(alg, ms1, ms2, GradedMap(mv, mz), Fraction(0),
+                         False, lam, lam_sq, precision)
+
+
+def _report(alg, ms1, ms2, gm: GradedMap, res_metric: Fraction, exact: bool,
+            lam, lam_sq: Fraction, precision: int) -> TransferReport:
+    """The report on gm = P or M: its bracket defect and the distance of its Z
+    block from a scalar, with the metric residual and gramZ_2 - lambda^2 gramZ_1."""
+    scalar = gm.map_z[0, 0]
+    res_center = (gm.map_z - Matrix.identity(alg.dim_z).scale(scalar)).max_abs()
+    scale, defects = _bracket_defects(alg, gm)
     res_auto = Fraction(max((abs(x) for dc in defects for r in dc for _, x in r),
                             default=0), scale)
-    res_metric = (pv.transpose() * ms1.gram_v * pv - ms2.gram_v).max_abs()
-    res_l2 = (ms1.gram_z.scale(lam * lam) - ms2.gram_z).max_abs()
-    tol = 2.0 ** (-(precision // 2))
-    ok = all(float(r) <= tol for r in (res_auto, res_center, res_metric, res_l2))
-    op = TransferOperator(pv, pz, True)
-    rep = TransferReport(precision, tol, True, lam, float(res_auto),
-                         float(res_center), float(res_metric), float(res_l2), ok)
-    return op, rep
+    res_l2 = (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
+    residuals = (res_auto, res_center, res_metric, res_l2)
+    return TransferReport(precision, 2.0 ** (-(precision // 2)), exact, lam, lam_sq,
+                          *map(float, residuals), not any(residuals))
 
 
-def _float_report(alg, ms1, ms2, precision: int):
-    with mpmath.workprec(precision + 48):
-        pv = _mp_transfer_block(ms1.gram_v, ms2.gram_v, precision)
-        pz = _mp_transfer_block(ms1.gram_z, ms2.gram_z, precision)
-        nv, nz = alg.dim_v, alg.dim_z
-        lam = pz[0][0] if nz else mpmath.mpf(1)
-        res_center = max((abs(pz[i][j] - (lam if i == j else 0))
-                          for i in range(nz) for j in range(nz)), default=mpmath.mpf(0))
-        cols = [[pv[i][k] for i in range(nv)] for k in range(nv)]
-        res_auto = mpmath.mpf(0)
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                got = alg.bracket_coords(cols[i], cols[j])
-                cb = alg.bracket_basis(i, j)
-                want = [sum(pz[t][s] * _mpf(cb[s]) for s in range(nz)) for t in range(nz)]
-                for a, b in zip(got, want):
-                    res_auto = max(res_auto, abs(a - b))
-        res_metric = _mp_metric_residual(pv, ms1.gram_v, ms2.gram_v)
-        g1z, g2z = ms1.gram_z, ms2.gram_z
-        res_l2 = max((abs(lam * lam * _mpf(g1z[i, j]) - _mpf(g2z[i, j]))
-                      for i in range(nz) for j in range(nz)), default=mpmath.mpf(0))
-        tol = mpmath.mpf(2) ** (-(precision // 2))
-        ok = all(r <= tol for r in (res_auto, res_center, res_metric, res_l2))
-        op = TransferOperator(tuple(tuple(row) for row in pv),
-                              tuple(tuple(row) for row in pz), False)
-        rep = TransferReport(precision, float(tol), False, +lam, float(res_auto),
-                             float(res_center), float(res_metric), float(res_l2), ok)
-        return op, rep
-
-
-def _mpf(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _mp_transfer_block(g1: Matrix, g2: Matrix, precision: int) -> List[List[mpmath.mpf]]:
-    n = g1.rows
-    if n == 0:
-        return []
-    evals, vecs = sym_eigen(g1, precision)
-    # g1^{1/2} and g1^{-1/2} from the same eigenbasis
-    shalf = [[mpmath.mpf(0)] * n for _ in range(n)]
-    sinv = [[mpmath.mpf(0)] * n for _ in range(n)]
-    for k in range(n):
-        r = mpmath.sqrt(evals[k])
-        vk = vecs[k]
-        for i in range(n):
-            for j in range(n):
-                shalf[i][j] += r * vk[i] * vk[j]
-                sinv[i][j] += vk[i] * vk[j] / r
-    g2m = [[_mpf(g2[i, j]) for j in range(n)] for i in range(n)]
-    inner_m = _mp_mul(_mp_mul(sinv, g2m), sinv)
-    inner_sym = [[(inner_m[i][j] + inner_m[j][i]) / 2 for j in range(n)] for i in range(n)]
-    root = _mp_sqrt_sym(inner_sym, precision)
-    return _mp_mul(_mp_mul(sinv, root), shalf)
-
-
-def _mp_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _mp_sqrt_sym(a, precision: int):
-    n = len(a)
-    mat = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = a[i][j]
-    evals, q = verified_eigsy(mat, precision)
-    out = [[mpmath.mpf(0)] * n for _ in range(n)]
-    for k in range(n):
-        r = mpmath.sqrt(evals[k])
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += r * q[i, k] * q[j, k]
-    return out
-
-
-def _mp_metric_residual(pv, g1: Matrix, g2: Matrix):
-    n = len(pv)
-    g1m = [[_mpf(g1[i, j]) for j in range(n)] for i in range(n)]
-    pt = [[pv[j][i] for j in range(n)] for i in range(n)]
-    prod = _mp_mul(_mp_mul(pt, g1m), pv)
-    return max((abs(prod[i][j] - _mpf(g2[i, j])) for i in range(n) for j in range(n)),
-               default=mpmath.mpf(0))
+def _decimal_sqrt(q: Fraction, precision: int) -> str:
+    """sqrt(q) truncated to D decimals, the fewest with 10^-D <= 2^-precision:
+    the printed x satisfies x^2 <= q < (x + 10^-D)^2."""
+    digits = len(str(1 << precision))
+    whole, frac = divmod(math.isqrt(q.numerator * 10 ** (2 * digits) // q.denominator),
+                         10 ** digits)
+    return f"{whole}.{frac:0{digits}d}"

@@ -224,3 +224,44 @@ def random_quaternion(rng: random.Random):
                             for _ in range(4)])
         if not q.is_zero():
             return q
+
+
+def transfer_pairs(seed: int = 2024, count: int = 20):
+    """Seeded second metrics on h_1(H): pullbacks by a conformal map and a rational
+    dilation, composed with a reflection on every third draw.  Each one takes the
+    irrational route of the transfer operator."""
+    from nilrad.htype import dilation, pullback_metric, sigma_automorphism
+    rng = random.Random(seed)
+    ms1 = make_h(Tag.H, 1)
+    out = []
+    for trial in range(count):
+        gm = conformal_automorphism_h1H(
+            random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))
+        gm = gm.compose(dilation(ms1.algebra, Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+        if trial % 3 == 0:
+            gm = gm.compose(sigma_automorphism(ms1, unit_z(ms1, rng.randrange(4))))
+        out.append(pullback_metric(ms1, gm))
+    return out
+
+
+def rebase_v(ms: MetricStructure, superdiagonal) -> MetricStructure:
+    """The same metric algebra in the V basis given by the columns of
+    T = I + N, N carrying `superdiagonal` above the diagonal: the brackets
+    become [T e_i, T e_j] and gramV becomes T^t gramV T."""
+    alg, n = ms.algebra, ms.algebra.dim_v
+    t = Matrix.from_rows([[Fraction(int(i == j)) + (Fraction(superdiagonal[i]) if j == i + 1 else 0)
+                           for j in range(n)] for i in range(n)])
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = alg.bracket_coords(t.col(i), t.col(j))
+            if any(vec):
+                brackets[(i, j)] = list(vec)
+    rebased = TwoStepAlgebra.from_brackets(alg.name + " rebased", n, alg.dim_z, brackets)
+    return MetricStructure(rebased, t.transpose() * ms.gram_v * t, ms.gram_z)
+
+
+def random_thirds(n: int, seed: int):
+    """n random thirds in [-1, 1], as drawn for `rebase_v`."""
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-3, 3), 3) for _ in range(n)]

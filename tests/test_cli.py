@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
+from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import run_python
+from conftest import FLEET, fleet_member, random_thirds, rebase_v, run_python, transfer_pairs
 from nilrad import nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
-from nilrad.htype import is_htype, make_h_prime
+from nilrad.htype import MAX_PRECISION, dilation, is_htype, make_h_prime, pullback_metric
 
 
 def run(capsys, *argv):
@@ -306,3 +313,85 @@ def test_metric_verbs_refuse_huge_layers_before_allocating(tmp_path, capsys):
         sys.exit(main(["verify-htype", {str(path)!r}]))
     """)
     assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def _metric_verdicts(ms):
+    """(exit code, verdict field) of every metric verb on ms; the transfer goes
+    to the pullback of ms by the dilation 3/2."""
+    gram2 = pullback_metric(ms, dilation(ms.algebra, F(3, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, gram2_path = os.path.join(tmp, "alg.json"), os.path.join(tmp, "gram2.json")
+        nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+        with open(gram2_path, "w", encoding="utf-8") as fh:
+            json.dump({"v": nilalg.matrix_to_json(gram2.gram_v),
+                       "z": nilalg.matrix_to_json(gram2.gram_z)}, fh)
+        verdicts = {}
+        for argv, field in ((["verify-htype", path], "htype"),
+                            (["nonsingular", path], "verdict"),
+                            (["identify", path], "family"),
+                            (["transfer", path, "--gram2", gram2_path], "ok"),
+                            (["probe-irreducible", path], "verdict")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv + ["--json"])
+            verdicts[argv[0]] = (code, json.loads(out.getvalue())[field])
+    return verdicts
+
+
+@lru_cache(maxsize=None)
+def _fleet_verdicts(key):
+    return _metric_verdicts(fleet_member(key))
+
+
+# the superdiagonal of random.Random(1) thirds, on which the probe once
+# certified "irreducible" for clifford(7;2) and h'_{1,1}(H)
+SKEW = [int(3 * x) for x in random_thirds(15, 1)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(FLEET), st.lists(st.integers(-3, 3), min_size=15, max_size=15))
+@example("cliff7x2", SKEW)
+@example("hp11H", SKEW)
+def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators):
+    # T = I + N with thirds on the superdiagonal is not orthogonal for gramV
+    ms = fleet_member(key)
+    thirds = [F(k, 3) for k in numerators[:ms.algebra.dim_v - 1]]
+    assume(any(thirds))
+    assert _metric_verdicts(rebase_v(ms, thirds)) == _fleet_verdicts(key)
+
+
+def _float_pair_files(tmp_path):
+    ms1, ms2 = fleet_member("h1H"), transfer_pairs(count=1)[0]
+    base, gram2 = str(tmp_path / "h1H.json"), str(tmp_path / "gram2.json")
+    nilalg.save(base, ms1.algebra, ms1.gram_v, ms1.gram_z)
+    with open(gram2, "w", encoding="utf-8") as fh:
+        json.dump({"v": nilalg.matrix_to_json(ms2.gram_v),
+                   "z": nilalg.matrix_to_json(ms2.gram_z)}, fh)
+    return base, gram2, ms2.gram_z[0, 0] / ms1.gram_z[0, 0]
+
+
+def test_transfer_precision_is_bounded(tmp_path, capsys):
+    base, gram2, lam_sq = _float_pair_files(tmp_path)
+    for bits in (63, MAX_PRECISION + 1):
+        code, out, err = run(capsys, "transfer", base, "--gram2", gram2,
+                             "--precision", str(bits))
+        assert code == 2 and out == "" and "precision must be between 64 and 4096" in err
+    for bits in (64, MAX_PRECISION):
+        code, out, _ = run(capsys, "transfer", base, "--gram2", gram2,
+                           "--precision", str(bits), "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and not doc["exact"]
+        # the printed digits resolve 2^-bits and bracket sqrt(lambda^2)
+        x, digits = F(doc["lambda"]), len(doc["lambda"].split(".")[1])
+        assert digits == len(str(2 ** bits))
+        assert x * x <= lam_sq < (x + F(1, 10 ** digits)) ** 2
+
+
+def test_cli_import_leaves_mpmath_out():
+    proc = run_python("""
+        import sys
+        import nilrad.cli
+        print("mpmath" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

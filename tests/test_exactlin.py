@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -194,41 +193,6 @@ def test_inverse_two_sided_or_singular(m):
     else:
         with pytest.raises(ValueError):
             el.inverse(m)
-
-
-def test_sym_eigen_diagonal():
-    evals, _ = el.sym_eigen(Matrix.diagonal([1, 4]), 128)
-    assert sorted(round(float(e)) for e in evals) == [1, 4]
-
-
-def test_sym_eigen_exchange_matrix():
-    evals, _ = el.sym_eigen(Matrix.from_rows([[0, 1], [1, 0]]), 128)
-    assert sorted(round(float(e)) for e in evals) == [-1, 1]
-
-
-def test_sym_eigen_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        el.sym_eigen(Matrix.from_rows([[0, 1], [2, 0]]), 128)
-
-
-def test_sym_eigen_rejects_low_precision():
-    with pytest.raises(ValueError):
-        el.sym_eigen(Matrix.identity(2), 32)
-
-
-@settings(max_examples=15, deadline=None)
-@given(small_matrix(4, 4))
-def test_sym_eigen_reconstruction(m):
-    sym = m + m.transpose()
-    evals, vecs = el.sym_eigen(sym, 128)
-    n = sym.rows
-    with mpmath.workprec(160):
-        tol = mpmath.mpf(2) ** -64
-        for i in range(n):
-            for j in range(n):
-                got = sum(evals[k] * vecs[k][i] * vecs[k][j] for k in range(n))
-                want = mpmath.mpf(sym[i, j].numerator) / sym[i, j].denominator
-                assert abs(got - want) <= tol
 
 
 def test_minimal_polynomial_and_roots():

@@ -7,12 +7,15 @@ from conftest import (
     conformal_automorphism_h1H,
     fleet_member,
     random_quaternion,
+    random_thirds,
+    rebase_v,
     run_optimized,
+    transfer_pairs,
     unit_z,
 )
 from nilrad import htype
 from nilrad.division import Tag
-from nilrad.exactlin import Matrix, inverse, mat_vec, nullspace
+from nilrad.exactlin import Matrix, inverse, mat_vec, minimal_polynomial, nullspace, rational_roots
 from nilrad.htype import (
     GradedMap,
     HTypeFamilyId,
@@ -524,16 +527,19 @@ def test_probe_sigma_only_splits_signature_blocks():
     assert verdict2.kind == "irreducible"
 
 
-def _full_symmetric_commutant(generators, n):
-    """Reference: all n^2 entries as unknowns, plus the n(n-1)/2 symmetry rows."""
+def _full_symmetric_commutant(generators, gram):
+    """Reference: the invariant symmetric forms T, T g = (gram g gram^{-1}) T,
+    with all n^2 entries as unknowns plus the n(n-1)/2 symmetry rows."""
+    n = gram.rows
     rows = []
     for g in generators:
+        h = gram * g.map_v * inverse(gram)
         for i in range(n):
             for j in range(n):
                 row = [F(0)] * (n * n)
                 for k in range(n):
                     row[i * n + k] += g.map_v[k, j]
-                    row[k * n + j] -= g.map_v[i, k]
+                    row[k * n + j] -= h[i, k]
                 rows.append(row)
     for i in range(n):
         for j in range(i + 1, n):
@@ -544,21 +550,39 @@ def _full_symmetric_commutant(generators, n):
             for v in nullspace(Matrix.from_rows(rows))]
 
 
-@pytest.mark.parametrize("key", ["h1C", "hp11H", "hp21H", "h1H"])
+@pytest.mark.parametrize("key", ["h1C", "hp11H", "hp21H", "h1H", "hp11H-rebased",
+                                 "cliff7x2-rebased", "h1H-rebased"])
 def test_symmetric_commutant_matches_full_system(key):
-    ms = fleet_member(key)
-    n = ms.algebra.dim_v
+    base = key.split("-")[0]
+    ms = fleet_member(base)
+    if key.endswith("rebased"):
+        ms = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, 1))
+    n, gram = ms.algebra.dim_v, ms.gram_v
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(ms.algebra.dim_z)]
-    if key == "h1H":
-        # a rational generator that is not an isometry: scaled rows on both sides
+    if base == "h1H":
+        # a rational generator that is not an isometry: scaled rows on both
+        # sides, and in a skew basis g and gram g gram^{-1} differ in denominator
         rng = random.Random(3)
         gens = gens[:1] + [conformal_automorphism_h1H(
             random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))]
     for gs in (gens, gens[:1]):  # one generator leaves a large commutant
-        basis = htype._symmetric_commutant(gs, n)
+        basis = htype._symmetric_commutant(gs, gram)
         for s in basis:
-            assert s.is_symmetric() and all(s * g.map_v == g.map_v * s for g in gs)
-        assert basis == _full_symmetric_commutant(gs, n)
+            assert (gram * s).is_symmetric() and all(s * g.map_v == g.map_v * s for g in gs)
+        assert [gram * s for s in basis] == _full_symmetric_commutant(gs, gram)
+
+
+@pytest.mark.parametrize("key,dim", [("cliff7x2", 8), ("hp11H", 4)])
+def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
+    # T = I + N with random thirds on the superdiagonal is not orthogonal for
+    # gramV; the reflections are gramV-isometries, not orthogonal matrices
+    ms = fleet_member(key)
+    for seed in range(4):
+        rebased = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed))
+        gens = [sigma_automorphism(rebased, unit_z(rebased, a))
+                for a in range(rebased.algebra.dim_z)]
+        verdict = irreducibility_probe(rebased, gens, seed=seed)
+        assert verdict.kind == "reducible" and len(verdict.invariant_subspace) == dim
 
 
 def test_probe_rejects_non_automorphism_generators():
@@ -611,9 +635,9 @@ def test_transfer_float_path_certifies():
     ms2 = pullback_metric(ms, gm)
     assert is_htype(ms2)
     op, rep = transfer_operator(ms, ms2, 128)
-    assert rep.ok
-    assert max(rep.residual_automorphism, rep.residual_center,
-               rep.residual_metric, rep.residual_lambda_sq) <= rep.tolerance
+    assert op is None and not rep.exact and rep.ok
+    assert (rep.residual_automorphism, rep.residual_center,
+            rep.residual_metric, rep.residual_lambda_sq) == (0, 0, 0, 0)
 
 
 def test_transfer_float_path_on_doubled_base_gram():
@@ -638,9 +662,9 @@ def test_transfer_float_path_on_doubled_base_gram():
     ms2 = pullback_metric(ms, gm)
     assert is_htype(ms2)
     op, rep = transfer_operator(ms, ms2, 128)
-    assert not rep.exact           # sqrt(3) scale cannot be rational
+    assert op is None and not rep.exact           # sqrt(3) scale cannot be rational
     assert rep.ok
-    assert abs(float(rep.lam) - 3.0) < 1e-18
+    assert rep.lam == 3 and rep.lam_sq == 9       # lambda itself is rational
 
 
 def test_transfer_requires_htype_hypothesis():
@@ -675,16 +699,59 @@ def test_transfer_square_intertwines_j_maps():
 def test_dilated_metric_transfer_eigenvalues():
     # the gram ratio of a dilation pullback is diag(t^2 Id, t^4 Id) by the
     # grading, so its spectrum is exactly {t^2, t^4}
-    from nilrad.exactlin import sym_eigen
     ms = fleet_member("h1H")
     ms2 = pullback_metric(ms, dilation(ms.algebra, 3))
     ratio_v = inverse(ms.gram_v) * ms2.gram_v
     ratio_z = inverse(ms.gram_z) * ms2.gram_z
-    evals_v, _ = sym_eigen(ratio_v, 128)
-    evals_z, _ = sym_eigen(ratio_z, 128)
-    assert {round(float(e)) for e in evals_v} == {9}
-    assert {round(float(e)) for e in evals_z} == {81}
-    assert all(abs(float(e) - 9) < 1e-25 for e in evals_v)
+    assert rational_roots(minimal_polynomial(ratio_v)) == [9]
+    assert rational_roots(minimal_polynomial(ratio_z)) == [81]
+
+
+def test_transfer_square_check_matches_pair_loop():
+    # the irrational route reads its residuals off M = gram1^{-1} gram2: a bent
+    # V block shows its bracket defect, a bent Z block its distance from a scalar
+    ms1, ms2 = fleet_member("h1H"), transfer_pairs(count=1)[0]
+    alg, rng = ms1.algebra, random.Random(11)
+    mv = inverse(ms1.gram_v) * ms2.gram_v
+    mz = inverse(ms1.gram_z) * ms2.gram_z
+    op, rep = htype._square_report(alg, ms1, ms2, mv, mz, 128)
+    assert op is None and rep.ok and rep.residual_automorphism == rep.residual_center == 0
+    for _ in range(4):
+        rows = mv.to_rows()
+        rows[rng.randrange(8)][rng.randrange(8)] += F(rng.randint(1, 5), 7)
+        bent = Matrix.from_rows(rows)
+        _, rep = htype._square_report(alg, ms1, ms2, bent, mz, 128)
+        want = _pair_loop_residual(alg, bent, mz)
+        assert want > 0 and rep.residual_automorphism == float(want) and not rep.ok
+    rows = mz.to_rows()
+    rows[1][2] += F(1, 7)
+    rows[2][1] += F(1, 7)
+    _, rep = htype._square_report(alg, ms1, ms2, mv, Matrix.from_rows(rows), 128)
+    assert rep.residual_center == float(F(1, 7)) and not rep.ok
+
+
+@pytest.mark.parametrize("precision", [64, 128, 4096])
+def test_printed_lambda_brackets_the_square_root(precision):
+    # x^2 <= lambda^2 < (x + ulp)^2 in exact arithmetic, with ulp <= 2^-precision
+    ms1 = fleet_member("h1H")
+    for ms2 in transfer_pairs():
+        _, rep = transfer_operator(ms1, ms2, precision)
+        assert rep.ok and rep.lam_sq == ms2.gram_z[0, 0] / ms1.gram_z[0, 0]
+        if isinstance(rep.lam, F):
+            assert rep.lam * rep.lam == rep.lam_sq
+            continue
+        x, ulp = F(rep.lam), F(1, 10 ** len(rep.lam.split(".")[1]))
+        assert ulp <= F(1, 2 ** precision) < 10 * ulp
+        assert x * x <= rep.lam_sq < (x + ulp) ** 2
+
+
+def test_transfer_precision_bounds():
+    ms = fleet_member("h1H")
+    for bad in (htype.MIN_PRECISION - 1, htype.MAX_PRECISION + 1):
+        with pytest.raises(ValueError, match="precision"):
+            transfer_operator(ms, ms, bad)
+    for good in (htype.MIN_PRECISION, htype.MAX_PRECISION):
+        assert transfer_operator(ms, ms, good)[1].ok
 
 
 def test_pullback_of_htype_metric_is_htype():
