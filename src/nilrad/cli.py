@@ -223,8 +223,7 @@ def _cmd_transfer(args) -> int:
            "residual_automorphism": rep.residual_automorphism,
            "residual_center": rep.residual_center,
            "residual_metric": rep.residual_metric,
-           "residual_lambda_sq": rep.residual_lambda_sq,
-           "tolerance": rep.tolerance, "ok": rep.ok}
+           "residual_lambda_sq": rep.residual_lambda_sq, "ok": rep.ok}
     txt = (f"{ms1.algebra.name}: transfer lambda = {rep.lam} "
            f"({'exact' if rep.exact else f'{rep.precision}-bit'}), "
            f"max residual {max(rep.residual_automorphism, rep.residual_center, rep.residual_metric):.3g}, "
@@ -251,7 +250,7 @@ def _cmd_probe(args) -> int:
         z = [Fraction(1 if b == a else 0) for b in range(ms.algebra.dim_z)]
         if ms.ip_z(z, z) == 1:
             gens.append(sigma_automorphism(ms, z))
-    verdict = irreducibility_probe(ms, gens, trials=args.trials, seed=args.seed)
+    verdict = irreducibility_probe(ms, gens)
     doc = {"command": "probe-irreducible", "file": args.file,
            "verdict": verdict.kind, "detail": verdict.detail}
     if verdict.invariant_subspace is not None:
@@ -339,8 +338,10 @@ def _parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("probe-irreducible",
                         help="irreducibility probe with the reflection automorphisms")
     pb.add_argument("file")
-    pb.add_argument("--trials", type=int, default=32)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--trials", type=int, default=32,
+                    help="ignored: the probe is an exact decision")
+    pb.add_argument("--seed", type=int, default=0,
+                    help="ignored: the probe is an exact decision")
     pb.add_argument("--json", action="store_true")
     pb.set_defaults(func=_cmd_probe)
     return p

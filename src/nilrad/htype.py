@@ -47,6 +47,7 @@ from .exactlin import (
     rational_roots,
     rational_sqrt,
     scaled_sparse,
+    solve,
     sparse_mul,
 )
 from .nilalg import TwoStepAlgebra
@@ -505,7 +506,11 @@ def maps_into(m: Matrix, basis_in: Sequence[Sequence[Fraction]],
 
 @dataclass(frozen=True)
 class ProbeVerdict:
-    kind: str                                  # "irreducible" | "reducible" | "inconclusive"
+    """`kind` is "irreducible", "reducible" or "inconclusive" (nothing to act
+    on).  A reducible verdict carries an exactly verified invariant subspace
+    when some commutant element has a rational eigenvalue, else None."""
+
+    kind: str
     detail: str = ""
     invariant_subspace: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
@@ -515,13 +520,14 @@ class ProbeVerdict:
 
 def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
                          trials: int = 32, seed: int = 0) -> ProbeVerdict:
-    """Decide whether the generators act irreducibly on the V layer.
+    """Decide whether the generators act irreducibly on the V layer over R.
 
-    Reducible comes with an exactly verified invariant subspace; the
-    irreducible certificate combines a spanning orbit of a vector with
-    the exact commutant computation (no gramV-self-adjoint non-scalar
-    element).
-    Only verified orthogonal automorphisms are accepted as generators.
+    The generators must be verified automorphisms and gramV-isometries, so
+    the gramV-orthogonal complement of an invariant subspace is invariant.
+    Hence V is irreducible exactly when the gramV-self-adjoint commutant is
+    the scalars; a non-scalar element S certifies reducibility, and the
+    rational eigenspaces of S are invariant subspaces, verified exactly.
+    `trials` and `seed` are ignored; they stay accepted for existing callers.
     """
     alg = ms.algebra
     for g in generators:
@@ -532,62 +538,27 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
     n = alg.dim_v
     if n == 0 or not generators:
         return ProbeVerdict("inconclusive", "nothing to act on")
-    import random as _random
-    rng = _random.Random(seed)
-
-    # orbit closure of a random vector: its span is generator-invariant
-    v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    if not any(v):
-        v[0] = Fraction(1)
-    basis: List[List[Fraction]] = [list(v)]
-    frontier = [list(v)]
-    steps = 0
-    while frontier and steps < max(trials, 4 * n):
-        w = frontier.pop()
-        for g in generators:
-            img = list(mat_vec(g.map_v, w))
-            steps += 1
-            if not subspace_contains(basis, img):
-                basis.append(img)
-                frontier.append(img)
-        if len(basis) == n:
-            break
-    spans = len(basis) == n
-    if not spans and not frontier:
-        witness = tuple(tuple(b) for b in basis)
-        if not all(maps_into(g.map_v, basis, basis) for g in generators):
-            raise ArithmeticError("reducible witness is not invariant under the generators")
-        return ProbeVerdict("reducible",
-                            f"orbit closure of a random vector spans a proper "
-                            f"{len(basis)}-dimensional invariant subspace",
-                            witness)
-
     sym_comm = _symmetric_commutant(generators, ms.gram_v)
-    if len(sym_comm) == 1 and spans:
-        return ProbeVerdict(
-            "irreducible",
-            "orbit of a random vector spans V and the exact commutant "
-            "contains no symmetric non-scalar element")
-
+    if len(sym_comm) == 1:
+        return ProbeVerdict("irreducible", "the exact gramV-self-adjoint commutant "
+                            "is the scalars")
     ident = Matrix.identity(n)
     for s in sym_comm:
         trace = sum(s[i, i] for i in range(n))
-        if s == ident.scale(Fraction(trace, n)):
+        scalar = s == ident.scale(Fraction(trace, n))
+        roots = None if scalar else rational_roots(minimal_polynomial(s))
+        if not roots:
             continue
-        roots = rational_roots(minimal_polynomial(s)) or []
-        for mu in roots:
-            w_basis = nullspace(s - ident.scale(mu))
-            if 0 < len(w_basis) < n:
-                w_list = [list(w) for w in w_basis]
-                if all(maps_into(g.map_v, w_list, w_list) for g in generators):
-                    return ProbeVerdict(
-                        "reducible",
-                        "eigenspace of a symmetric commutant element, "
-                        "invariance verified exactly",
-                        tuple(tuple(w) for w in w_basis))
-    return ProbeVerdict("inconclusive",
-                        "commutant has symmetric non-scalar elements but no "
-                        "rational spectral split was found")
+        w_basis = [list(w) for w in nullspace(s - ident.scale(roots[0]))]
+        if not all(maps_into(g.map_v, w_basis, w_basis) for g in generators):
+            raise ArithmeticError("eigenspace of a commutant element is not "
+                                  "invariant under the generators")
+        return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
+                            "commutant element, invariance verified exactly",
+                            tuple(map(tuple, w_basis)))
+    return ProbeVerdict("reducible", f"the gramV-self-adjoint commutant has dimension "
+                        f"{len(sym_comm)}, but no element of its basis has a "
+                        f"rational eigenvalue")
 
 
 def _symmetric_commutant(generators: Sequence[GradedMap], gram: Matrix) -> List[Matrix]:
@@ -728,8 +699,7 @@ def _assemble_swap(ms: MetricStructure, b1, b2, theta: GradedMap,
             [[imgs1[k][i] for k in range(len(b1))] for i in range(n)])
         imgs2 = []
         for c in b2:
-            from .exactlin import solve as _solve
-            coeff = _solve(t_on_coords, c)
+            coeff = solve(t_on_coords, c)
             if coeff is None:
                 raise ValueError("theta image does not cover v2")
             imgs2.append(list(mat_vec(span1, coeff)))
@@ -805,12 +775,10 @@ class TransferReport:
     `exact` says whether P is rational.  The residuals are exact rationals
     read as floats: of P when it is rational, of M = P^2 otherwise, so every
     one is zero when `ok` holds.  `lam` is lambda when it is rational, else its
-    decimal truncation at `precision` bits; `lam_sq` is lambda^2.  No verdict
-    reads `tolerance` = 2^(-precision/2); it stays in the `--json` output.
+    decimal truncation at `precision` bits; `lam_sq` is lambda^2.
     """
 
     precision: int
-    tolerance: float
     exact: bool
     lam: Union[Fraction, str]
     lam_sq: Fraction
@@ -915,7 +883,7 @@ def _report(alg, ms1, ms2, gm: GradedMap, res_metric: Fraction, exact: bool,
                             default=0), scale)
     res_l2 = (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
     residuals = (res_auto, res_center, res_metric, res_l2)
-    return TransferReport(precision, 2.0 ** (-(precision // 2)), exact, lam, lam_sq,
+    return TransferReport(precision, exact, lam, lam_sq,
                           *map(float, residuals), not any(residuals))
 
 

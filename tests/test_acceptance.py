@@ -225,7 +225,7 @@ def test_criterion_09_automorphism_suite():
     ok &= irreducibility_probe(ms, gens).kind == "irreducible"
     ms = fleet_member("cliff7x2")
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(7)]
-    verdict = irreducibility_probe(ms, gens, seed=2)
+    verdict = irreducibility_probe(ms, gens)
     ok &= verdict.kind == "reducible" and len(verdict.invariant_subspace) == 8
     support = {i for vec in verdict.invariant_subspace for i, c in enumerate(vec) if c}
     ok &= support <= set(range(8)) or support <= set(range(8, 16))
@@ -255,7 +255,7 @@ def test_criterion_09_hp11H_swap_restores_irreducibility():
     # signature blocks makes the action irreducible
     ms = fleet_member("hp11H")
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(3)]
-    verdict = irreducibility_probe(ms, gens, seed=0)
+    verdict = irreducibility_probe(ms, gens)
     assert verdict.kind == "reducible" and len(verdict.invariant_subspace) == 4
     rows = [[F(0)] * 8 for _ in range(8)]
     for u in range(4):
@@ -267,7 +267,7 @@ def test_criterion_09_hp11H_swap_restores_irreducibility():
     v2 = [[F(1 if i == k else 0) for i in range(8)] for k in range(4, 8)]
     res = build_swap_automorphism(ms, v1, v2, theta)
     assert res
-    assert irreducibility_probe(ms, gens + [res.automorphism], seed=0).kind \
+    assert irreducibility_probe(ms, gens + [res.automorphism]).kind \
         == "irreducible"
 
 

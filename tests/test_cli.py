@@ -134,6 +134,9 @@ def test_transfer_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "transfer", base, "--gram2", doubled, "--json")
     doc = json.loads(out)
     assert code == 0 and doc["ok"] and doc["exact"] and doc["lambda"] == "4"
+    assert list(doc) == ["command", "file", "gram2", "precision", "exact", "lambda",
+                         "residual_automorphism", "residual_center", "residual_metric",
+                         "residual_lambda_sq", "ok"]
 
 
 def test_identify_cli(tmp_path, capsys):

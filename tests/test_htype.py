@@ -485,7 +485,7 @@ def test_probe_complex_heisenberg_irreducible():
 def test_probe_module_blocks_witness():
     ms = fleet_member("cliff7x2")
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(7)]
-    verdict = irreducibility_probe(ms, gens, seed=2)
+    verdict = irreducibility_probe(ms, gens)
     assert verdict.kind == "reducible"
     assert len(verdict.invariant_subspace) == 8
     block1 = set(range(8))
@@ -503,7 +503,7 @@ def test_probe_with_swap_never_blames_module_blocks():
         [[F(1 if (i + 8) % 16 == j else 0) for j in range(16)] for i in range(16)])
     res = build_swap_automorphism(ms, v1, v2, GradedMap(ident_pair, Matrix.identity(7)))
     assert res
-    verdict = irreducibility_probe(ms, gens + [res.automorphism], seed=2)
+    verdict = irreducibility_probe(ms, gens + [res.automorphism])
     if verdict.kind == "reducible":
         for block in (v1, v2):
             got = sorted(tuple(v) for v in verdict.invariant_subspace)
@@ -516,14 +516,14 @@ def test_probe_sigma_only_splits_signature_blocks():
     # signature it is honestly reducible; the swap restores irreducibility
     ms = fleet_member("hp11H")
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(3)]
-    verdict = irreducibility_probe(ms, gens, seed=0)
+    verdict = irreducibility_probe(ms, gens)
     assert verdict.kind == "reducible"
     assert len(verdict.invariant_subspace) == 4
     v1 = _basis_vectors(8, [0, 1, 2, 3])
     v2 = _basis_vectors(8, [4, 5, 6, 7])
     res = build_swap_automorphism(ms, v1, v2, quaternion_conj_swap(ms))
     assert res
-    verdict2 = irreducibility_probe(ms, gens + [res.automorphism], seed=0)
+    verdict2 = irreducibility_probe(ms, gens + [res.automorphism])
     assert verdict2.kind == "irreducible"
 
 
@@ -572,7 +572,7 @@ def test_symmetric_commutant_matches_full_system(key):
         assert [gram * s for s in basis] == _full_symmetric_commutant(gs, gram)
 
 
-@pytest.mark.parametrize("key,dim", [("cliff7x2", 8), ("hp11H", 4)])
+@pytest.mark.parametrize("key,dim", [("cliff7x2", 8), ("hp11H", 4), ("hp21H", 8)])
 def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
     # T = I + N with random thirds on the superdiagonal is not orthogonal for
     # gramV; the reflections are gramV-isometries, not orthogonal matrices
@@ -581,8 +581,33 @@ def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
         rebased = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed))
         gens = [sigma_automorphism(rebased, unit_z(rebased, a))
                 for a in range(rebased.algebra.dim_z)]
-        verdict = irreducibility_probe(rebased, gens, seed=seed)
+        verdict = irreducibility_probe(rebased, gens)
         assert verdict.kind == "reducible" and len(verdict.invariant_subspace) == dim
+
+
+def test_probe_ignores_seed_and_trials():
+    ms = fleet_member("cliff7x2")
+    gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(7)]
+    verdict = irreducibility_probe(ms, gens)
+    for seed in range(4):
+        assert irreducibility_probe(ms, gens, trials=seed + 1, seed=seed) == verdict
+
+
+def test_probe_decides_reducible_without_a_rational_eigenvalue():
+    # C = companion matrix of x^4 + 1 (e1 -> e2 -> e3 -> e4 -> -e1) is orthogonal;
+    # its symmetric commutant is span{I, C + C^-1}, and every non-scalar element
+    # a I + b (C + C^-1) has the irrational eigenvalues a +- b sqrt(2)
+    alg = TwoStepAlgebra.from_brackets("abelian4", 4, 0, {})
+    ms = MetricStructure(alg, Matrix.identity(4), Matrix.identity(0))
+    rows = [[F(0)] * 4 for _ in range(4)]
+    for i in range(3):
+        rows[i + 1][i] = F(1)
+    rows[0][3] = F(-1)
+    c = GradedMap(Matrix.from_rows(rows), Matrix.identity(0))
+    assert len(htype._symmetric_commutant([c], ms.gram_v)) == 2
+    verdict = irreducibility_probe(ms, [c])
+    assert verdict.kind == "reducible" and verdict.invariant_subspace is None
+    assert "dimension 2" in verdict.detail
 
 
 def test_probe_rejects_non_automorphism_generators():
