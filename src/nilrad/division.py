@@ -41,7 +41,8 @@ class Tag(enum.Enum):
 
 
 def _cd_mul(x: List[Fraction], y: List[Fraction]) -> List[Fraction]:
-    """Cayley-Dickson product on coordinate lists of length 1, 2, 4 or 8."""
+    """Cayley-Dickson product on coordinate lists of length 1, 2, 4 or 8
+    (of Fractions or of ints)."""
     n = len(x)
     if n == 1:
         return [x[0] * y[0]]
@@ -60,18 +61,17 @@ def _cd_conj(x: List[Fraction]) -> List[Fraction]:
 
 
 def _build_table(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k."""
+    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k, from int unit vectors."""
     table = []
     for i in range(dim):
         row = []
-        ei = [Fraction(1 if t == i else 0) for t in range(dim)]
+        ei = [int(t == i) for t in range(dim)]
         for j in range(dim):
-            ej = [Fraction(1 if t == j else 0) for t in range(dim)]
-            prod = _cd_mul(ei, ej)
+            prod = _cd_mul(ei, [int(t == j) for t in range(dim)])
             nz = [(t, v) for t, v in enumerate(prod) if v]
             if len(nz) != 1 or abs(nz[0][1]) != 1:
                 raise ArithmeticError(f"e_{i} e_{j} is not a signed unit in dimension {dim}")
-            row.append((int(nz[0][1]), nz[0][0]))
+            row.append((nz[0][1], nz[0][0]))
         table.append(tuple(row))
     return tuple(table)
 

@@ -513,43 +513,47 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
 # ---------------------------------------------------------------------------
 
 def minimal_polynomial(m: Matrix) -> List[Fraction]:
-    """Monic minimal polynomial coefficients, lowest degree first."""
+    """Monic minimal polynomial coefficients, lowest degree first.
+
+    With m = A / d in integers, c_0 m^0 + .. + c_k m^k = 0 exactly when the
+    integer columns vec(A^j) d^(k-j), j = 0..k, satisfy the same relation.
+    The powers A^k are taken one at a time, and the first k whose columns
+    have a kernel is the degree; that kernel is one vector, the coefficients.
+    """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    # columns vec(m^0) .. vec(m^n); the first free column is the lowest degree
-    # with a dependency, and its kernel vector is supported on columns 0..deg
-    cols = Matrix(n * n, n + 1, tuple(tuple(p.data[i][j] for p in powers)
-                                      for i in range(n) for j in range(n)))
-    v = nullspace(cols)[0]
-    deg = max(k for k, c in enumerate(v) if c)
-    return [c / v[deg] for c in v[:deg + 1]]
-
-
-def _divisors(n: int, cap: int = 1 << 20) -> Optional[List[int]]:
-    n = abs(n)
     if n == 0:
-        return [0]
-    out = []
-    d = 1
-    while d * d <= n:
-        if len(out) > cap:
-            return None
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+        return [Fraction(1)]
+    d, a = scaled_sparse(m)
+    powers: List[List[List[Tuple[int, int]]]] = [[[(i, 1)] for i in range(n)]]
+    kernel: List[List[int]] = []
+    while not kernel:
+        powers.append(sparse_mul(powers[-1], a))
+        k = len(powers) - 1
+        rows = [[] for _ in range(n * n)]
+        for j, p in enumerate(powers):
+            s = d ** (k - j)
+            for i, r in enumerate(p):
+                for c, x in r:
+                    rows[i * n + c].append((j, x * s))
+        kernel = nullspace_int_rows(rows, k + 1)
+    v = kernel[0]
+    return [Fraction(c, v[-1]) for c in v]
+
+
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n != 0, by trial division up to sqrt(|n|)."""
+    n = abs(n)
+    return sorted({x for d in range(1, math.isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """All rational roots of the polynomial (low-first coefficients).
+    """All rational roots of the polynomial (low-first coefficients), each once.
 
-    Returns None when the divisor search is abandoned as too large.
+    Degrees 1 and 2 are solved in closed form, higher ones by the divisor
+    search of the rational root theorem.  Returns None when the cleared
+    constant or leading coefficient exceeds 10^12, at every degree.
     """
     cs = [rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -569,13 +573,19 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     a0, an = ics[0], ics[-1]
     if abs(a0) > 10**12 or abs(an) > 10**12:
         return None
-    d0 = _divisors(a0)
-    dn = _divisors(an)
-    if d0 is None or dn is None:
-        return None
+    deg = len(ics) - 1
+    if deg == 1:
+        return sorted(roots + [Fraction(-a0, an)])
+    if deg == 2:
+        # the roots (-a1 +- s) / (2 a2) are rational exactly when a1^2 - 4 a0 a2 = s^2
+        disc = ics[1] ** 2 - 4 * a0 * an
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += {Fraction(-ics[1] + s, 2 * an), Fraction(-ics[1] - s, 2 * an)}
+        return sorted(roots)
+    d0, dn = _divisors(a0), _divisors(an)
     # each candidate +-p/q in lowest terms once; it is a root exactly when
     # q^deg f(p/q) = sum_k a_k p^k q^(deg-k) vanishes, a sum in ints
-    deg = len(ics) - 1
     for p, q in ((p, q) for p in d0 for q in dn if math.gcd(p, q) == 1):
         for s in (p, -p):
             if sum(c * s ** k * q ** (deg - k) for k, c in enumerate(ics)) == 0:

@@ -104,6 +104,12 @@ class MetricStructure:
                                        for r in map(dict, m)]) for m in maps)
 
     @cached_property
+    def automorphisms(self) -> set:
+        """Graded maps verified as automorphisms of the algebra, by value: each one
+        `sigma_automorphism` certifies, which `irreducibility_probe` skips."""
+        return set()
+
+    @cached_property
     def clifford(self) -> bool:
         """The H-type verdict: J_a J_b + J_b J_a = -2 gramZ[a, b] Id for all a <= b,
         checked as M_a M_b + M_b M_a == -2 gramZ[a, b] d^2 Id on J_a = M_a / d in ints."""
@@ -120,12 +126,17 @@ class MetricStructure:
 
 
 def jz(ms: MetricStructure, z: Sequence) -> Matrix:
-    """The map J_z on the V layer, defined by <J_z x, y>_V = <[x,y], z>_Z."""
+    """The map J_z on the V layer, defined by <J_z x, y>_V = <[x,y], z>_Z:
+    sum_a z_a M_a / d on J_a = M_a / d, with z cleared to integers."""
     zz = [rat(c) for c in z]
     if len(zz) != ms.algebra.dim_z:
         raise ValueError("z must live in the Z layer")
-    n = ms.algebra.dim_v
-    return sum((j.scale(c) for c, j in zip(zz, ms.j_maps) if c), Matrix.zeros(n, n))
+    (d, maps), n = ms.int_j_maps, ms.algebra.dim_v
+    dz = math.lcm(*(c.denominator for c in zz))
+    zrow = [(a, c.numerator * (dz // c.denominator)) for a, c in enumerate(zz) if c]
+    rows = [dict(sparse_mul([zrow], [m[i] for m in maps])[0]) for i in range(n)]
+    return Matrix(n, n, tuple(tuple(Fraction(r.get(j, 0), d * dz) for j in range(n))
+                              for r in rows))
 
 
 def j_basis(ms: MetricStructure) -> List[Matrix]:
@@ -436,9 +447,16 @@ def is_graded_automorphism(alg: TwoStepAlgebra, gm: GradedMap) -> bool:
 
 
 def is_isometry(ms: MetricStructure, gm: GradedMap) -> bool:
-    gv, gz = ms.gram_v, ms.gram_z
-    return (gm.map_v.transpose() * gv * gm.map_v == gv
-            and gm.map_z.transpose() * gz * gm.map_z == gz)
+    return _preserves(gm.map_v, ms.gram_v) and _preserves(gm.map_z, ms.gram_z)
+
+
+def _preserves(a: Matrix, gram: Matrix) -> bool:
+    """a^t gram a == gram, compared as At G A == dA^2 G for a = A / dA and
+    gram = G / dG in sparse integer rows."""
+    if a.rows != gram.rows:
+        raise ValueError(f"shape mismatch {a.shape} vs {gram.shape}")
+    (da, at), (_, ai), (_, g) = (scaled_sparse(x) for x in (a.transpose(), a, gram))
+    return sparse_mul(sparse_mul(at, g), ai) == [[(j, x * da * da) for j, x in r] for r in g]
 
 
 def pullback_metric(ms: MetricStructure, gm: GradedMap) -> MetricStructure:
@@ -463,17 +481,16 @@ def sigma_automorphism(ms: MetricStructure, z: Sequence) -> GradedMap:
     if not is_htype(ms):
         raise ValueError("sigma automorphism is defined for H-type structures only")
     alg = ms.algebra
-    map_v = jz(ms, zz)
     gz_z = mat_vec(ms.gram_z, zz)
-    n = alg.dim_z
-    map_z = Matrix.from_rows([
-        [2 * zz[i] * gz_z[j] - (1 if i == j else 0) for j in range(n)]
-        for i in range(n)])
-    gm = GradedMap(map_v, map_z)
+    map_z = Matrix(alg.dim_z, alg.dim_z, tuple(
+        tuple(2 * zi * gj - int(i == j) for j, gj in enumerate(gz_z))
+        for i, zi in enumerate(zz)))
+    gm = GradedMap(jz(ms, zz), map_z)
     if not is_graded_automorphism(alg, gm):
         raise ArithmeticError(
             "sigma map failed exact automorphism verification; "
             "the metric does not carry a consistent Clifford structure")
+    ms.automorphisms.add(gm)
     return gm
 
 
@@ -489,15 +506,14 @@ def _colspace_rank(cols: Sequence[Sequence[Fraction]]) -> int:
 
 def subspace_contains(basis: Sequence[Sequence[Fraction]],
                       vec: Sequence[Fraction]) -> bool:
-    if not any(vec):
-        return True
-    r0 = _colspace_rank(basis)
-    return _colspace_rank(list(basis) + [list(vec)]) == r0
+    return not any(vec) or _colspace_rank(list(basis) + [list(vec)]) == _colspace_rank(basis)
 
 
 def maps_into(m: Matrix, basis_in: Sequence[Sequence[Fraction]],
               basis_out: Sequence[Sequence[Fraction]]) -> bool:
-    return all(subspace_contains(basis_out, mat_vec(m, b)) for b in basis_in)
+    """m maps span(basis_in) into span(basis_out): adding the images keeps the rank."""
+    images = [list(mat_vec(m, b)) for b in basis_in]
+    return _colspace_rank(list(basis_out) + images) == _colspace_rank(basis_out)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +538,18 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
                          trials: int = 32, seed: int = 0) -> ProbeVerdict:
     """Decide whether the generators act irreducibly on the V layer over R.
 
-    The generators must be verified automorphisms and gramV-isometries, so
-    the gramV-orthogonal complement of an invariant subspace is invariant.
+    The generators must be verified automorphisms (maps in
+    `ms.automorphisms` already are) and gramV-isometries, so the
+    gramV-orthogonal complement of an invariant subspace is invariant.
     Hence V is irreducible exactly when the gramV-self-adjoint commutant is
-    the scalars; a non-scalar element S certifies reducibility, and the
-    rational eigenspaces of S are invariant subspaces, verified exactly.
+    the scalars; a non-scalar element S certifies reducibility, and a
+    rational eigenspace W = ker(S - r I) is an invariant subspace, verified
+    exactly by (S - r I) g w = 0 for every generator g and basis vector w.
     `trials` and `seed` are ignored; they stay accepted for existing callers.
     """
     alg = ms.algebra
     for g in generators:
-        if not is_graded_automorphism(alg, g):
+        if g not in ms.automorphisms and not is_graded_automorphism(alg, g):
             raise ValueError("generator fails exact automorphism verification")
         if not is_isometry(ms, g):
             raise ValueError("generator is not an isometry of the metric")
@@ -549,8 +567,12 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
         roots = None if scalar else rational_roots(minimal_polynomial(s))
         if not roots:
             continue
-        w_basis = [list(w) for w in nullspace(s - ident.scale(roots[0]))]
-        if not all(maps_into(g.map_v, w_basis, w_basis) for g in generators):
+        k = s - ident.scale(roots[0])
+        w_basis = [list(w) for w in nullspace(k)]
+        _, k_rows = scaled_sparse(k)
+        _, w_cols = scaled_sparse(Matrix.from_rows(w_basis).transpose())
+        if any(any(sparse_mul(k_rows, sparse_mul(scaled_sparse(g.map_v)[1], w_cols)))
+               for g in generators):
             raise ArithmeticError("eigenspace of a commutant element is not "
                                   "invariant under the generators")
         return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
@@ -672,8 +694,7 @@ def _check_theta(ms: MetricStructure, b1, b2, theta: GradedMap) -> None:
         for j, y in enumerate(b1):
             if ms.ip_v(imgs[i], imgs[j]) != ms.ip_v(x, y):
                 raise ValueError("theta is not isometric on v1")
-    gz = ms.gram_z
-    if theta.map_z.transpose() * gz * theta.map_z != gz:
+    if not _preserves(theta.map_z, ms.gram_z):
         raise ValueError("theta is not isometric on Z")
     for i in range(len(b1)):
         for j in range(i + 1, len(b1)):

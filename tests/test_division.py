@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,3 +117,25 @@ def test_serialization_round_trip():
     doc = dv.to_json(x)
     assert doc == {"tag": "H", "coords": ["1", "0", "-1/2", "0"]}
     assert dv.from_json(doc) == x
+
+
+def test_unit_tables_match_the_fraction_build():
+    # the tables are built from int unit vectors; Fraction units give the same
+    for dim, table in dv._TABLES.items():
+        ref = []
+        for i in range(dim):
+            ei = [Fraction(int(t == i)) for t in range(dim)]
+            row = []
+            for j in range(dim):
+                prod = dv._cd_mul(ei, [Fraction(int(t == j)) for t in range(dim)])
+                (k, x), = [(t, v) for t, v in enumerate(prod) if v]
+                row.append((int(x), k))
+            ref.append(tuple(row))
+        assert table == tuple(ref)
+        assert all(type(sign) is int for row in table for sign, _ in row)
+
+
+def test_unit_table_rejects_a_product_that_is_not_a_signed_unit(monkeypatch):
+    monkeypatch.setattr(dv, "_cd_mul", lambda x, y: [2 * a for a in x])
+    with pytest.raises(ArithmeticError, match="not a signed unit"):
+        dv._build_table(4)

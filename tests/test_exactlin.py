@@ -328,6 +328,143 @@ def test_minimal_polynomial_is_the_lowest_monic_annihilator(m):
     assert _monic_dependency(powers, deg - 1) is None
 
 
+def reference_minimal_polynomial(m):
+    """`minimal_polynomial` before its integer Krylov form: all n Fraction
+    powers, and the first free column of one n^2 x (n + 1) kernel."""
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    cols = Matrix(n * n, n + 1, tuple(tuple(p.data[i][j] for p in powers)
+                                      for i in range(n) for j in range(n)))
+    v = el.nullspace(cols)[0]
+    deg = max(k for k, c in enumerate(v) if c)
+    return [c / v[deg] for c in v[:deg + 1]]
+
+
+def reference_divisors(n):
+    """`_divisors` before its isqrt range; its cap of 2^20 divisors is left
+    out, since no n up to 10^12 has that many."""
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def reference_rational_roots(coeffs):
+    """`rational_roots` before its closed forms: the divisor search at every degree."""
+    cs = [el.rat(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return None
+    lcm = math.lcm(*(c.denominator for c in cs))
+    ics = [int(c * lcm) for c in cs]
+    roots = []
+    while ics and ics[0] == 0:
+        if not roots or roots[-1] != 0:
+            roots.append(F(0))
+        ics = ics[1:]
+    if len(ics) <= 1:
+        return roots
+    a0, an = ics[0], ics[-1]
+    if abs(a0) > 10**12 or abs(an) > 10**12:
+        return None
+    d0 = reference_divisors(a0)
+    dn = reference_divisors(an)
+    deg = len(ics) - 1
+    for p, q in ((p, q) for p in d0 for q in dn if math.gcd(p, q) == 1):
+        for s in (p, -p):
+            if sum(c * s ** k * q ** (deg - k) for k, c in enumerate(ics)) == 0:
+                roots.append(F(s, q))
+    return sorted(roots)
+
+
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[off + i][off:off + b.rows] = b.data[i]
+        off += b.rows
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def spectral_squares(draw):
+    """P J P^-1 for a Jordan matrix J and a rational P = L U (unit triangular
+    factors, so invertible): eigenvalues drawn from a small set, so scalar,
+    nilpotent, derogatory and repeated-eigenvalue matrices are all common."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    eig = st.sampled_from([F(0), F(1), F(-2), F(1, 2)])
+    blocks = []
+    for size in sizes:
+        lam = draw(eig)
+        blocks.append(Matrix.from_rows([[lam if i == j else F(int(j == i + 1))
+                                         for j in range(size)] for i in range(size)]))
+    j = _block_diagonal(blocks)
+    n = j.rows
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    low = Matrix.from_rows([[draw(entries) if c < r else F(int(c == r)) for c in range(n)]
+                            for r in range(n)])
+    p = low * low.transpose()
+    return p * j * el.inverse(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(spectral_squares(), integer_squares,
+                 st.integers(1, 4).flatmap(lambda n: small_matrix(n, n))))
+@example(Matrix.zeros(0, 0))                    # minimal polynomial 1
+@example(Matrix.identity(4).scale(F(-3, 2)))
+@example(Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(Matrix.diagonal([2, 2, 3, 3]))
+@example(_block_diagonal([Matrix.from_rows([[1, 1], [0, 1]]), Matrix.identity(1)]))
+def test_minimal_polynomial_matches_the_fraction_reference(m):
+    assert el.minimal_polynomial(m) == reference_minimal_polynomial(m)
+
+
+@st.composite
+def root_polynomials(draw):
+    """Rational multiples of products of linear factors, some doubled, some x
+    (zero roots), optionally times x^2 + b x + c (negative, zero, square or
+    non-square discriminant), with trailing zero coefficients at times."""
+    coeffs = [draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = [F(-draw(st.integers(-6, 6))), F(draw(st.integers(1, 6)))]
+        for _ in range(draw(st.integers(1, 2))):
+            coeffs = _poly_mul(coeffs, factor)
+    if draw(st.booleans()):
+        coeffs = _poly_mul(coeffs, [F(draw(st.integers(-6, 6))), F(draw(st.integers(-6, 6))),
+                                    F(draw(st.integers(1, 3)))])
+    return coeffs + [F(0)] * draw(st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(root_polynomials(), st.lists(st.integers(-40, 40), max_size=5)))
+@example([F(-2), F(0), F(1)])                   # x^2 - 2: non-square discriminant
+@example([F(1), F(0), F(1)])                    # x^2 + 1: negative discriminant
+@example([F(9), F(-6), F(1)])                   # (x - 3)^2: a double root
+@example([F(0), F(0), F(4), F(-4), F(1)])       # x^2 (x - 2)^2
+@example([F(0), F(3), F(-7, 2)])                # zero root and a degree-1 rest
+@example([F(10**13), F(1)])                     # constant above the cap
+@example([F(1), F(0), F(10**13)])               # leading coefficient above the cap
+@example([F(0), F(-1), F(0), F(10**13)])        # above the cap after a zero root
+@example([F(-1), F(0), F(10**12)])              # at the cap: +-1/10^6
+@example([F(1, 10**13), F(-1, 10**13)])         # large denominators clear to 1, -1
+@example([])
+@example([F(0)])
+@example([F(5)])
+def test_rational_roots_match_the_divisor_search(coeffs):
+    assert el.rational_roots(coeffs) == reference_rational_roots(coeffs)
+
+
 def test_rational_sqrt():
     assert el.rational_sqrt(F(9, 4)) == F(3, 2)
     assert el.rational_sqrt(F(2)) is None

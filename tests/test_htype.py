@@ -13,9 +13,17 @@ from conftest import (
     transfer_pairs,
     unit_z,
 )
-from nilrad import htype
+from nilrad import cli, htype, nilalg
 from nilrad.division import Tag
-from nilrad.exactlin import Matrix, inverse, mat_vec, minimal_polynomial, nullspace, rational_roots
+from nilrad.exactlin import (
+    Matrix,
+    inverse,
+    mat_vec,
+    minimal_polynomial,
+    nullspace,
+    rational_roots,
+    solve,
+)
 from nilrad.htype import (
     GradedMap,
     HTypeFamilyId,
@@ -31,10 +39,12 @@ from nilrad.htype import (
     j_basis,
     jz,
     make_clifford_module_algebra,
+    maps_into,
     make_h,
     make_h_prime,
     pullback_metric,
     sigma_automorphism,
+    subspace_contains,
     transfer_operator,
 )
 from nilrad.nilalg import TwoStepAlgebra, free_two_step
@@ -359,6 +369,36 @@ def test_sigma_accepts_rational_unit_z():
     assert is_isometry(ms, gm)
 
 
+def _fraction_sigma(ms, z):
+    """Reference: sigma_z from the Fraction J maps, J_z = sum_a z_a J_a and
+    2 z (gramZ z)^t - Id on Z, with no verification."""
+    n, dz = ms.algebra.dim_v, ms.algebra.dim_z
+    map_v = sum((j.scale(c) for c, j in zip(z, ms.j_maps) if c), Matrix.zeros(n, n))
+    gz_z = mat_vec(ms.gram_z, z)
+    return GradedMap(map_v, Matrix.from_rows(
+        [[2 * z[i] * gz_z[j] - (1 if i == j else 0) for j in range(dz)] for i in range(dz)]))
+
+
+@pytest.mark.parametrize("key", ["h1H", "hp11H", "cliff5", "hp11H-rebased"])
+def test_sigma_on_a_dilated_metric_matches_the_fraction_formula(key):
+    # the pullback by the dilation t has gramZ = t^4 gramZ, so z is a gramZ-unit
+    # vector of denominator t^2 and J_z has entries over a new denominator
+    ms = fleet_member(key.split("-")[0])
+    if key.endswith("rebased"):
+        ms = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, 2))
+    t = F(3, 2)
+    pulled = pullback_metric(ms, dilation(ms.algebra, t))
+    assert pulled.gram_z == ms.gram_z.scale(t ** 4)
+    dz = ms.algebra.dim_z
+    tilted = [F(3, 5), F(4, 5)] + [F(0)] * (dz - 2)
+    for z in (unit_z(ms, 0), unit_z(ms, dz - 1), tilted):
+        z = [c / (t * t) for c in z]
+        gm = sigma_automorphism(pulled, z)
+        assert gm == _fraction_sigma(pulled, z)
+        assert jz(pulled, z) == gm.map_v
+        assert gm in pulled.automorphisms and is_isometry(pulled, gm)
+
+
 def _pair_loop_violation(alg, gm):
     """Reference: the first pair i < j whose image columns bracket wrongly."""
     cols = [gm.map_v.col(i) for i in range(alg.dim_v)]
@@ -608,6 +648,91 @@ def test_probe_decides_reducible_without_a_rational_eigenvalue():
     verdict = irreducibility_probe(ms, [c])
     assert verdict.kind == "reducible" and verdict.invariant_subspace is None
     assert "dimension 2" in verdict.detail
+
+
+def test_cli_probe_checks_each_sigma_generator_once(monkeypatch, tmp_path):
+    # sigma_automorphism verifies each of its dimZ maps; the probe takes them as verified
+    ms = fleet_member("cliff7x2")
+    path = str(tmp_path / "cliff7x2.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    calls = []
+    defects = htype._bracket_defects
+    monkeypatch.setattr(htype, "_bracket_defects",
+                        lambda alg, gm: calls.append(gm) or defects(alg, gm))
+    assert cli.main(["probe-irreducible", path, "--json"]) == 1
+    assert len(calls) == ms.algebra.dim_z == 7
+
+
+def test_probe_checks_generators_from_elsewhere(monkeypatch):
+    # a map sigma_automorphism did not certify for this metric object is checked
+    ms = make_h_prime(Tag.H, 1, 1)
+    sigma = sigma_automorphism(ms, unit_z(ms, 0))
+    calls = []
+    defects = htype._bracket_defects
+    monkeypatch.setattr(htype, "_bracket_defects",
+                        lambda alg, gm: calls.append(gm) or defects(alg, gm))
+    irreducibility_probe(ms, [sigma, quaternion_conj_swap(ms)])
+    assert calls == [quaternion_conj_swap(ms)]
+    other = MetricStructure(ms.algebra, ms.gram_v, ms.gram_z)
+    irreducibility_probe(other, [sigma])
+    assert calls[1:] == [sigma]
+
+
+def test_probe_rejects_a_dilation_as_not_an_isometry():
+    ms = fleet_member("h1H")
+    gens = [sigma_automorphism(ms, unit_z(ms, 0)), dilation(ms.algebra, 2)]
+    with pytest.raises(ValueError, match="not an isometry"):
+        irreducibility_probe(ms, gens)
+
+
+def test_probe_witness_check_rejects_a_vector_outside_the_eigenspace(monkeypatch):
+    # the invariance certificate (S - r I) g w = 0 must fail on a basis that
+    # strays from ker(S - r I)
+    ms = fleet_member("hp11H")
+    gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(3)]
+    kernel = htype.nullspace
+    monkeypatch.setattr(htype, "nullspace",
+                        lambda m: kernel(m) + [tuple(F(1) for _ in range(m.cols))])
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        irreducibility_probe(ms, gens)
+
+
+@pytest.mark.parametrize("key", ["h1H", "hp11H", "cliff7x2"])
+def test_is_isometry_matches_the_fraction_products(key):
+    ms = rebase_v(fleet_member(key), random_thirds(fleet_member(key).algebra.dim_v - 1, 1))
+    n, dz = ms.algebra.dim_v, ms.algebra.dim_z
+    rng = random.Random(5)
+    skew = GradedMap(Matrix.from_rows([[F(rng.randint(-3, 3), 3) + (i == j) for j in range(n)]
+                                       for i in range(n)]), Matrix.identity(dz))
+    maps = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(dz)]
+    maps += [dilation(ms.algebra, F(1, 2)), dilation(ms.algebra, -1), skew,
+             GradedMap(maps[0].map_v, maps[0].map_z.scale(2))]
+    for gm in maps:
+        want = (gm.map_v.transpose() * ms.gram_v * gm.map_v == ms.gram_v
+                and gm.map_z.transpose() * ms.gram_z * gm.map_z == ms.gram_z)
+        assert is_isometry(ms, gm) == want
+    assert [is_isometry(ms, gm) for gm in maps[dz:]] == [False, True, False, False]
+
+
+def _in_span(basis, v):
+    """Reference: v is a combination of the basis, by `solve`."""
+    if not basis:
+        return not any(v)
+    return solve(Matrix.from_rows([[b[i] for b in basis] for i in range(len(v))]), v) is not None
+
+
+def test_maps_into_matches_per_vector_containment():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+                              for _ in range(n)])
+        vecs = [[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        basis_in, basis_out = vecs[:rng.randint(0, len(vecs))], vecs
+        want = all(_in_span(basis_out, mat_vec(m, b)) for b in basis_in)
+        assert maps_into(m, basis_in, basis_out) == want
+        assert [subspace_contains(basis_out, v) for v in vecs + [[F(1)] * n]] == \
+            [_in_span(basis_out, v) for v in vecs + [[F(1)] * n]]
 
 
 def test_probe_rejects_non_automorphism_generators():
