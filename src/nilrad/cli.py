@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
 
@@ -247,7 +246,7 @@ def _cmd_probe(args) -> int:
     ms = _load_metric(args.file)
     gens = []
     for a in range(ms.algebra.dim_z):
-        z = [Fraction(1 if b == a else 0) for b in range(ms.algebra.dim_z)]
+        z = [int(b == a) for b in range(ms.algebra.dim_z)]
         if ms.ip_z(z, z) == 1:
             gens.append(sigma_automorphism(ms, z))
     verdict = irreducibility_probe(ms, gens)

@@ -1,18 +1,20 @@
 """Exact rational linear algebra kernel.
 
-Scalars are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator), matrices are small immutable dense arrays of
-rationals.  Everything that the rest of the package proves is proved
-here by exact elimination; there is no floating point.
+Scalars are Python ints when integral and `fractions.Fraction` otherwise
+(arbitrary precision, always reduced, positive denominator); matrices
+are small immutable dense arrays of rationals.  An integral entry stays
+an int from the JSON file (`scalar`) through every product and inverse.
+Everything that the rest of the package proves is proved here by exact
+elimination; there is no floating point.
 
 Arithmetic runs in Python ints.  A product clears each operand to one
 common denominator and sparse integer rows (`scaled_sparse`),
 multiplies those (`sparse_mul`) and divides the product's denominator
-back in.  Every exact answer (rank, solve, inverse, nullspace) is read
-off one fraction-free integer echelon form of the denominator-cleared
-rows; `solve` and `inverse` reduce the augmented matrices [m | rhs] and
-[m | I], and `is_positive_definite` reads the leading minors off one
-fraction-free elimination.  Kernels work on sparse integer rows and
+back in (`quotient`).  Every exact answer (rank, solve, inverse,
+nullspace) is read off one fraction-free integer echelon form of the
+denominator-cleared rows; `solve` and `inverse` reduce the augmented
+matrices [m | rhs] and [m | I], and `is_positive_definite` reads the
+leading minors off one fraction-free elimination.  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
 `nullspace` hands them back as coordinates.  A kernel is one exact
 route for every size: structured elimination drains the rows with one
@@ -25,6 +27,7 @@ into every original row.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -46,6 +49,28 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+# a string that int() reads exactly as Fraction() does: ASCII digits and
+# whitespace only, and no underscores, which Fraction rejects before Python 3.11
+_INT_STR = re.compile(r"\s*[+-]?\d+\s*\Z", re.ASCII)
+
+
+def scalar(x):
+    """An int for an int (not bool) or an integer string, else `rat(x)`."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _INT_STR.match(x):
+        return int(x)
+    return rat(x)
+
+
+def quotient(x: int, d: int):
+    """x / d for ints, d > 0: an int when d divides x, else a Fraction."""
+    if d == 1:
+        return x
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a rational (a Fraction or an int) as "p/q", or "p" when the denominator is 1."""
     q = q if type(q) is int else rat(q)
@@ -53,7 +78,8 @@ def rat_str(q: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions (or ints, when all are integral), row-major."""
+    """Immutable dense matrix of rationals, row-major: each entry is an int when it
+    is integral and a Fraction otherwise, except where a caller passes Fractions."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -64,7 +90,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(rat(x) for x in r) for r in rows)
+        data = tuple(tuple(scalar(x) for x in r) for r in rows)
         if not data:
             return cls(0, 0, ())
         ncols = len(data[0])
@@ -74,20 +100,18 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls(r, c, tuple(tuple(zero for _ in range(c)) for _ in range(r)))
+        return cls(r, c, tuple(tuple(0 for _ in range(c)) for _ in range(r)))
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
-        es = [rat(e) for e in entries]
+        es = [scalar(e) for e in entries]
         n = len(es)
         return cls(n, n, tuple(
-            tuple(es[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)))
+            tuple(es[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -127,7 +151,7 @@ class Matrix:
             tuple(-a for a in r) for r in self.data))
 
     def scale(self, c) -> "Matrix":
-        c = rat(c)
+        c = scalar(c)
         return Matrix(self.rows, self.cols, tuple(
             tuple(c * a for a in r) for r in self.data))
 
@@ -136,10 +160,10 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
             (da, a), (db, b) = scaled_sparse(self), scaled_sparse(other)
-            d, zero = da * db, Fraction(0)
-            prod = [{j: Fraction(x, d) for j, x in r} for r in sparse_mul(a, b)]
+            d = da * db
+            prod = [{j: quotient(x, d) for j, x in r} for r in sparse_mul(a, b)]
             return Matrix(self.rows, other.cols, tuple(
-                tuple(r.get(j, zero) for j in range(other.cols)) for r in prod))
+                tuple(r.get(j, 0) for j in range(other.cols)) for r in prod))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -231,7 +255,7 @@ def inverse(m: Matrix) -> Matrix:
     pivots, prows = _int_rref(_int_rows(aug))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(Fraction(x, p[i]) for x in p[n:])
+    return Matrix(n, n, tuple(tuple(quotient(x, p[i]) for x in p[n:])
                               for i, p in enumerate(prows)))
 
 

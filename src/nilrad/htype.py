@@ -42,10 +42,12 @@ from .exactlin import (
     minimal_polynomial,
     nullspace,
     nullspace_int_rows,
+    quotient,
     rank,
     rat,
     rational_roots,
     rational_sqrt,
+    scalar,
     scaled_sparse,
     solve,
     sparse_mul,
@@ -100,8 +102,8 @@ class MetricStructure:
     def j_maps(self) -> Tuple[Matrix, ...]:
         """J maps of the Z basis vectors as rational matrices."""
         (d, maps), n = self.int_j_maps, self.algebra.dim_v
-        return tuple(Matrix.from_rows([[Fraction(r.get(j, 0), d) for j in range(n)]
-                                       for r in map(dict, m)]) for m in maps)
+        return tuple(Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d) for j in range(n))
+                                        for r in map(dict, m))) for m in maps)
 
     @cached_property
     def automorphisms(self) -> set:
@@ -128,14 +130,14 @@ class MetricStructure:
 def jz(ms: MetricStructure, z: Sequence) -> Matrix:
     """The map J_z on the V layer, defined by <J_z x, y>_V = <[x,y], z>_Z:
     sum_a z_a M_a / d on J_a = M_a / d, with z cleared to integers."""
-    zz = [rat(c) for c in z]
+    zz = [scalar(c) for c in z]
     if len(zz) != ms.algebra.dim_z:
         raise ValueError("z must live in the Z layer")
     (d, maps), n = ms.int_j_maps, ms.algebra.dim_v
     dz = math.lcm(*(c.denominator for c in zz))
     zrow = [(a, c.numerator * (dz // c.denominator)) for a, c in enumerate(zz) if c]
     rows = [dict(sparse_mul([zrow], [m[i] for m in maps])[0]) for i in range(n)]
-    return Matrix(n, n, tuple(tuple(Fraction(r.get(j, 0), d * dz) for j in range(n))
+    return Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d * dz) for j in range(n))
                               for r in rows))
 
 
@@ -367,8 +369,9 @@ def make_clifford_module_algebra(
 def identify_family(ms: MetricStructure) -> HTypeFamilyId:
     """Classify an H-type algebra by computable invariants.
 
-    Uses layer dimensions, and for center dimension 3 the +-1 eigenspace
-    dimensions (4p, 4q) of the Clifford volume element J_{z1} J_{z2} J_{z3}.
+    Uses layer dimensions, and for center dimension 3 the eigenspace
+    dimensions (4p, 4q) of the Clifford volume element J_{w1} J_{w2} J_{w3}
+    of a gramZ-orthogonal basis w of Z.
     The (p, q) parameters are recovered up to swap.  Everything that is
     not one of the six families maps to "other".
     """
@@ -394,20 +397,29 @@ def identify_family(ms: MetricStructure) -> HTypeFamilyId:
 
 
 def _volume_split(ms: MetricStructure) -> Tuple[int, int]:
-    js = ms.j_maps
-    omega = js[0] * js[1] * js[2]
-    n = ms.algebra.dim_v
-    poly = minimal_polynomial(omega)
-    roots = rational_roots(poly) or []
-    if len(poly) - 1 != len(roots) or not roots:
-        raise ValueError("volume element does not split over the rationals; "
-                         "renormalize the metric")
-    lam = max(abs(r) for r in roots)
-    plus = len(nullspace(omega - Matrix.identity(n).scale(lam)))
-    minus = len(nullspace(omega + Matrix.identity(n).scale(lam)))
-    if plus + minus != n:
-        raise ValueError("volume element is not semisimple with two eigenvalues")
-    return plus, minus
+    """The dimensions of the two eigenspaces of the Clifford volume element (dimZ = 3).
+
+    For a gramZ-orthogonal basis w_1, w_2, w_3 of Z (rational Gram-Schmidt on
+    the Z basis) the J_{w_a} anticommute, so omega = J_{w1} J_{w2} J_{w3} is
+    |w1| |w2| |w3| times the volume element of an orthonormal frame, and
+    omega^2 = c Id with c = |w1|^2 |w2|^2 |w3|^2, which is checked exactly.
+    Its eigenspaces for +-sqrt(c) then have dimensions (n +- t) / 2 with
+    t^2 = tr(omega)^2 / c, in any basis of Z.
+    """
+    ws = []
+    for a in range(3):
+        w = [int(b == a) for b in range(3)]
+        for u in ws:
+            k = ms.ip_z(w, u) / ms.ip_z(u, u)
+            w = [x - k * y for x, y in zip(w, u)]
+        ws.append(w)
+    omega = jz(ms, ws[0]) * jz(ms, ws[1]) * jz(ms, ws[2])
+    n, c = ms.algebra.dim_v, math.prod(ms.ip_z(w, w) for w in ws)
+    t_sq = Fraction(sum(omega[i, i] for i in range(n))) ** 2 / c
+    t = math.isqrt(t_sq.numerator)
+    if omega * omega != Matrix.identity(n).scale(c) or t_sq != t * t:
+        raise ArithmeticError("volume element failed its exact check omega^2 = c Id")
+    return (n + t) // 2, (n - t) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +487,7 @@ def sigma_automorphism(ms: MetricStructure, z: Sequence) -> GradedMap:
     exactly on every basis pair; failure is a hard error because it
     means the Clifford structure is broken.
     """
-    zz = [rat(c) for c in z]
+    zz = [scalar(c) for c in z]
     if ms.ip_z(zz, zz) != 1:
         raise ValueError("sigma automorphism needs a gramZ-unit vector z")
     if not is_htype(ms):
@@ -591,15 +603,18 @@ def _symmetric_commutant(generators: Sequence[GradedMap], gram: Matrix) -> List[
     S = T / c with S g = g S.  The unknowns are the entries T[i][j], j <= i, in
     row-major order, so the basis read off the echelon form is the one over
     all n^2 entries; g = Gg / dg and h = Gh / dh add the integer rows of
-    dh T Gg - dg Gh T.
+    dh T Gg - dg Gh T, where Gh = G Gg G' and dh = dG dg dG' are formed in
+    sparse integer rows from gram = G / dG and gram^{-1} = G' / dG'.
     """
     n = gram.rows
     gram_inv = inverse(gram)
+    (dgram, grows), (dinv, irows) = scaled_sparse(gram), scaled_sparse(gram_inv)
     pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
     rows = []
     for g in generators:
         dg, gcols = scaled_sparse(g.map_v.transpose())
-        dh, hrows = scaled_sparse(gram * g.map_v * gram_inv)
+        dh = dgram * dg * dinv
+        hrows = sparse_mul(sparse_mul(grows, scaled_sparse(g.map_v)[1]), irows)
         for i in range(n):
             for j in range(n):
                 rows.append([(pos[i][k], x * dh) for k, x in gcols[j]]
@@ -866,7 +881,7 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
         proj = ident
         for j, nu in enumerate(roots):
             if j != i:
-                proj = proj * (m - ident.scale(nu)).scale(1 / (mu - nu))
+                proj = proj * (m - ident.scale(nu)).scale(Fraction(1) / (mu - nu))
         p = p + proj.scale(s)
     if p * p != m:
         return None

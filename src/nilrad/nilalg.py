@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactlin import Matrix, nullspace_int_rows, rat, rat_str, rank
+from .exactlin import Matrix, nullspace_int_rows, rat, rat_str, rank, scalar
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class TwoStepAlgebra:
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim_v):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dimV")
-            coeffs = tuple(rat(c) for c in vec)
+            coeffs = tuple(scalar(c) for c in vec)
             if len(coeffs) != dim_z:
                 raise ValueError(f"bracket ({i},{j}) has {len(coeffs)} coords, expected {dim_z}")
             if any(coeffs):
@@ -330,7 +330,7 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
             key = (json_int(i, "bracket index"), json_int(j, "bracket index"))
             if key in brackets:
                 raise ValueError(f"duplicate bracket key {key}")
-            brackets[key] = [rat(c) for c in coords]
+            brackets[key] = [scalar(c) for c in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
     alg = TwoStepAlgebra.from_brackets(name, dim_v, dim_z, brackets)
@@ -356,7 +356,8 @@ def save(path: str, alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
 
 def read_json(path) -> object:
     """The JSON document in a file; ValueError naming the path when the file
-    is not JSON or nests too deeply for the parser."""
+    is not JSON, nests too deeply for the parser or holds an integer literal
+    over Python's int-to-str digit limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -364,6 +365,8 @@ def read_json(path) -> object:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load(path: str) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Matrix]]:

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
-from nilrad.exactlin import Matrix, _int_rref, _nullspace_from_rref, clear_denominators
+from nilrad.exactlin import (Matrix, _int_rref, _nullspace_from_rref, clear_denominators,
+                              inverse, mat_vec)
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -121,7 +122,7 @@ def rescaled(alg, v_scale, z_scale):
     constant c_ij^a becomes v_scale[i] v_scale[j] c_ij^a / z_scale[a]."""
     return TwoStepAlgebra.from_brackets(
         alg.name + " rescaled", alg.dim_v, alg.dim_z,
-        {(i, j): [v_scale[i] * v_scale[j] * c / z_scale[a] for a, c in enumerate(vec)]
+        {(i, j): [Fraction(v_scale[i] * v_scale[j] * c, z_scale[a]) for a, c in enumerate(vec)]
          for (i, j), vec in alg.brackets})
 
 
@@ -151,7 +152,7 @@ def dense_det(m: Matrix) -> Fraction:
             d = -d
         d *= a[c][c]
         for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
+            f = Fraction(a[i][c], a[c][c])
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return d
 
@@ -259,6 +260,28 @@ def rebase_v(ms: MetricStructure, superdiagonal) -> MetricStructure:
                 brackets[(i, j)] = list(vec)
     rebased = TwoStepAlgebra.from_brackets(alg.name + " rebased", n, alg.dim_z, brackets)
     return MetricStructure(rebased, t.transpose() * ms.gram_v * t, ms.gram_z)
+
+
+# rational unit vectors (c, s), c^2 + s^2 = 1, for `rebase_z`
+UNIT_PAIRS = ((Fraction(0), Fraction(1)), (Fraction(3, 5), Fraction(4, 5)),
+              (Fraction(-5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(-15, 17)))
+
+
+def rebase_z(ms: MetricStructure, pairs) -> MetricStructure:
+    """The same metric algebra in the Z basis given by the columns of U, whose
+    column b > 0 is c_b z_{b-1} + s_b z_b for the unit pair (c_b, s_b) = pairs[b - 1]:
+    bracket coordinates become U^{-1} [e_i, e_j] and gramZ becomes U^t gramZ U.
+    With gramZ = Id every new basis vector is a unit vector, and a nonzero c_b
+    makes columns b - 1 and b non-orthogonal."""
+    alg, m = ms.algebra, ms.algebra.dim_z
+    cols = [[Fraction(int(a == b)) for a in range(m)] for b in range(m)]
+    for b, (c, s) in zip(range(1, m), pairs):
+        cols[b][b - 1], cols[b][b] = c, s
+    u = Matrix.from_rows([[cols[b][a] for b in range(m)] for a in range(m)])
+    u_inv = inverse(u)
+    brackets = {key: list(mat_vec(u_inv, vec)) for key, vec in alg.brackets}
+    rebased = TwoStepAlgebra.from_brackets(alg.name + " z-rebased", alg.dim_v, m, brackets)
+    return MetricStructure(rebased, ms.gram_v, u.transpose() * ms.gram_z * u)
 
 
 def random_thirds(n: int, seed: int):

@@ -205,7 +205,7 @@ def test_criterion_08_transfer_suite():
         ok &= (rep.residual_automorphism, rep.residual_center,
                rep.residual_metric, rep.residual_lambda_sq) == (0, 0, 0, 0)
         # lambda^2 against the center Gram ratio, exactly
-        ok &= rep.lam_sq == ms2.gram_z[0, 0] / ms1.gram_z[0, 0]
+        ok &= rep.lam_sq == F(ms2.gram_z[0, 0], ms1.gram_z[0, 0])
     report(8, ok, "20 seeded random H-type metric pairs on h_1(H): transfer "
                   "operator certifies with exact zero residuals")
 

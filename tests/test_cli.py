@@ -10,7 +10,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FLEET, fleet_member, random_thirds, rebase_v, run_python, transfer_pairs
+from conftest import (FLEET, UNIT_PAIRS, fleet_member, random_thirds, rebase_v, rebase_z,
+                      run_python, transfer_pairs)
 from nilrad import nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
@@ -201,6 +202,35 @@ def test_malformed_file_reports_context(tmp_path, capsys):
     assert code == 2 and "line" in err
 
 
+LONG = "1" * 5000       # over Python's 4,300-digit int-to-str limit
+LONG_DOCS = {
+    "literal dimV": '{"dimV": %s, "dimZ": 1, "brackets": []}' % LONG,
+    "literal coordinate": '{"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [%s]]]}' % LONG,
+    "string coordinate": '{"dimV": 2, "dimZ": 1, "brackets": [[0, 1, ["%s"]]]}' % LONG,
+    "string gram entry": '{"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [1]]], '
+                         '"gram": {"v": [["%s", 0], [0, 1]], "z": [[1]]}}' % LONG,
+    "literal gram2 entry": '{"v": [[%s, 0], [0, 1]], "z": [[1]]}' % LONG,
+    "string gram2 entry": '{"v": [["-%s", 0], [0, 1]], "z": [[1]]}' % LONG,
+}
+
+
+@pytest.mark.parametrize("where", LONG_DOCS)
+def test_over_long_integers_exit_two_naming_the_path(tmp_path, capsys, where):
+    path = str(tmp_path / "long.json")
+    with open(path, "w") as fh:
+        fh.write(LONG_DOCS[where])
+    if "gram2" in where:
+        ms = make_h_prime(Tag.C, 1, 0)
+        base = str(tmp_path / "base.json")
+        nilalg.save(base, ms.algebra, ms.gram_v, ms.gram_z)
+        argv = ["transfer", base, "--gram2", path]
+    else:
+        argv = ["verify-htype", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and "4300 digits" in err, err
+
+
 @pytest.mark.parametrize("verb", ["verify-htype", "nonsingular"])
 @pytest.mark.parametrize("doc, message", [
     ([1, 2], "JSON object"),
@@ -351,16 +381,28 @@ def _fleet_verdicts(key):
 SKEW = [int(3 * x) for x in random_thirds(15, 1)]
 
 
+# a Z basis of unit vectors, each one non-orthogonal to the one before
+Z_SKEW = [1, 2, 3, 1, 2, 3, 1]
+
+
 @settings(max_examples=8, deadline=None)
-@given(st.sampled_from(FLEET), st.lists(st.integers(-3, 3), min_size=15, max_size=15))
-@example("cliff7x2", SKEW)
-@example("hp11H", SKEW)
-def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators):
-    # T = I + N with thirds on the superdiagonal is not orthogonal for gramV
+@given(st.sampled_from(FLEET), st.lists(st.integers(-3, 3), min_size=15, max_size=15),
+       st.lists(st.sampled_from(range(len(UNIT_PAIRS))), min_size=7, max_size=7))
+@example("cliff7x2", SKEW, [0] * 7)
+@example("hp11H", SKEW, [0] * 7)
+@example("hp11H", SKEW, Z_SKEW)
+@example("hp21H", [0] * 15, Z_SKEW)
+@example("cliff7x2", SKEW, Z_SKEW)
+def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators, z_pairs):
+    # T = I + N with thirds on the superdiagonal is not orthogonal for gramV, and
+    # the Z basis of `rebase_z` is not orthogonal for gramZ once some c_b != 0;
+    # its vectors are units, so the probe still gets one sigma map per Z basis vector
     ms = fleet_member(key)
     thirds = [F(k, 3) for k in numerators[:ms.algebra.dim_v - 1]]
-    assume(any(thirds))
-    assert _metric_verdicts(rebase_v(ms, thirds)) == _fleet_verdicts(key)
+    pairs = [UNIT_PAIRS[k] for k in z_pairs[:ms.algebra.dim_z - 1]]
+    assume(any(thirds) or any(c for c, _ in pairs))
+    rebased = rebase_z(rebase_v(ms, thirds), pairs)
+    assert _metric_verdicts(rebased) == _fleet_verdicts(key)
 
 
 def _float_pair_files(tmp_path):
@@ -370,7 +412,7 @@ def _float_pair_files(tmp_path):
     with open(gram2, "w", encoding="utf-8") as fh:
         json.dump({"v": nilalg.matrix_to_json(ms2.gram_v),
                    "z": nilalg.matrix_to_json(ms2.gram_z)}, fh)
-    return base, gram2, ms2.gram_z[0, 0] / ms1.gram_z[0, 0]
+    return base, gram2, F(ms2.gram_z[0, 0], ms1.gram_z[0, 0])
 
 
 def test_transfer_precision_is_bounded(tmp_path, capsys):

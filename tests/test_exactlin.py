@@ -339,7 +339,7 @@ def reference_minimal_polynomial(m):
                                       for i in range(n) for j in range(n)))
     v = el.nullspace(cols)[0]
     deg = max(k for k, c in enumerate(v) if c)
-    return [c / v[deg] for c in v[:deg + 1]]
+    return [F(c, v[deg]) for c in v[:deg + 1]]
 
 
 def reference_divisors(n):
@@ -480,3 +480,105 @@ def test_nullspace_entries_beyond_one_prime():
     assert len(ker) == 1
     v = ker[0]
     assert v[0] * 1 + v[1] * q == 0
+
+
+# ---------------------------------------------------------------------------
+# Entry types: an int for an integer, a Fraction otherwise
+# ---------------------------------------------------------------------------
+
+# a JSON-like entry: an int, an integer or rational string, or a Fraction
+mixed_entries = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(str),
+                          rationals, rationals.map(el.rat_str))
+
+
+def mixed_rows(rows, cols):
+    return st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def fraction_matrix(rows, r, c):
+    """The Fraction reference of raw rows: every entry read by `Fraction`."""
+    return Matrix(r, c, tuple(tuple(F(x) for x in row) for row in rows))
+
+
+def exact_entries(values):
+    """Every value is an int or a Fraction: never a float or a bool."""
+    return all(type(x) is int or type(x) is F for x in values)
+
+
+def int_when_integral(values):
+    """Every integral value is an int, every other one a Fraction."""
+    return exact_entries(values) and all((type(x) is int) == (F(x).denominator == 1)
+                                         for x in values)
+
+
+def entries(m):
+    return [x for r in m.data for x in r]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    mixed_rows(n, n), mixed_rows(n, n), st.lists(mixed_entries, min_size=n, max_size=n),
+    mixed_entries)))
+@example(([[2, "0"], ["0", "2"]], [["1/2", 0], [0, " -3 "]], ["4", 1], "2"))
+@example(([[1, 1], [1, 1]], [[F(3), "1/2"], ["-0", 5]], ["1/3", 0], F(1, 2)))
+def test_matrix_entries_stay_int_or_fraction(case):
+    raw, raw2, vec, c = case
+    n = len(raw)
+    m, m2 = Matrix.from_rows(raw), Matrix.from_rows(raw2)
+    ref, ref2 = fraction_matrix(raw, n, n), fraction_matrix(raw2, n, n)
+    # from_rows keeps ints, reads integer strings as ints, and leaves Fractions be
+    assert m == ref and exact_entries(entries(m))
+    assert all((type(x) is int) == (type(r) is int or (type(r) is str and F(r).denominator == 1))
+               for x, r in zip(entries(m), [r for row in raw for r in row]))
+    assert Matrix.identity(n) == fraction_matrix([[int(i == j) for j in range(n)]
+                                                  for i in range(n)], n, n)
+    assert all(type(x) is int for x in entries(Matrix.identity(n)) + entries(Matrix.zeros(n, 3)))
+    assert Matrix.zeros(n, 3) == Matrix(n, 3, ((F(0),) * 3,) * n)
+    diag = Matrix.diagonal(vec)
+    assert diag == Matrix(n, n, tuple(tuple(F(vec[i]) if i == j else F(0) for j in range(n))
+                                      for i in range(n)))
+    assert exact_entries(entries(diag))
+    prod = m * m2
+    assert prod == dense_mul(ref, ref2) and int_when_integral(entries(prod))
+    assert m.scale(c) == Matrix(n, n, tuple(tuple(F(c) * x for x in r) for r in ref.data))
+    assert exact_entries(entries(m.scale(c)))
+    assert m.transpose() == ref.transpose() and exact_entries(entries(m.transpose()))
+    if el.rank(ref) == n:
+        inv = el.inverse(m)
+        assert dense_mul(ref, inv) == Matrix.identity(n) and int_when_integral(entries(inv))
+    x = el.solve(m, [F(v) for v in vec])
+    if x is not None:
+        assert exact_entries(x) and el.mat_vec(ref, x) == tuple(F(v) for v in vec)
+    for v in el.nullspace(m):
+        assert exact_entries(v) and not any(el.mat_vec(ref, v))
+
+
+# strings around the integer grammar: signs, whitespace (Unicode too), rationals,
+# decimals, exponents, underscores, non-ASCII digits and over-long digit runs
+entry_strings = st.lists(st.sampled_from(
+    ["", " ", "\t", "\n", "\x1c", " ", "　", "+", "-", "0", "3", "12", "/", "1/0",
+     "/2", "1.5", ".", "e", "1e3", "_", "x", "٣", "７", "²", "1" * 4400]),
+    max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_strings)
+@example(" 3 ")
+@example("+3")
+@example("-0")
+@example("1/0")
+@example("1.5")
+@example("1e3")
+@example("1_000")
+@example("٣٠")
+@example("²")
+@example("1" * 5000)
+@example("-" + "9" * 4300)
+def test_from_rows_reads_exactly_the_strings_rat_reads(s):
+    def outcome(read):
+        try:
+            return "value", F(read(s))
+        except ValueError:
+            return "rejected", None
+    assert outcome(lambda t: Matrix.from_rows([[t]])[0, 0]) == outcome(el.rat)

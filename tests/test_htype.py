@@ -886,7 +886,7 @@ def test_printed_lambda_brackets_the_square_root(precision):
     ms1 = fleet_member("h1H")
     for ms2 in transfer_pairs():
         _, rep = transfer_operator(ms1, ms2, precision)
-        assert rep.ok and rep.lam_sq == ms2.gram_z[0, 0] / ms1.gram_z[0, 0]
+        assert rep.ok and rep.lam_sq == F(ms2.gram_z[0, 0], ms1.gram_z[0, 0])
         if isinstance(rep.lam, F):
             assert rep.lam * rep.lam == rep.lam_sq
             continue
