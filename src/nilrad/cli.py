@@ -23,7 +23,6 @@ from .htype import (
     is_htype,
     make_h,
     make_h_prime,
-    sigma_automorphism,
     irreducibility_probe,
     transfer_operator,
 )
@@ -244,12 +243,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_probe(args) -> int:
     ms = _load_metric(args.file)
-    gens = []
-    for a in range(ms.algebra.dim_z):
-        z = [int(b == a) for b in range(ms.algebra.dim_z)]
-        if ms.ip_z(z, z) == 1:
-            gens.append(sigma_automorphism(ms, z))
-    verdict = irreducibility_probe(ms, gens)
+    verdict = irreducibility_probe(ms)
     doc = {"command": "probe-irreducible", "file": args.file,
            "verdict": verdict.kind, "detail": verdict.detail}
     if verdict.invariant_subspace is not None:
@@ -335,7 +329,8 @@ def _parser() -> argparse.ArgumentParser:
     idf.set_defaults(func=_cmd_identify)
 
     pb = sub.add_parser("probe-irreducible",
-                        help="irreducibility probe with the reflection automorphisms")
+                        help="decide irreducibility of the Clifford action J_z, the V "
+                             "action of the reflection automorphisms")
     pb.add_argument("file")
     pb.add_argument("--trials", type=int, default=32,
                     help="ignored: the probe is an exact decision")

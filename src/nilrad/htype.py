@@ -49,7 +49,6 @@ from .exactlin import (
     rational_sqrt,
     scalar,
     scaled_sparse,
-    solve,
     sparse_mul,
 )
 from .nilalg import TwoStepAlgebra
@@ -104,12 +103,6 @@ class MetricStructure:
         (d, maps), n = self.int_j_maps, self.algebra.dim_v
         return tuple(Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d) for j in range(n))
                                         for r in map(dict, m))) for m in maps)
-
-    @cached_property
-    def automorphisms(self) -> set:
-        """Graded maps verified as automorphisms of the algebra, by value: each one
-        `sigma_automorphism` certifies, which `irreducibility_probe` skips."""
-        return set()
 
     @cached_property
     def clifford(self) -> bool:
@@ -436,9 +429,6 @@ class GradedMap:
     def compose(self, other: "GradedMap") -> "GradedMap":
         return GradedMap(self.map_v * other.map_v, self.map_z * other.map_z)
 
-    def inverse(self) -> "GradedMap":
-        return GradedMap(inverse(self.map_v), inverse(self.map_z))
-
     @classmethod
     def identity(cls, alg: TwoStepAlgebra) -> "GradedMap":
         return cls(Matrix.identity(alg.dim_v), Matrix.identity(alg.dim_z))
@@ -502,30 +492,7 @@ def sigma_automorphism(ms: MetricStructure, z: Sequence) -> GradedMap:
         raise ArithmeticError(
             "sigma map failed exact automorphism verification; "
             "the metric does not carry a consistent Clifford structure")
-    ms.automorphisms.add(gm)
     return gm
-
-
-# ---------------------------------------------------------------------------
-# Subspaces
-# ---------------------------------------------------------------------------
-
-def _colspace_rank(cols: Sequence[Sequence[Fraction]]) -> int:
-    if not cols:
-        return 0
-    return rank(Matrix.from_rows([list(c) for c in cols]))
-
-
-def subspace_contains(basis: Sequence[Sequence[Fraction]],
-                      vec: Sequence[Fraction]) -> bool:
-    return not any(vec) or _colspace_rank(list(basis) + [list(vec)]) == _colspace_rank(basis)
-
-
-def maps_into(m: Matrix, basis_in: Sequence[Sequence[Fraction]],
-              basis_out: Sequence[Sequence[Fraction]]) -> bool:
-    """m maps span(basis_in) into span(basis_out): adding the images keeps the rank."""
-    images = [list(mat_vec(m, b)) for b in basis_in]
-    return _colspace_rank(list(basis_out) + images) == _colspace_rank(basis_out)
 
 
 # ---------------------------------------------------------------------------
@@ -546,29 +513,46 @@ class ProbeVerdict:
         return self.kind == "irreducible"
 
 
-def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
+def irreducibility_probe(ms: MetricStructure,
+                         generators: Optional[Sequence[GradedMap]] = None,
                          trials: int = 32, seed: int = 0) -> ProbeVerdict:
-    """Decide whether the generators act irreducibly on the V layer over R.
+    """Decide whether the Clifford maps J_a, or the given generators, act
+    irreducibly on the V layer over R.
 
-    The generators must be verified automorphisms (maps in
-    `ms.automorphisms` already are) and gramV-isometries, so the
-    gramV-orthogonal complement of an invariant subspace is invariant.
-    Hence V is irreducible exactly when the gramV-self-adjoint commutant is
-    the scalars; a non-scalar element S certifies reducibility, and a
-    rational eigenspace W = ker(S - r I) is an invariant subspace, verified
-    exactly by (S - r I) g w = 0 for every generator g and basis vector w.
+    Without generators the metric must pass the exact `is_htype` check
+    (ValueError otherwise), and the maps are its cached J_a.  G J_a =
+    -sum_c gramZ[a, c] B_c is skew, so the gramV-adjoint of J_a is -J_a: the
+    family is closed under the adjoint up to sign, and the gramV-orthogonal
+    complement of an invariant subspace is invariant.  For a gramZ-unit z the V
+    block of the reflection automorphism sigma_z is J_z = sum_a z_a J_a, and the
+    unit vectors span Z (the rational ones do too, when there is one), so the
+    commutant of the J_a is the commutant of the sigma maps, in every basis of Z.
+    Explicit generators must each pass an exact automorphism and isometry check
+    (ValueError otherwise); then the maps are their V blocks, and complements of
+    invariant subspaces are again invariant.
+    Hence V is irreducible exactly when the gramV-self-adjoint commutant is the
+    scalars; a non-scalar element S certifies reducibility, and a rational
+    eigenspace W = ker(S - r I) is an invariant subspace, verified exactly by
+    (S - r I) g w = 0 for every map g and basis vector w.
     `trials` and `seed` are ignored; they stay accepted for existing callers.
     """
     alg = ms.algebra
-    for g in generators:
-        if g not in ms.automorphisms and not is_graded_automorphism(alg, g):
-            raise ValueError("generator fails exact automorphism verification")
-        if not is_isometry(ms, g):
-            raise ValueError("generator is not an isometry of the metric")
+    if generators is None:
+        if not is_htype(ms):
+            raise ValueError("the metric is not H-type, so it has no Clifford maps J_z "
+                             "to probe with")
+        maps = list(ms.j_maps)
+    else:
+        for g in generators:
+            if not is_graded_automorphism(alg, g):
+                raise ValueError("generator fails exact automorphism verification")
+            if not is_isometry(ms, g):
+                raise ValueError("generator is not an isometry of the metric")
+        maps = [g.map_v for g in generators]
     n = alg.dim_v
-    if n == 0 or not generators:
+    if n == 0 or not maps:
         return ProbeVerdict("inconclusive", "nothing to act on")
-    sym_comm = _symmetric_commutant(generators, ms.gram_v)
+    sym_comm = _symmetric_commutant(maps, ms.gram_v)
     if len(sym_comm) == 1:
         return ProbeVerdict("irreducible", "the exact gramV-self-adjoint commutant "
                             "is the scalars")
@@ -583,8 +567,8 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
         w_basis = [list(w) for w in nullspace(k)]
         _, k_rows = scaled_sparse(k)
         _, w_cols = scaled_sparse(Matrix.from_rows(w_basis).transpose())
-        if any(any(sparse_mul(k_rows, sparse_mul(scaled_sparse(g.map_v)[1], w_cols)))
-               for g in generators):
+        if any(any(sparse_mul(k_rows, sparse_mul(scaled_sparse(g)[1], w_cols)))
+               for g in maps):
             raise ArithmeticError("eigenspace of a commutant element is not "
                                   "invariant under the generators")
         return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
@@ -595,8 +579,9 @@ def irreducibility_probe(ms: MetricStructure, generators: Sequence[GradedMap],
                         f"rational eigenvalue")
 
 
-def _symmetric_commutant(generators: Sequence[GradedMap], gram: Matrix) -> List[Matrix]:
-    """Exact basis of the gram-self-adjoint commutant {S : S g = g S, gram S = S^t gram}.
+def _symmetric_commutant(maps: Sequence[Matrix], gram: Matrix) -> List[Matrix]:
+    """Exact basis of the gram-self-adjoint commutant {S : S g = g S, gram S = S^t gram}
+    of the V maps g.
 
     It is S = gram^{-1} T for the invariant symmetric forms T = T^t with
     T g = h T, h = gram g gram^{-1}; for gram = c Id these are the symmetric
@@ -611,10 +596,10 @@ def _symmetric_commutant(generators: Sequence[GradedMap], gram: Matrix) -> List[
     (dgram, grows), (dinv, irows) = scaled_sparse(gram), scaled_sparse(gram_inv)
     pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
     rows = []
-    for g in generators:
-        dg, gcols = scaled_sparse(g.map_v.transpose())
+    for g in maps:
+        dg, gcols = scaled_sparse(g.transpose())
         dh = dgram * dg * dinv
-        hrows = sparse_mul(sparse_mul(grows, scaled_sparse(g.map_v)[1]), irows)
+        hrows = sparse_mul(sparse_mul(grows, scaled_sparse(g)[1]), irows)
         for i in range(n):
             for j in range(n):
                 rows.append([(pos[i][k], x * dh) for k, x in gcols[j]]
@@ -644,40 +629,36 @@ class SwapResult:
 def build_swap_automorphism(ms: MetricStructure,
                             v1: Sequence[Sequence[Fraction]],
                             v2: Sequence[Sequence[Fraction]],
-                            theta: GradedMap,
-                            search_depth: int = 2) -> SwapResult:
+                            theta: GradedMap) -> SwapResult:
     """Extend an isometric isomorphism of v1 + Z onto v2 + Z to all of n.
 
     The candidate acts as theta on v1, theta^{-1} on v2, the identity on
     the orthogonal complement and theta's Z block on Z.  It is verified
     exactly on every basis pair (cross pairs included).  On failure,
-    theta is precomposed with words of sigma automorphisms up to
-    `search_depth` letters and the verification is retried; if no word
-    works the violating pair is reported.
+    theta is precomposed with words of sigma automorphisms of up to two
+    letters and the verification is retried; if no word works the
+    violating pair is reported.
     """
     alg = ms.algebra
-    n = alg.dim_v
     b1 = [list(b) for b in v1]
     b2 = [list(b) for b in v2]
-    d1, d2 = _colspace_rank(b1), _colspace_rank(b2)
-    if d1 != len(b1) or d2 != len(b2) or d1 != d2 or d1 == 0:
+    k = len(b1)
+    if not k or len(b2) != k or _span_dim(b1) != k or _span_dim(b2) != k:
         raise ValueError("v1 and v2 must be given by bases of equal positive dimension")
-    same_space = all(subspace_contains(b1, b) for b in b2)
-    if not same_space:
-        for x in b1:
-            for y in b2:
-                if ms.ip_v(x, y) != 0:
-                    raise ValueError("v1 and v2 must be orthogonal")
+    p1, p2 = Matrix.from_rows(b1), Matrix.from_rows(b2)
+    same_space = _span_dim(b1 + b2) == k
+    if not same_space and not (p1 * ms.gram_v * p2.transpose()).is_zero():
+        raise ValueError("v1 and v2 must be orthogonal")
     for j in ms.j_maps:
-        if not (maps_into(j, b1, b1) and maps_into(j, b2, b2)):
+        if any(_span_dim(p.to_rows() + (p * j.transpose()).to_rows()) != k for p in (p1, p2)):
             raise ValueError("v1 and v2 must be invariant under the Clifford action")
-    _check_theta(ms, b1, b2, theta)
+    _check_theta(ms, p1, p2, theta)
 
     sigmas = [sigma_automorphism(ms, [Fraction(1 if a == b else 0)
                                       for b in range(alg.dim_z)])
               for a in range(alg.dim_z)]
     words: List[Tuple[int, ...]] = [()]
-    for depth in range(1, search_depth + 1):
+    for depth in (1, 2):
         words.extend(itertools.product(range(len(sigmas)), repeat=depth))
     tried = 0
     last_violation = None
@@ -686,10 +667,10 @@ def build_swap_automorphism(ms: MetricStructure,
         for a in word:
             cand_theta = cand_theta.compose(sigmas[a])
         try:
-            _check_theta(ms, b1, b2, cand_theta)
+            t = _check_theta(ms, p1, p2, cand_theta)
         except ValueError:
             continue
-        gm = _assemble_swap(ms, b1, b2, cand_theta, same_space)
+        gm = _assemble_swap(ms, p1, p2, t, cand_theta.map_z, same_space)
         tried += 1
         violation = _first_bracket_violation(alg, gm)
         if violation is None:
@@ -698,56 +679,52 @@ def build_swap_automorphism(ms: MetricStructure,
     return SwapResult(None, (), last_violation, tried)
 
 
-def _check_theta(ms: MetricStructure, b1, b2, theta: GradedMap) -> None:
-    alg = ms.algebra
-    imgs = [list(mat_vec(theta.map_v, b)) for b in b1]
-    if not all(subspace_contains(b2, im) for im in imgs):
+def _span_dim(vecs: Sequence[Sequence[Fraction]]) -> int:
+    """The dimension of the span of the vectors."""
+    return rank(Matrix.from_rows(vecs)) if vecs else 0
+
+
+def _check_theta(ms: MetricStructure, p1: Matrix, p2: Matrix, theta: GradedMap) -> Matrix:
+    """Raise ValueError unless theta maps v1 (the rows of p1) isometrically and
+    homomorphically onto v2 (the rows of p2) and is a gramZ-isometry on Z.
+
+    The image rows t = p1 theta^t must have rank dim v1, without raising the rank
+    of p2, and satisfy t G t^t = p1 G p1^t; on the bracket defects D_c of theta
+    (`_bracket_defects`), p1 D_c p1^t = 0 for every c.  Returns t.
+    """
+    k, g = p1.rows, ms.gram_v
+    t = p1 * theta.map_v.transpose()
+    if _span_dim(p2.to_rows() + t.to_rows()) != k:
         raise ValueError("theta does not map v1 into v2")
-    if _colspace_rank(imgs) != len(b1):
+    if _span_dim(t.to_rows()) != k:
         raise ValueError("theta is not injective on v1")
-    for i, x in enumerate(b1):
-        for j, y in enumerate(b1):
-            if ms.ip_v(imgs[i], imgs[j]) != ms.ip_v(x, y):
-                raise ValueError("theta is not isometric on v1")
+    if t * g * t.transpose() != p1 * g * p1.transpose():
+        raise ValueError("theta is not isometric on v1")
     if not _preserves(theta.map_z, ms.gram_z):
         raise ValueError("theta is not isometric on Z")
-    for i in range(len(b1)):
-        for j in range(i + 1, len(b1)):
-            want = mat_vec(theta.map_z, alg.bracket_coords(b1[i], b1[j]))
-            got = alg.bracket_coords(imgs[i], imgs[j])
-            if tuple(want) != tuple(got):
-                raise ValueError("theta is not a homomorphism of the subalgebras")
+    (_, rows), (_, cols) = scaled_sparse(p1), scaled_sparse(p1.transpose())
+    _, defects = _bracket_defects(ms.algebra, theta)
+    if any(any(sparse_mul(rows, sparse_mul(dc, cols))) for dc in defects):
+        raise ValueError("theta is not a homomorphism of the subalgebras")
+    return t
 
 
-def _assemble_swap(ms: MetricStructure, b1, b2, theta: GradedMap,
-                   same_space: bool) -> GradedMap:
-    alg = ms.algebra
-    n = alg.dim_v
-    if same_space:
-        cols_in = b1
-        cols_out = [list(mat_vec(theta.map_v, b)) for b in b1]
-    else:
-        imgs1 = [list(mat_vec(theta.map_v, b)) for b in b1]
-        # theta^{-1} on v2: solve theta(x) = c with x in span(v1)
-        span1 = Matrix.from_rows([[b1[k][i] for k in range(len(b1))]
-                                  for i in range(n)])
-        t_on_coords = Matrix.from_rows(
-            [[imgs1[k][i] for k in range(len(b1))] for i in range(n)])
-        imgs2 = []
-        for c in b2:
-            coeff = solve(t_on_coords, c)
-            if coeff is None:
-                raise ValueError("theta image does not cover v2")
-            imgs2.append(list(mat_vec(span1, coeff)))
-        cols_in = b1 + b2
-        cols_out = imgs1 + imgs2
-    comp = nullspace(Matrix.from_rows(cols_in) * ms.gram_v)
-    cols_in = cols_in + [list(w) for w in comp]
-    cols_out = cols_out + [list(w) for w in comp]
-    basis_mat = Matrix.from_rows([[cols_in[k][i] for k in range(n)] for i in range(n)])
-    image_mat = Matrix.from_rows([[cols_out[k][i] for k in range(n)] for i in range(n)])
-    map_v = image_mat * inverse(basis_mat)
-    return GradedMap(map_v, theta.map_z)
+def _assemble_swap(ms: MetricStructure, p1: Matrix, p2: Matrix, t: Matrix,
+                   map_z: Matrix, same_space: bool) -> GradedMap:
+    """The graded map that sends the rows of p1 to the rows t = p1 theta^t, takes
+    v2 back by theta^{-1} (unless v2 = v1), fixes the gramV-orthogonal complement
+    and acts by map_z on Z.  A row c of p2 is x t for x = c G t^t K^{-1}, with
+    K = t G t^t invertible because theta is injective on v1, so theta^{-1} c = x p1."""
+    g = ms.gram_v
+    rows_in, rows_out = p1.to_rows(), t.to_rows()
+    if not same_space:
+        gt = g * t.transpose()
+        rows_in += p2.to_rows()
+        rows_out += (p2 * gt * inverse(t * gt) * p1).to_rows()
+    comp = [list(w) for w in nullspace(Matrix.from_rows(rows_in) * g)]
+    basis = Matrix.from_rows(rows_in + comp).transpose()
+    image = Matrix.from_rows(rows_out + comp).transpose()
+    return GradedMap(image * inverse(basis), map_z)
 
 
 def _bracket_defects(alg: TwoStepAlgebra, gm: GradedMap

@@ -267,17 +267,18 @@ UNIT_PAIRS = ((Fraction(0), Fraction(1)), (Fraction(3, 5), Fraction(4, 5)),
               (Fraction(-5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(-15, 17)))
 
 
-def rebase_z(ms: MetricStructure, pairs) -> MetricStructure:
+def rebase_z(ms: MetricStructure, pairs, scale=1) -> MetricStructure:
     """The same metric algebra in the Z basis given by the columns of U, whose
-    column b > 0 is c_b z_{b-1} + s_b z_b for the unit pair (c_b, s_b) = pairs[b - 1]:
-    bracket coordinates become U^{-1} [e_i, e_j] and gramZ becomes U^t gramZ U.
-    With gramZ = Id every new basis vector is a unit vector, and a nonzero c_b
+    column 0 is scale z_0 and column b > 0 is scale (c_b z_{b-1} + s_b z_b) for
+    the pair (c_b, s_b) = pairs[b - 1]: bracket coordinates become
+    U^{-1} [e_i, e_j] and gramZ becomes U^t gramZ U.  With gramZ = Id, scale 1
+    and unit pairs every new basis vector is a unit vector, and a nonzero c_b
     makes columns b - 1 and b non-orthogonal."""
     alg, m = ms.algebra, ms.algebra.dim_z
     cols = [[Fraction(int(a == b)) for a in range(m)] for b in range(m)]
     for b, (c, s) in zip(range(1, m), pairs):
         cols[b][b - 1], cols[b][b] = c, s
-    u = Matrix.from_rows([[cols[b][a] for b in range(m)] for a in range(m)])
+    u = Matrix.from_rows([[scale * cols[b][a] for b in range(m)] for a in range(m)])
     u_inv = inverse(u)
     brackets = {key: list(mat_vec(u_inv, vec)) for key, vec in alg.brackets}
     rebased = TwoStepAlgebra.from_brackets(alg.name + " z-rebased", alg.dim_v, m, brackets)

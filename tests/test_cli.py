@@ -381,28 +381,56 @@ def _fleet_verdicts(key):
 SKEW = [int(3 * x) for x in random_thirds(15, 1)]
 
 
+# the pairs (c, s) of `rebase_z`: the unit pairs, and (1, 1), whose column
+# z_{b-1} + z_b has norm^2 2
+Z_PAIRS = UNIT_PAIRS + ((F(1), F(1)),)
+
 # a Z basis of unit vectors, each one non-orthogonal to the one before
 Z_SKEW = [1, 2, 3, 1, 2, 3, 1]
+
+# the Z basis z_0, z_0 + z_1, z_1 + z_2, ..., whose vectors after the first are not units
+Z_SUMS = [4] * 7
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from(FLEET), st.lists(st.integers(-3, 3), min_size=15, max_size=15),
-       st.lists(st.sampled_from(range(len(UNIT_PAIRS))), min_size=7, max_size=7))
-@example("cliff7x2", SKEW, [0] * 7)
-@example("hp11H", SKEW, [0] * 7)
-@example("hp11H", SKEW, Z_SKEW)
-@example("hp21H", [0] * 15, Z_SKEW)
-@example("cliff7x2", SKEW, Z_SKEW)
-def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators, z_pairs):
+       st.lists(st.sampled_from(range(len(Z_PAIRS))), min_size=7, max_size=7),
+       st.sampled_from([1, 2]))
+@example("cliff7x2", SKEW, [0] * 7, 1)
+@example("hp11H", SKEW, [0] * 7, 1)
+@example("hp11H", SKEW, Z_SKEW, 1)
+@example("hp21H", [0] * 15, Z_SKEW, 1)
+@example("cliff7x2", SKEW, Z_SKEW, 1)
+@example("h1H", [0] * 15, [0] * 7, 2)
+@example("cliff7x2", SKEW, [0] * 7, 2)
+@example("hp11H", SKEW, Z_SKEW, 2)
+@example("h1C", [0] * 15, Z_SUMS, 1)
+@example("h1H", SKEW, Z_SUMS, 1)
+@example("h1O", [0] * 15, Z_SUMS, 1)
+@example("hp10O", SKEW, Z_SUMS, 2)
+@example("cliff5", [0] * 15, Z_SUMS, 1)
+def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators, z_pairs, z_scale):
     # T = I + N with thirds on the superdiagonal is not orthogonal for gramV, and
     # the Z basis of `rebase_z` is not orthogonal for gramZ once some c_b != 0;
-    # its vectors are units, so the probe still gets one sigma map per Z basis vector
+    # with z_scale 2, or a pair (1, 1), some of its vectors are not units
     ms = fleet_member(key)
     thirds = [F(k, 3) for k in numerators[:ms.algebra.dim_v - 1]]
-    pairs = [UNIT_PAIRS[k] for k in z_pairs[:ms.algebra.dim_z - 1]]
-    assume(any(thirds) or any(c for c, _ in pairs))
-    rebased = rebase_z(rebase_v(ms, thirds), pairs)
+    pairs = [Z_PAIRS[k] for k in z_pairs[:ms.algebra.dim_z - 1]]
+    assume(any(thirds) or any(c for c, _ in pairs) or z_scale != 1)
+    rebased = rebase_z(rebase_v(ms, thirds), pairs, z_scale)
     assert _metric_verdicts(rebased) == _fleet_verdicts(key)
+
+
+@pytest.mark.parametrize("doc", [
+    {"dimV": 2, "dimZ": 0, "brackets": []},
+    nilalg.to_json(nilalg.free_two_step(3), Matrix.identity(3), Matrix.identity(3)),
+    nilalg.to_json(nilalg.free_two_step(3), Matrix.identity(3), Matrix.identity(3).scale(4)),
+])
+def test_probe_exits_two_on_a_metric_that_is_not_htype(doc, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "probe-irreducible", str(path), "--json")
+    assert code == 2 and out == "" and "H-type" in err
 
 
 def _float_pair_files(tmp_path):

@@ -6,15 +6,17 @@ import pytest
 from conftest import (
     conformal_automorphism_h1H,
     fleet_member,
+    left_mult_matrix,
     random_quaternion,
     random_thirds,
     rebase_v,
+    right_mult_matrix,
     run_optimized,
     transfer_pairs,
     unit_z,
 )
 from nilrad import cli, htype, nilalg
-from nilrad.division import Tag
+from nilrad.division import Tag, conj as fconj, element, norm_sq
 from nilrad.exactlin import (
     Matrix,
     inverse,
@@ -39,12 +41,10 @@ from nilrad.htype import (
     j_basis,
     jz,
     make_clifford_module_algebra,
-    maps_into,
     make_h,
     make_h_prime,
     pullback_metric,
     sigma_automorphism,
-    subspace_contains,
     transfer_operator,
 )
 from nilrad.nilalg import TwoStepAlgebra, free_two_step
@@ -396,7 +396,7 @@ def test_sigma_on_a_dilated_metric_matches_the_fraction_formula(key):
         gm = sigma_automorphism(pulled, z)
         assert gm == _fraction_sigma(pulled, z)
         assert jz(pulled, z) == gm.map_v
-        assert gm in pulled.automorphisms and is_isometry(pulled, gm)
+        assert is_isometry(pulled, gm)
 
 
 def _pair_loop_violation(alg, gm):
@@ -493,6 +493,28 @@ def test_swap_rejects_scaled_theta():
         build_swap_automorphism(ms, v1, v2, GradedMap(tv, Matrix.identity(2)))
 
 
+@pytest.mark.parametrize("key,v1,v2,match", [
+    # the columns e_0 + e_2, ... meet v1 at a nonzero inner product
+    ("h2C", [[0], [1], [4], [5]], [[0, 2], [1, 3], [4, 6], [5, 7]], "orthogonal"),
+    # J maps the a block of h_2(C) onto its b block
+    ("h2C", [[0], [1], [2], [3]], [[4], [5], [6], [7]], "invariant under the Clifford action"),
+    # the conjugation swap with +Id on Z sends each bracket to minus its image
+    ("hp11H", [[0], [1], [2], [3]], [[4], [5], [6], [7]], "homomorphism"),
+], ids=["not-orthogonal", "not-invariant", "not-homomorphic"])
+def test_swap_rejects_blocks_and_theta_that_do_not_qualify(key, v1, v2, match):
+    if key == "h2C":
+        ms = make_h(Tag.C, 2)
+        perm = {0: 2, 1: 3, 4: 6, 5: 7, 2: 0, 3: 1, 6: 4, 7: 5}
+        theta = GradedMap(Matrix.from_rows([[F(int(perm[j] == i)) for j in range(8)]
+                                            for i in range(8)]), Matrix.identity(2))
+    else:
+        ms = fleet_member(key)
+        theta = GradedMap(quaternion_conj_swap(ms).map_v, Matrix.identity(3))
+    b1, b2 = ([[F(int(i in c)) for i in range(8)] for c in v] for v in (v1, v2))
+    with pytest.raises(ValueError, match=match):
+        build_swap_automorphism(ms, b1, b2, theta)
+
+
 def quaternion_conj_swap(ms):
     """Isometric isomorphism between the two signature blocks of h'_{1,1}(H)."""
     rows = [[F(0)] * 8 for _ in range(8)]
@@ -510,6 +532,35 @@ def test_swap_between_signature_blocks():
     res = build_swap_automorphism(ms, v1, v2, quaternion_conj_swap(ms))
     assert res
     assert is_graded_automorphism(ms.algebra, res.automorphism)
+
+
+def _conjugation(u):
+    """c_u: x -> u x conj(u) / |u|^2 on both V blocks of h'_{1,1}(H) and on Z = Im H."""
+    q = (left_mult_matrix(Tag.H, u) * right_mult_matrix(Tag.H, fconj(u))).scale(
+        1 / norm_sq(u))
+    v = [[q[i % 4, j % 4] if i // 4 == j // 4 else 0 for j in range(8)] for i in range(8)]
+    return GradedMap(Matrix.from_rows(v), Matrix.from_rows([r[1:] for r in q.to_rows()[1:]]))
+
+
+@pytest.mark.parametrize("u,word,tried,pair", [
+    ([F(3, 5), F(4, 5), 0, 0], (1,), 3, None),
+    ([F(1, 3), F(2, 3), F(2, 3), 0], (2,), 4, None),
+    ([F(1, 2)] * 4, (), 13, (4, 5)),
+])
+def test_swap_searches_sigma_words(u, word, tried, pair):
+    # theta = quaternion_conj_swap o c_u maps v1 isometrically onto v2 but extends
+    # to an automorphism only after a sigma word, or, for u = (1 + i + j + k) / 2,
+    # after none of the 13 words of up to two letters
+    ms = fleet_member("hp11H")
+    v1 = _basis_vectors(8, [0, 1, 2, 3])
+    v2 = _basis_vectors(8, [4, 5, 6, 7])
+    theta = quaternion_conj_swap(ms).compose(_conjugation(element(Tag.H, u)))
+    res = build_swap_automorphism(ms, v1, v2, theta)
+    assert (res.corrected_word, res.candidates_tried, res.violating_pair) == (word, tried, pair)
+    assert bool(res) == (pair is None)
+    if res:
+        assert is_graded_automorphism(ms.algebra, res.automorphism)
+        assert is_isometry(ms, res.automorphism)
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +618,18 @@ def test_probe_sigma_only_splits_signature_blocks():
     assert verdict2.kind == "irreducible"
 
 
-def _full_symmetric_commutant(generators, gram):
+def _full_symmetric_commutant(maps, gram):
     """Reference: the invariant symmetric forms T, T g = (gram g gram^{-1}) T,
     with all n^2 entries as unknowns plus the n(n-1)/2 symmetry rows."""
     n = gram.rows
     rows = []
-    for g in generators:
-        h = gram * g.map_v * inverse(gram)
+    for g in maps:
+        h = gram * g * inverse(gram)
         for i in range(n):
             for j in range(n):
                 row = [F(0)] * (n * n)
                 for k in range(n):
-                    row[i * n + k] += g.map_v[k, j]
+                    row[i * n + k] += g[k, j]
                     row[k * n + j] -= h[i, k]
                 rows.append(row)
     for i in range(n):
@@ -605,11 +656,12 @@ def test_symmetric_commutant_matches_full_system(key):
         rng = random.Random(3)
         gens = gens[:1] + [conformal_automorphism_h1H(
             random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))]
-    for gs in (gens, gens[:1]):  # one generator leaves a large commutant
-        basis = htype._symmetric_commutant(gs, gram)
+    maps = [g.map_v for g in gens]
+    for part in (maps, maps[:1]):  # one generator leaves a large commutant
+        basis = htype._symmetric_commutant(part, gram)
         for s in basis:
-            assert (gram * s).is_symmetric() and all(s * g.map_v == g.map_v * s for g in gs)
-        assert [gram * s for s in basis] == _full_symmetric_commutant(gs, gram)
+            assert (gram * s).is_symmetric() and all(s * g == g * s for g in part)
+        assert [gram * s for s in basis] == _full_symmetric_commutant(part, gram)
 
 
 @pytest.mark.parametrize("key,dim", [("cliff7x2", 8), ("hp11H", 4), ("hp21H", 8)])
@@ -623,6 +675,7 @@ def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
                 for a in range(rebased.algebra.dim_z)]
         verdict = irreducibility_probe(rebased, gens)
         assert verdict.kind == "reducible" and len(verdict.invariant_subspace) == dim
+        assert irreducibility_probe(rebased) == verdict
 
 
 def test_probe_ignores_seed_and_trials():
@@ -644,14 +697,14 @@ def test_probe_decides_reducible_without_a_rational_eigenvalue():
         rows[i + 1][i] = F(1)
     rows[0][3] = F(-1)
     c = GradedMap(Matrix.from_rows(rows), Matrix.identity(0))
-    assert len(htype._symmetric_commutant([c], ms.gram_v)) == 2
+    assert len(htype._symmetric_commutant([c.map_v], ms.gram_v)) == 2
     verdict = irreducibility_probe(ms, [c])
     assert verdict.kind == "reducible" and verdict.invariant_subspace is None
     assert "dimension 2" in verdict.detail
 
 
-def test_cli_probe_checks_each_sigma_generator_once(monkeypatch, tmp_path):
-    # sigma_automorphism verifies each of its dimZ maps; the probe takes them as verified
+def test_cli_probe_runs_no_automorphism_check(monkeypatch, tmp_path):
+    # the verb acts with the J maps that is_htype certifies: no sigma map is built
     ms = fleet_member("cliff7x2")
     path = str(tmp_path / "cliff7x2.json")
     nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
@@ -660,11 +713,11 @@ def test_cli_probe_checks_each_sigma_generator_once(monkeypatch, tmp_path):
     monkeypatch.setattr(htype, "_bracket_defects",
                         lambda alg, gm: calls.append(gm) or defects(alg, gm))
     assert cli.main(["probe-irreducible", path, "--json"]) == 1
-    assert len(calls) == ms.algebra.dim_z == 7
+    assert calls == []
 
 
 def test_probe_checks_generators_from_elsewhere(monkeypatch):
-    # a map sigma_automorphism did not certify for this metric object is checked
+    # every given generator is checked, sigma maps included
     ms = make_h_prime(Tag.H, 1, 1)
     sigma = sigma_automorphism(ms, unit_z(ms, 0))
     calls = []
@@ -672,10 +725,7 @@ def test_probe_checks_generators_from_elsewhere(monkeypatch):
     monkeypatch.setattr(htype, "_bracket_defects",
                         lambda alg, gm: calls.append(gm) or defects(alg, gm))
     irreducibility_probe(ms, [sigma, quaternion_conj_swap(ms)])
-    assert calls == [quaternion_conj_swap(ms)]
-    other = MetricStructure(ms.algebra, ms.gram_v, ms.gram_z)
-    irreducibility_probe(other, [sigma])
-    assert calls[1:] == [sigma]
+    assert calls == [sigma, quaternion_conj_swap(ms)]
 
 
 def test_probe_rejects_a_dilation_as_not_an_isometry():
@@ -695,6 +745,8 @@ def test_probe_witness_check_rejects_a_vector_outside_the_eigenspace(monkeypatch
                         lambda m: kernel(m) + [tuple(F(1) for _ in range(m.cols))])
     with pytest.raises(ArithmeticError, match="not invariant"):
         irreducibility_probe(ms, gens)
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        irreducibility_probe(ms)
 
 
 @pytest.mark.parametrize("key", ["h1H", "hp11H", "cliff7x2"])
@@ -721,8 +773,11 @@ def _in_span(basis, v):
     return solve(Matrix.from_rows([[b[i] for b in basis] for i in range(len(v))]), v) is not None
 
 
-def test_maps_into_matches_per_vector_containment():
+def test_span_dim_decides_containment_like_solve():
+    # the swap decides "m maps span(basis_in) into span(basis_out)" by whether
+    # the images raise the dimension of the span
     rng = random.Random(11)
+    span_dim = htype._span_dim
     for _ in range(40):
         n = rng.randint(1, 5)
         m = Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
@@ -730,9 +785,10 @@ def test_maps_into_matches_per_vector_containment():
         vecs = [[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         basis_in, basis_out = vecs[:rng.randint(0, len(vecs))], vecs
         want = all(_in_span(basis_out, mat_vec(m, b)) for b in basis_in)
-        assert maps_into(m, basis_in, basis_out) == want
-        assert [subspace_contains(basis_out, v) for v in vecs + [[F(1)] * n]] == \
-            [_in_span(basis_out, v) for v in vecs + [[F(1)] * n]]
+        images = [list(mat_vec(m, b)) for b in basis_in]
+        assert (span_dim(basis_out + images) == span_dim(basis_out)) == want
+        assert [span_dim(basis_out + [v]) == span_dim(basis_out) for v in vecs + [[F(1)] * n]] \
+            == [_in_span(basis_out, v) for v in vecs + [[F(1)] * n]]
 
 
 def test_probe_rejects_non_automorphism_generators():
