@@ -114,8 +114,7 @@ def _cmd_verify_htype(args) -> int:
 
 def _cmd_nonsingular(args) -> int:
     alg, gv, gz = _load_bounded(args.file)
-    verdict = is_nonsingular(alg, trials=args.trials, seed=args.seed,
-                             gram_v=gv, gram_z=gz)
+    verdict = is_nonsingular(alg, gram_v=gv, gram_z=gz)
     doc = {"command": "nonsingular", "file": args.file, "verdict": verdict.kind,
            "certificate": verdict.certificate}
     if verdict.witness is not None:
@@ -282,8 +281,6 @@ def _parser() -> argparse.ArgumentParser:
 
     ns = sub.add_parser("nonsingular", help="certificate/witness non-singularity check")
     ns.add_argument("file")
-    ns.add_argument("--trials", type=int, default=64)
-    ns.add_argument("--seed", type=int, default=0)
     ns.add_argument("--json", action="store_true")
     ns.set_defaults(func=_cmd_nonsingular)
 

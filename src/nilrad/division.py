@@ -128,10 +128,6 @@ def element(tag: Tag, coords: Sequence) -> DivisionElement:
     return DivisionElement(tag, tuple(rat(c) for c in coords))
 
 
-def zero(tag: Tag) -> DivisionElement:
-    return DivisionElement(tag, tuple(Fraction(0) for _ in range(tag.dim)))
-
-
 def one(tag: Tag) -> DivisionElement:
     return unit(tag, 0)
 
@@ -176,17 +172,3 @@ def im(x: DivisionElement) -> DivisionElement:
 def norm_sq(x: DivisionElement) -> Fraction:
     return sum((c * c for c in x.coords), Fraction(0))
 
-
-def inner(x: DivisionElement, y: DivisionElement) -> Fraction:
-    """Standard euclidean pairing, equal to Re(conj(x) y)."""
-    x._expect(y)
-    return sum((a * b for a, b in zip(x.coords, y.coords)), Fraction(0))
-
-
-def to_json(x: DivisionElement) -> dict:
-    return {"tag": x.tag.name, "coords": [rat_str(c) for c in x.coords]}
-
-
-def from_json(obj: dict) -> DivisionElement:
-    tag = Tag.parse(obj["tag"])
-    return element(tag, obj["coords"])

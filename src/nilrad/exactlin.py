@@ -566,6 +566,32 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
     return [Fraction(c, v[-1]) for c in v]
 
 
+def real_root_count(coeffs: Sequence[Fraction]) -> int:
+    """The number of distinct real roots of f (low-first, nonzero leading coefficient).
+
+    The Sturm chain p_0 = f, p_1 = f', p_{k+1} = -(p_{k-1} mod p_k) ends at
+    gcd(f, f'), and by the generalised Sturm theorem the count is the sign
+    changes of its leading terms at -infinity less those at +infinity, with
+    no square-free step.
+    """
+    f = [rat(c) for c in coeffs]
+    chain = [f, [k * c for k, c in enumerate(f)][1:]]
+    while chain[-1]:
+        r, q = list(chain[-2]), chain[-1]
+        while len(r) >= len(q):
+            s = r.pop() / q[-1]
+            for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
+                r[i] -= s * c
+        while r and not r[-1]:
+            r.pop()
+        chain.append([-c for c in r])
+    chain.pop()
+    # signs of each p at +infinity and at -infinity, where an odd degree flips it
+    pos = [p[-1] > 0 for p in chain]
+    neg = [up != (len(p) % 2 == 0) for up, p in zip(pos, chain)]
+    return sum(a != b for a, b in zip(neg, neg[1:])) - sum(a != b for a, b in zip(pos, pos[1:]))
+
+
 def _divisors(n: int) -> List[int]:
     """The positive divisors of n != 0, by trial division up to sqrt(|n|)."""
     n = abs(n)

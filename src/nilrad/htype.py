@@ -635,9 +635,11 @@ def build_swap_automorphism(ms: MetricStructure,
     The candidate acts as theta on v1, theta^{-1} on v2, the identity on
     the orthogonal complement and theta's Z block on Z.  It is verified
     exactly on every basis pair (cross pairs included).  On failure,
-    theta is precomposed with words of sigma automorphisms of up to two
-    letters and the verification is retried; if no word works the
-    violating pair is reported.
+    theta is precomposed with words of up to two letters and the
+    verification is retried; if no word works the violating pair is
+    reported.  The letters are the sigma automorphisms of the Z basis
+    vectors that are gramZ units, each built when a word first needs it.
+    A theta that fails `_check_theta` by itself raises ValueError.
     """
     alg = ms.algebra
     b1 = [list(b) for b in v1]
@@ -652,23 +654,22 @@ def build_swap_automorphism(ms: MetricStructure,
     for j in ms.j_maps:
         if any(_span_dim(p.to_rows() + (p * j.transpose()).to_rows()) != k for p in (p1, p2)):
             raise ValueError("v1 and v2 must be invariant under the Clifford action")
-    _check_theta(ms, p1, p2, theta)
-
-    sigmas = [sigma_automorphism(ms, [Fraction(1 if a == b else 0)
-                                      for b in range(alg.dim_z)])
-              for a in range(alg.dim_z)]
-    words: List[Tuple[int, ...]] = [()]
-    for depth in (1, 2):
-        words.extend(itertools.product(range(len(sigmas)), repeat=depth))
+    units = [a for a in range(alg.dim_z) if ms.gram_z[a, a] == 1]
+    words = [()] + [w for depth in (1, 2) for w in itertools.product(units, repeat=depth)]
+    sigmas: Dict[int, GradedMap] = {}
     tried = 0
     last_violation = None
     for word in words:
         cand_theta = theta
         for a in word:
+            if a not in sigmas:
+                sigmas[a] = sigma_automorphism(ms, [int(a == b) for b in range(alg.dim_z)])
             cand_theta = cand_theta.compose(sigmas[a])
         try:
             t = _check_theta(ms, p1, p2, cand_theta)
         except ValueError:
+            if not word:
+                raise
             continue
         gm = _assemble_swap(ms, p1, p2, t, cand_theta.map_z, same_space)
         tried += 1

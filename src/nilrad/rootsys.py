@@ -475,15 +475,6 @@ def _family_from_json(obj: Optional[dict]) -> Optional[HTypeFamilyId]:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _family_to_json(fid: Optional[HTypeFamilyId]) -> Optional[dict]:
-    if fid is None:
-        return None
-    if fid.kind == "h":
-        return {"kind": "h", "field": fid.tag.name, "n": fid.params[0]}
-    return {"kind": "hprime", "field": fid.tag.name,
-            "p": fid.params[0], "q": fid.params[1]}
-
-
 def entry_from_json(obj: dict) -> RealFormEntry:
     if not isinstance(obj, dict):
         raise ValueError(f"real-form entry must be a JSON object, got {type(obj).__name__}")
@@ -506,21 +497,6 @@ def entry_from_json(obj: dict) -> RealFormEntry:
         return entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed real-form entry {obj.get('name', '?')!r}: {exc}") from exc
-
-
-def entry_to_json(entry: RealFormEntry) -> dict:
-    doc = {
-        "name": entry.name,
-        "restricted": {"type": entry.restricted_type, "rank": entry.restricted_rank},
-        "multiplicities": {str(k): v for k, v in sorted(entry.multiplicities.items())},
-        "phi": list(entry.phi),
-        "satake_label": entry.satake_label,
-        "nilradical": _family_to_json(entry.nilradical),
-        "abelian_only": entry.abelian_only,
-    }
-    if entry.notes:
-        doc["notes"] = entry.notes
-    return doc
 
 
 def load_table(path: Optional[str] = None) -> List[RealFormEntry]:

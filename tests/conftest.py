@@ -289,3 +289,18 @@ def random_thirds(n: int, seed: int):
     """n random thirds in [-1, 1], as drawn for `rebase_v`."""
     rng = random.Random(seed)
     return [Fraction(rng.randint(-3, 3), 3) for _ in range(n)]
+
+
+def pencil_findings():
+    """The two dimZ = 2 algebras that no rational sample decides: h_1(C) in the
+    Z basis (z_1 + z_2, 3 z_2), nonsingular, and R^4 with B_1 = [[0, I], [-I, 0]]
+    and B_2 = [[0, S], [-S^t, 0]] for S = [[0, 2], [1, 0]], singular because
+    det(t B_1 + B_2) = (t^2 - 2)^2 has only the irrational roots +-sqrt(2)."""
+    h1c = make_h(Tag.C, 1).algebra
+    rebased = TwoStepAlgebra.from_brackets(
+        "h_1(C) in (z_1 + z_2, 3 z_2)", 4, 2,
+        {key: [a, (b - a) / 3] for key, (a, b) in h1c.brackets})
+    irrational = TwoStepAlgebra.from_brackets(
+        "S = [[0, 2], [1, 0]]", 4, 2,
+        {(0, 2): [1, 0], (1, 3): [1, 0], (0, 3): [0, 2], (1, 2): [0, 1]})
+    return rebased, irrational

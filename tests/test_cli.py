@@ -10,8 +10,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (FLEET, UNIT_PAIRS, fleet_member, random_thirds, rebase_v, rebase_z,
-                      run_python, transfer_pairs)
+from conftest import (FLEET, UNIT_PAIRS, fleet_member, pencil_findings, random_thirds,
+                      rebase_v, rebase_z, run_python, transfer_pairs)
 from nilrad import nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
@@ -118,10 +118,26 @@ def test_nonsingular_json_carries_witness(tmp_path, capsys):
     from nilrad.nilalg import free_two_step
     path = str(tmp_path / "free3.json")
     nilalg.save(path, free_two_step(3))
-    code, out, _ = run(capsys, "nonsingular", path, "--json", "--seed", "7")
+    code, out, _ = run(capsys, "nonsingular", path, "--json")
     doc = json.loads(out)
     assert code == 1 and doc["verdict"] == "singular"
     assert len(doc["witness"]) == 3 and any(c != "0" for c in doc["witness"])
+
+
+def test_nonsingular_decides_the_dimz2_findings_exactly(tmp_path, capsys):
+    for alg, want in zip(pencil_findings(), [(0, "nonsingular"), (1, "singular")]):
+        path = str(tmp_path / "alg.json")
+        nilalg.save(path, alg)
+        code, out, _ = run(capsys, "nonsingular", path, "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == want and "witness" not in doc
+
+
+def test_nonsingular_takes_no_seed(tmp_path, capsys):
+    path = str(tmp_path / "free3.json")
+    nilalg.save(path, nilalg.free_two_step(3))
+    code, _, err = run(capsys, "nonsingular", path, "--seed", "1")
+    assert code == 2 and "--seed" in err
 
 
 def test_transfer_cli(tmp_path, capsys):

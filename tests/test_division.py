@@ -112,13 +112,6 @@ def test_conj_involution_and_parts(x):
     assert dv.im(x) == x - dv.element(Tag.H, [dv.re(x), 0, 0, 0])
 
 
-def test_serialization_round_trip():
-    x = dv.element(Tag.H, ["1", "0", "-1/2", "0"])
-    doc = dv.to_json(x)
-    assert doc == {"tag": "H", "coords": ["1", "0", "-1/2", "0"]}
-    assert dv.from_json(doc) == x
-
-
 def test_unit_tables_match_the_fraction_build():
     # the tables are built from int unit vectors; Fraction units give the same
     for dim, table in dv._TABLES.items():

@@ -225,6 +225,31 @@ def test_rational_roots_of_a_product_of_linear_factors(factors, scale, irreducib
     assert el.rational_roots(coeffs) == sorted({F(p, q) for p, q in factors})
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                          st.integers(1, 3)), max_size=4),
+       st.lists(st.fractions(min_value=0, max_value=6, max_denominator=4).filter(bool),
+                max_size=2),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+@example([(F(1), 2), (F(-1, 3), 3)], [F(2), F(2)], F(1))
+@example([], [F(1, 4)], F(-1))
+def test_real_root_count_counts_distinct_real_roots(factors, offsets, scale):
+    # scale * prod (x - r)^m * prod (x^2 + c), c > 0: the real roots are the r
+    coeffs = [scale]
+    for r, m in factors:
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, [-r, F(1)])
+    for c in offsets:
+        coeffs = _poly_mul(coeffs, [c, F(0), F(1)])
+    assert el.real_root_count(coeffs) == len({r for r, _ in factors})
+
+
+def test_real_root_count_of_the_irrational_pencil():
+    # (t^2 - 2)^2 has the two real roots +-sqrt(2), each twice, and no rational one
+    coeffs = [F(4), F(0), F(-4), F(0), F(1)]
+    assert el.real_root_count(coeffs) == 2 and el.rational_roots(coeffs) == []
+
+
 def shaped(rows, cols):
     """Matrices of exactly rows x cols, empty shapes included."""
     return st.lists(st.lists(rationals, min_size=cols, max_size=cols),

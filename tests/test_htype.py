@@ -10,6 +10,7 @@ from conftest import (
     random_quaternion,
     random_thirds,
     rebase_v,
+    rebase_z,
     right_mult_matrix,
     run_optimized,
     transfer_pairs,
@@ -461,18 +462,24 @@ def _basis_vectors(n, idxs):
     return [[F(1 if i == k else 0) for i in range(n)] for k in idxs]
 
 
-def test_swap_on_h2C_coordinate_blocks():
-    ms = make_h(Tag.C, 2)
+def test_swap_on_h2C_coordinate_blocks(monkeypatch):
+    # in the Z basis 2 z_a (gramZ = 4 Id) no basis vector is a gramZ unit, so
+    # the swap has no sigma letter; it needs none, and builds none
+    calls = []
+    sigma = htype.sigma_automorphism
+    monkeypatch.setattr(htype, "sigma_automorphism",
+                        lambda *args: calls.append(args) or sigma(*args))
     n = 8
     v1 = _basis_vectors(n, [0, 1, 4, 5])      # slot 0 of the a and b blocks
     v2 = _basis_vectors(n, [2, 3, 6, 7])      # slot 1
     perm = {0: 2, 1: 3, 4: 6, 5: 7, 2: 0, 3: 1, 6: 4, 7: 5}
     tv = Matrix.from_rows([[F(1 if perm[j] == i else 0) for j in range(n)]
                            for i in range(n)])
-    res = build_swap_automorphism(ms, v1, v2, GradedMap(tv, Matrix.identity(2)))
-    assert res
-    assert is_graded_automorphism(ms.algebra, res.automorphism)
-    assert is_isometry(ms, res.automorphism)
+    for ms in (make_h(Tag.C, 2), rebase_z(make_h(Tag.C, 2), [], 2)):
+        res = build_swap_automorphism(ms, v1, v2, GradedMap(tv, Matrix.identity(2)))
+        assert res and res.corrected_word == () and calls == []
+        assert is_graded_automorphism(ms.algebra, res.automorphism)
+        assert is_isometry(ms, res.automorphism)
 
 
 def test_swap_identity_case():

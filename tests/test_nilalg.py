@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pencil_findings, rebase_z
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
 from nilrad.exactlin import rank
@@ -98,7 +99,7 @@ def test_fundamentality_of_constructors():
 
 def test_free_two_step_is_singular_with_witness():
     alg = free_two_step(3)
-    verdict = is_nonsingular(alg, trials=16, seed=1)
+    verdict = is_nonsingular(alg)
     assert verdict.kind == "singular"
     assert verdict.witness is not None
     assert rank(alg.ad_matrix(verdict.witness.v_part)) < alg.dim_z
@@ -123,6 +124,50 @@ def test_central_v_direction_makes_singular():
     alg = TwoStepAlgebra.from_brackets("heis3+line", 3, 1, {(0, 1): [F(1)]})
     verdict = is_nonsingular(alg)
     assert verdict.kind == "singular"
+
+
+def test_pencil_decides_both_findings():
+    rebased, irrational = pencil_findings()
+    verdict = is_nonsingular(rebased)
+    assert verdict.kind == "nonsingular" and "Sturm" in verdict.certificate
+    verdict = is_nonsingular(irrational)
+    assert verdict.kind == "singular" and verdict.witness is None
+    assert "2 distinct real root(s)" in verdict.certificate
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rebased_complex_heisenberg_is_nonsingular_without_its_gram(n):
+    # Z columns 2 z_0 and 2 z_0 + 6 z_1: neither a unit nor orthogonal, so the
+    # identity metric is not H-type and the pencil decides
+    alg = rebase_z(make_h(Tag.C, n), [(1, 3)], 2).algebra
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "nonsingular" and "Sturm" in verdict.certificate
+
+
+def test_second_pencil_with_a_rational_root_gives_a_witness():
+    # B_0 = [[0, I], [-I, 0]]; B_0^-1 B_1 = diag(R^t, R) for a rotation R has no
+    # real eigenvalue, and B_0^-1 B_2 = diag(1, 2, 1, 2)
+    alg = TwoStepAlgebra.from_brackets("dimZ3", 4, 3, {
+        (0, 2): [1, 0, 1], (1, 3): [1, 0, 2], (0, 3): [0, -1, 0], (1, 2): [0, 1, 0]})
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "singular" and "B_2 - (1) B_0" in verdict.certificate
+    assert rank(alg.ad_matrix(verdict.witness.v_part)) < 3
+
+
+def test_pencils_without_a_degenerate_member_leave_dimz3_inconclusive():
+    alg = rebase_z(make_h_prime(Tag.H, 1, 0), [(1, 3), (1, 1)], 2).algebra
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "inconclusive"
+    assert "(0, 1), (0, 2), (1, 2)" in verdict.certificate
+
+
+@pytest.mark.parametrize("generators", [3, 4])
+def test_center_at_least_as_large_as_v_is_singular(generators):
+    # [e_0, e_0] = 0, so rank(ad e_0) <= dimV - 1 < dimZ
+    alg = free_two_step(generators)
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "singular" and "dimZ" in verdict.certificate
+    assert verdict.witness.v_part == tuple(F(int(i == 0)) for i in range(generators))
 
 
 def test_nonsingular_requires_fundamental():

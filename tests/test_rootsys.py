@@ -14,8 +14,6 @@ from nilrad.rootsys import (
     a1_exception_report,
     build,
     diagram_automorphisms,
-    entry_from_json,
-    entry_to_json,
     is_nonsingular_combinatorial,
     is_two_step,
     load_table,
@@ -310,11 +308,6 @@ def test_bc1_row_is_not_abelian():
     bc1 = build("BC", 1)
     choice = pc(bc1, 0)
     assert max(phi_height(choice, i) for i in bc1.positives) == 2
-
-
-def test_entry_json_round_trip():
-    for e in load_table():
-        assert entry_from_json(entry_to_json(e)) == e
 
 
 def test_render_table_mentions_exception():
