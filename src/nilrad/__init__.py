@@ -8,7 +8,7 @@ linear algebra.
 
 from .exactlin import Matrix, Rational, rat, rat_str
 from .division import DivisionElement, Tag
-from .nilalg import AlgebraElement, TwoStepAlgebra
+from .nilalg import TwoStepAlgebra
 from .htype import (
     HTypeFamilyId,
     MetricStructure,
@@ -25,7 +25,7 @@ from .rootsys import RootSystem, ParabolicChoice, build as build_root_system
 __all__ = [
     "Matrix", "Rational", "rat", "rat_str",
     "DivisionElement", "Tag",
-    "AlgebraElement", "TwoStepAlgebra",
+    "TwoStepAlgebra",
     "HTypeFamilyId", "MetricStructure", "GradedMap",
     "make_h", "make_h_prime", "make_clifford_module_algebra",
     "is_htype", "identify_family",

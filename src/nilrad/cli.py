@@ -118,7 +118,7 @@ def _cmd_nonsingular(args) -> int:
     doc = {"command": "nonsingular", "file": args.file, "verdict": verdict.kind,
            "certificate": verdict.certificate}
     if verdict.witness is not None:
-        doc["witness"] = [rat_str(c) for c in verdict.witness.v_part]
+        doc["witness"] = [rat_str(c) for c in verdict.witness]
     _emit(doc, args.json, f"{alg.name}: {verdict.kind} ({verdict.certificate})")
     if verdict.kind == "nonsingular":
         return EXIT_OK
@@ -209,8 +209,8 @@ def _cmd_transfer(args) -> int:
     doc2 = nilalg.read_json(args.gram2)
     gram = doc2.get("gram", doc2) if isinstance(doc2, dict) else doc2
     try:
-        gv = nilalg.matrix_from_json(gram["v"])
-        gz = nilalg.matrix_from_json(gram["z"])
+        gv = Matrix.from_rows(gram["v"])
+        gz = Matrix.from_rows(gram["z"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.gram2}: malformed gram block: {exc}") from exc
     ms2 = MetricStructure(ms1.algebra, gv, gz)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import cache
+from typing import List, Sequence, Tuple
 
 from .exactlin import rat, rat_str
 
@@ -60,8 +61,10 @@ def _cd_conj(x: List[Fraction]) -> List[Fraction]:
     return [x[0]] + [-v for v in x[1:]]
 
 
+@cache
 def _build_table(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k, from int unit vectors."""
+    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k, from int unit vectors; built
+    on the first product in dimension dim."""
     table = []
     for i in range(dim):
         row = []
@@ -74,11 +77,6 @@ def _build_table(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
             row.append((nz[0][1], nz[0][0]))
         table.append(tuple(row))
     return tuple(table)
-
-
-_TABLES: Dict[int, Tuple[Tuple[Tuple[int, int], ...], ...]] = {
-    d: _build_table(d) for d in (1, 2, 4, 8)
-}
 
 
 @dataclass(frozen=True)
@@ -128,10 +126,6 @@ def element(tag: Tag, coords: Sequence) -> DivisionElement:
     return DivisionElement(tag, tuple(rat(c) for c in coords))
 
 
-def one(tag: Tag) -> DivisionElement:
-    return unit(tag, 0)
-
-
 def unit(tag: Tag, k: int) -> DivisionElement:
     """Basis unit e_k (e_0 = 1)."""
     if not 0 <= k < tag.dim:
@@ -143,7 +137,7 @@ def mul(x: DivisionElement, y: DivisionElement) -> DivisionElement:
     """Bilinear product through the fixed Cayley-Dickson table."""
     x._expect(y)
     dim = x.tag.dim
-    table = _TABLES[dim]
+    table = _build_table(dim)
     out = [Fraction(0)] * dim
     for i, a in enumerate(x.coords):
         if not a:
@@ -163,10 +157,6 @@ def conj(x: DivisionElement) -> DivisionElement:
 
 def re(x: DivisionElement) -> Fraction:
     return x.coords[0]
-
-
-def im(x: DivisionElement) -> DivisionElement:
-    return DivisionElement(x.tag, (Fraction(0),) + x.coords[1:])
 
 
 def norm_sq(x: DivisionElement) -> Fraction:

@@ -121,9 +121,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def col(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
     def to_rows(self) -> List[List[Fraction]]:
         return [list(r) for r in self.data]
 

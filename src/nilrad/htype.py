@@ -79,9 +79,6 @@ class MetricStructure:
         if alg.dim_z and not is_positive_definite(self.gram_z):
             raise ValueError("gramZ is not symmetric positive definite")
 
-    def ip_v(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return sum((a * b for a, b in zip(mat_vec(self.gram_v, y), x)), Fraction(0))
-
     def ip_z(self, z: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
         return sum((a * b for a, b in zip(mat_vec(self.gram_z, w), z)), Fraction(0))
 
@@ -428,10 +425,6 @@ class GradedMap:
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         return GradedMap(self.map_v * other.map_v, self.map_z * other.map_z)
-
-    @classmethod
-    def identity(cls, alg: TwoStepAlgebra) -> "GradedMap":
-        return cls(Matrix.identity(alg.dim_v), Matrix.identity(alg.dim_z))
 
 
 def dilation(alg: TwoStepAlgebra, t) -> GradedMap:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactlin import (Matrix, inverse, minimal_polynomial, nullspace, nullspace_int_rows, rat,
-                       rat_str, rank, rational_roots, real_root_count, scalar)
+from .exactlin import (Matrix, Rational, inverse, minimal_polynomial, nullspace,
+                       nullspace_int_rows, rat_str, rank, rational_roots, real_root_count, scalar)
 
 
 @dataclass(frozen=True)
@@ -81,53 +81,6 @@ class TwoStepAlgebra:
                     form[j].append((i, -int(s * d)))
         return d, forms
 
-    def bracket_coords(self, x: Sequence, y: Sequence) -> List:
-        """Z coordinates of [x, y] for V coordinate vectors x, y.
-
-        Works for any scalar type that multiplies with Fractions (Fraction,
-        int, mpf); coordinates no bracket reaches stay the int 0.
-        """
-        out = [0] * self.dim_z
-        for (i, j), vec in self._bracket_lookup.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for t, s in enumerate(vec):
-                    if s:
-                        out[t] += c * s
-        return out
-
-    def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        """Lie bracket; the result always lies in the Z layer."""
-        self._expect(x)
-        self._expect(y)
-        out = self.bracket_coords(x.v_part, y.v_part)
-        return AlgebraElement(tuple(Fraction(0) for _ in range(self.dim_v)),
-                              tuple(Fraction(c) for c in out))
-
-    def ad_matrix(self, v_coords: Sequence[Fraction]) -> Matrix:
-        """Matrix of y in V -> [x, y] in Z for x with the given V part."""
-        n = self.dim_v
-        cols = [self.bracket_coords(v_coords, [int(i == j) for i in range(n)])
-                for j in range(n)]
-        return Matrix.from_rows([[cols[j][t] for j in range(n)] for t in range(self.dim_z)])
-
-    def basis_v(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(
-            tuple(Fraction(1 if t == i else 0) for t in range(self.dim_v)),
-            tuple(Fraction(0) for _ in range(self.dim_z)))
-
-    def basis_z(self, a: int) -> "AlgebraElement":
-        return AlgebraElement(
-            tuple(Fraction(0) for _ in range(self.dim_v)),
-            tuple(Fraction(1 if t == a else 0) for t in range(self.dim_z)))
-
-    def element(self, v: Sequence = (), z: Sequence = ()) -> "AlgebraElement":
-        vv = tuple(rat(c) for c in v) or tuple(Fraction(0) for _ in range(self.dim_v))
-        zz = tuple(rat(c) for c in z) or tuple(Fraction(0) for _ in range(self.dim_z))
-        el = AlgebraElement(vv, zz)
-        self._expect(el)
-        return el
-
     def bracket_span_matrix(self) -> Matrix:
         """Rows are all bracket values [e_i, e_j]; row space is [V, V]."""
         rows = [list(vec) for _, vec in self.brackets]
@@ -140,29 +93,6 @@ class TwoStepAlgebra:
         if self.dim_z == 0:
             return True
         return rank(self.bracket_span_matrix()) == self.dim_z
-
-    def _expect(self, x: "AlgebraElement") -> None:
-        if len(x.v_part) != self.dim_v or len(x.z_part) != self.dim_z:
-            raise ValueError("element does not match the algebra's layer dimensions")
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of a 2-step algebra split into its V and Z parts."""
-
-    v_part: Tuple[Fraction, ...]
-    z_part: Tuple[Fraction, ...]
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(tuple(a + b for a, b in zip(self.v_part, other.v_part)),
-                              tuple(a + b for a, b in zip(self.z_part, other.z_part)))
-
-    def scale(self, c) -> "AlgebraElement":
-        c = rat(c)
-        return AlgebraElement(tuple(c * a for a in self.v_part), tuple(c * a for a in self.z_part))
-
-    def is_zero(self) -> bool:
-        return not (any(self.v_part) or any(self.z_part))
 
 
 def free_two_step(generators: int, name: Optional[str] = None) -> TwoStepAlgebra:
@@ -179,25 +109,6 @@ def free_two_step(generators: int, name: Optional[str] = None) -> TwoStepAlgebra
 
 
 # ---------------------------------------------------------------------------
-# Center
-# ---------------------------------------------------------------------------
-
-def center(alg: TwoStepAlgebra) -> List[AlgebraElement]:
-    """Basis of {w : [w, y] = 0 for all y}.
-
-    The Z layer is always central; the V contribution is the joint kernel
-    of all ad maps, computed exactly.  For fundamental algebras with no
-    degenerate V directions this is exactly the Z layer.
-    """
-    basis = [alg.basis_z(a) for a in range(alg.dim_z)]
-    # x in V is central exactly when B_c x = 0 for every bracket form B_c
-    kernel = nullspace_int_rows([r for form in alg.bracket_forms[1] for r in form], alg.dim_v)
-    zeros_z = tuple(Fraction(0) for _ in range(alg.dim_z))
-    basis.extend(AlgebraElement(tuple(Fraction(x) for x in v), zeros_z) for v in kernel)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Non-singularity
 # ---------------------------------------------------------------------------
 
@@ -207,7 +118,7 @@ class NonsingularVerdict:
 
     kind: str  # "nonsingular" | "singular" | "inconclusive"
     certificate: str = ""
-    witness: Optional[AlgebraElement] = None
+    witness: Optional[Tuple[Rational, ...]] = None  # V coordinates of x
 
     def __bool__(self) -> bool:
         return self.kind == "nonsingular"
@@ -234,15 +145,14 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
         raise ValueError("non-singularity check needs a nonempty V layer, got dimV=0")
     if not alg.is_fundamental():
         raise ValueError("non-singularity check requires a fundamental algebra")
-    cen = center(alg)
-    if len(cen) > alg.dim_z:
-        # some V direction is central; ad x never reaches it
-        witness = next((alg.basis_v(i) for i in range(alg.dim_v)
-                        if any(form[i] for form in alg.bracket_forms[1])), None)
-        if witness is None:
+    forms = alg.bracket_forms[1]
+    # x in V is central exactly when B_c x = 0 for every bracket form B_c
+    central = nullspace_int_rows([r for form in forms for r in form], alg.dim_v)
+    if central:
+        if alg.dim_z == 0:
             return NonsingularVerdict("singular", "abelian: center is everything", None)
-        return NonsingularVerdict(
-            "singular", "center exceeds the Z layer, ad X cannot be onto it", witness)
+        # ad x = 0 for a central x, so it never reaches Z
+        return _singular(alg, central[0], "X is a central V direction")
 
     if alg.dim_z == 1:
         # ad x is onto the line Z unless x is in the kernel of the skew form,
@@ -266,7 +176,6 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
     if alg.dim_z >= n:
         # past the first route no V direction is central, e_0 among them
         return _singular(alg, [int(i == 0) for i in range(n)], f"dimZ = {alg.dim_z} >= dimV")
-    forms = alg.bracket_forms[1]
     pencils = list(itertools.combinations(range(alg.dim_z), 2))
     for a, b in pencils:
         kernel = nullspace_int_rows(forms[a], n)
@@ -293,11 +202,17 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
 
 
 def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> NonsingularVerdict:
-    """The singular verdict with witness x, after the exact check rank(ad x) < dimZ."""
-    if rank(alg.ad_matrix(x)) >= alg.dim_z:
+    """The singular verdict with witness x, after the exact check rank(ad x) < dimZ; row c of
+    ad x is x^t B_c, read off the bracket forms."""
+    ad = [[0] * alg.dim_v for _ in range(alg.dim_z)]
+    for row, form in zip(ad, alg.bracket_forms[1]):
+        for xi, entries in zip(x, form):
+            for j, s in entries:
+                row[j] += xi * s
+    if rank(Matrix.from_rows(ad)) >= alg.dim_z:
         raise ArithmeticError("singular witness failed its exact re-check")
     return NonsingularVerdict("singular", f"{certificate}: rank(ad X) < dim Z, verified exactly",
-                              AlgebraElement(tuple(map(Fraction, x)), (Fraction(0),) * alg.dim_z))
+                              tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +221,6 @@ def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> Nonsingular
 
 def matrix_to_json(m: Matrix) -> List[List[str]]:
     return [[rat_str(x) for x in row] for row in m.data]
-
-
-def matrix_from_json(rows: Sequence[Sequence[str]]) -> Matrix:
-    return Matrix.from_rows(rows)
 
 
 def to_json(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
@@ -356,8 +267,8 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
     gv = gz = None
     if gram is not None:
         try:
-            gv = matrix_from_json(gram["v"])
-            gz = matrix_from_json(gram["z"])
+            gv = Matrix.from_rows(gram["v"])
+            gz = Matrix.from_rows(gram["z"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed gram block: {exc}") from exc
         if gv.shape != (dim_v, dim_v) or gz.shape != (dim_z, dim_z):

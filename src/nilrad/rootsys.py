@@ -419,8 +419,6 @@ class RealFormEntry:
 class NilradicalProfile:
     dim_v: int
     dim_z: int
-    height1_roots: Tuple[int, ...]
-    height2_roots: Tuple[int, ...]
 
 
 def nilradical_profile(entry: RealFormEntry) -> NilradicalProfile:
@@ -432,7 +430,6 @@ def nilradical_profile(entry: RealFormEntry) -> NilradicalProfile:
     """
     system = entry.system()
     pc = ParabolicChoice(system, frozenset(entry.phi))
-    h1, h2 = [], []
     dim_v = dim_z = 0
     for i in system.positives:
         h = phi_height(pc, i)
@@ -443,14 +440,12 @@ def nilradical_profile(entry: RealFormEntry) -> NilradicalProfile:
             raise ValueError(f"{entry.name}: no multiplicity for length^2 = {key}")
         m = entry.multiplicities[key]
         if h == 1:
-            h1.append(i)
             dim_v += m
         elif h == 2:
-            h2.append(i)
             dim_z += m
         else:
             raise ValueError(f"{entry.name}: grading is not two-step (height {h})")
-    profile = NilradicalProfile(dim_v, dim_z, tuple(h1), tuple(h2))
+    profile = NilradicalProfile(dim_v, dim_z)
     if entry.abelian_only:
         if dim_z != 0:
             raise ValueError(f"{entry.name}: declared abelian but dimZ = {dim_z}")
@@ -519,7 +514,6 @@ def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
 @dataclass(frozen=True)
 class A1ExceptionReport:
     a1_rows: Tuple[str, ...]
-    non_a1_rows: Tuple[str, ...]
     a1_rows_all_so_n1: bool
     so_rows_all_a1: bool
     a1_max_height_one: bool
@@ -540,7 +534,6 @@ def a1_exception_report(table: Sequence[RealFormEntry]) -> A1ExceptionReport:
     max_height = max(phi_height(pc, i) for i in a1_sys.positives)
     return A1ExceptionReport(
         a1_rows=a1,
-        non_a1_rows=non_a1,
         a1_rows_all_so_n1=all(is_so(n) for n in a1),
         so_rows_all_a1=all(not is_so(n) for n in non_a1),
         a1_max_height_one=(max_height == 1),

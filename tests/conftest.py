@@ -245,6 +245,19 @@ def transfer_pairs(seed: int = 2024, count: int = 20):
     return out
 
 
+def pair_loop_bracket(alg, x, y):
+    """Reference bracket: Z coordinates of [x, y] for V coordinate vectors x, y,
+    summed over the stored pairs `alg.brackets`.  It never reads
+    `bracket_forms`, so it checks the forms and every verdict read off them."""
+    out = [Fraction(0)] * alg.dim_z
+    for (i, j), vec in alg.brackets:
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for t, s in enumerate(vec):
+                out[t] += c * s
+    return out
+
+
 def rebase_v(ms: MetricStructure, superdiagonal) -> MetricStructure:
     """The same metric algebra in the V basis given by the columns of
     T = I + N, N carrying `superdiagonal` above the diagonal: the brackets
@@ -252,10 +265,11 @@ def rebase_v(ms: MetricStructure, superdiagonal) -> MetricStructure:
     alg, n = ms.algebra, ms.algebra.dim_v
     t = Matrix.from_rows([[Fraction(int(i == j)) + (Fraction(superdiagonal[i]) if j == i + 1 else 0)
                            for j in range(n)] for i in range(n)])
+    cols = t.transpose().data
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            vec = alg.bracket_coords(t.col(i), t.col(j))
+            vec = pair_loop_bracket(alg, cols[i], cols[j])
             if any(vec):
                 brackets[(i, j)] = list(vec)
     rebased = TwoStepAlgebra.from_brackets(alg.name + " rebased", n, alg.dim_z, brackets)

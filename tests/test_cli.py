@@ -124,6 +124,16 @@ def test_nonsingular_json_carries_witness(tmp_path, capsys):
     assert len(doc["witness"]) == 3 and any(c != "0" for c in doc["witness"])
 
 
+def test_nonsingular_witnesses_a_central_v_direction(tmp_path, capsys):
+    # rank(ad e_0) = 1 = dimZ, so only the central e_2 is a witness
+    path = tmp_path / "heis3_line.json"
+    path.write_text(json.dumps({"dimV": 3, "dimZ": 1, "brackets": [[0, 1, ["1"]]]}))
+    code, out, _ = run(capsys, "nonsingular", str(path), "--json")
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["witness"]) == (1, "singular", ["0", "0", "1"])
+    assert "central V direction" in doc["certificate"]
+
+
 def test_nonsingular_decides_the_dimz2_findings_exactly(tmp_path, capsys):
     for alg, want in zip(pencil_findings(), [(0, "nonsingular"), (1, "singular")]):
         path = str(tmp_path / "alg.json")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_python
 from nilrad import division as dv
 from nilrad.division import Tag
 
@@ -22,7 +23,7 @@ def test_quaternion_defining_relation():
 def test_imaginary_units_square_to_minus_one():
     for tag in (Tag.C, Tag.H, Tag.O):
         for k in range(1, tag.dim):
-            assert dv.mul(dv.unit(tag, k), dv.unit(tag, k)) == -dv.one(tag)
+            assert dv.mul(dv.unit(tag, k), dv.unit(tag, k)) == -dv.unit(tag, 0)
 
 
 def test_doubling_unit_products():
@@ -67,12 +68,12 @@ def test_conj_re_im_basics():
     a = dv.element(Tag.C, ["2", "-3"])
     assert dv.conj(a) == dv.element(Tag.C, ["2", "3"])
     assert dv.re(dv.unit(Tag.H, 1)) == 0
-    assert dv.im(dv.unit(Tag.H, 1)) == dv.unit(Tag.H, 1)
+    assert dv.conj(dv.unit(Tag.H, 1)) == -dv.unit(Tag.H, 1)
 
 
 def test_mixed_tags_rejected():
     with pytest.raises(ValueError):
-        dv.mul(dv.one(Tag.C), dv.one(Tag.H))
+        dv.mul(dv.unit(Tag.C, 0), dv.unit(Tag.H, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,12 +110,13 @@ def test_conj_involution_and_parts(x):
     assert dv.conj(dv.conj(x)) == x
     two_re = dv.element(Tag.H, [2 * dv.re(x), 0, 0, 0])
     assert x + dv.conj(x) == two_re
-    assert dv.im(x) == x - dv.element(Tag.H, [dv.re(x), 0, 0, 0])
+    assert dv.re(x - dv.conj(x)) == 0
 
 
 def test_unit_tables_match_the_fraction_build():
     # the tables are built from int unit vectors; Fraction units give the same
-    for dim, table in dv._TABLES.items():
+    for dim in (1, 2, 4, 8):
+        table = dv._build_table(dim)
         ref = []
         for i in range(dim):
             ei = [Fraction(int(t == i)) for t in range(dim)]
@@ -131,4 +133,16 @@ def test_unit_tables_match_the_fraction_build():
 def test_unit_table_rejects_a_product_that_is_not_a_signed_unit(monkeypatch):
     monkeypatch.setattr(dv, "_cd_mul", lambda x, y: [2 * a for a in x])
     with pytest.raises(ArithmeticError, match="not a signed unit"):
-        dv._build_table(4)
+        dv._build_table.__wrapped__(4)
+
+
+def test_unit_tables_are_built_on_first_use():
+    out = run_python("""
+        import nilrad.cli
+        from nilrad import division as dv
+        before = dv._build_table.cache_info().currsize
+        dv.mul(dv.unit(dv.Tag.H, 1), dv.unit(dv.Tag.H, 2))
+        print(before, dv._build_table.cache_info().currsize)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "1"]

@@ -5,14 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pencil_findings, rebase_z
+from conftest import (FLEET, fleet_member, pair_loop_bracket, pencil_findings, random_thirds,
+                      rebase_v, rebase_z)
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
-from nilrad.exactlin import rank
+from nilrad.exactlin import Matrix, rank
 from nilrad.htype import make_h, make_h_prime
 from nilrad.nilalg import (
     TwoStepAlgebra,
-    center,
     free_two_step,
     is_nonsingular,
 )
@@ -22,21 +22,50 @@ def heisenberg3():
     return TwoStepAlgebra.from_brackets("heis3", 2, 1, {(0, 1): [F(1)]})
 
 
+def forms_bracket(alg, x, y):
+    """Z coordinates of [x, y] read off the bracket forms: coordinate c is x^t B_c y."""
+    d, forms = alg.bracket_forms
+    return [F(sum(xi * s * y[j] for xi, row in zip(x, form) for j, s in row)) / d
+            for form in forms]
+
+
+def reference_ad_rank(alg, x):
+    """rank(ad x) from the pair-loop reference, one column [x, e_j] per basis vector."""
+    n = alg.dim_v
+    return rank(Matrix.from_rows([pair_loop_bracket(alg, x, [int(i == j) for i in range(n)])
+                                  for j in range(n)]))
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_bracket_forms_match_the_pair_loop(key):
+    ms = fleet_member(key)
+    moved = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, 3))
+    n = ms.algebra.dim_v
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    for alg in (ms.algebra, moved.algebra, rebase_z(moved, [(1, 3)], 2).algebra):
+        d, forms = alg.bracket_forms
+        dense = [[[F(0)] * n for _ in range(n)] for _ in forms]
+        for b, form in zip(dense, forms):
+            for i, row in enumerate(form):
+                for j, s in row:
+                    b[i][j] += F(s, d)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                assert [b[i][j] for b in dense] == pair_loop_bracket(alg, x, y)
+
+
 def test_heisenberg_bracket_value():
     alg = make_h(Tag.R, 1).algebra
-    x = alg.element(v=[1, 0])
-    y = alg.element(v=[0, 1])
-    out = alg.bracket(x, y)
-    assert out.z_part == (F(1),)
-    assert not any(out.v_part)
+    assert alg.bracket_forms == (1, [[[(1, 1)], [(0, -1)]]])
+    assert forms_bracket(alg, [1, 0], [0, 1]) == pair_loop_bracket(alg, [1, 0], [0, 1]) == [1]
 
 
 def test_bracket_of_element_with_itself_vanishes():
     alg = make_h_prime(Tag.H, 1, 1).algebra
     rng = random.Random(0)
     for _ in range(10):
-        x = alg.element(v=[F(rng.randint(-4, 4)) for _ in range(alg.dim_v)])
-        assert alg.bracket(x, x).is_zero()
+        x = [F(rng.randint(-4, 4)) for _ in range(alg.dim_v)]
+        assert not any(forms_bracket(alg, x, x))
 
 
 def test_octonion_bracket_against_table():
@@ -56,38 +85,38 @@ def test_octonion_bracket_against_table():
                 min_size=24, max_size=24))
 def test_bracket_bilinear_antisymmetric(coords):
     alg = make_h(Tag.C, 1).algebra
-    x = alg.element(v=coords[:4])
-    y = alg.element(v=coords[4:8])
-    z = alg.element(v=coords[8:12])
+    x, y, z = coords[:4], coords[4:8], coords[8:12]
     c = coords[12]
-    assert alg.bracket(x, y).z_part == tuple(-t for t in alg.bracket(y, x).z_part)
-    lhs = alg.bracket(x.scale(c) + y, z)
-    rhs = alg.bracket(x, z).scale(c) + alg.bracket(y, z)
-    assert lhs.z_part == rhs.z_part
-
-
-def test_center_of_heisenberg_is_z_layer():
-    assert len(center(heisenberg3())) == 1
+    assert forms_bracket(alg, x, y) == [-t for t in forms_bracket(alg, y, x)]
+    w = [c * a + b for a, b in zip(x, y)]
+    rhs = [c * a + b for a, b in zip(forms_bracket(alg, x, z), forms_bracket(alg, y, z))]
+    assert forms_bracket(alg, w, z) == rhs == pair_loop_bracket(alg, w, z)
 
 
 def test_center_sees_abelian_summand():
+    # the central route's witness is the abelian summand e_2, not e_0: rank(ad e_0) = dimZ
     alg = TwoStepAlgebra.from_brackets("heis3+line", 3, 1, {(0, 1): [F(1)]})
-    cen = center(alg)
-    assert len(cen) == 2
-    v_central = [c for c in cen if any(c.v_part)]
-    assert len(v_central) == 1 and v_central[0].v_part[2] != 0
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "singular" and "central V direction" in verdict.certificate
+    assert verdict.witness == (0, 0, 1)
+    assert reference_ad_rank(alg, verdict.witness) == 0
+    assert reference_ad_rank(alg, [1, 0, 0]) == alg.dim_z
 
 
 def test_center_reads_every_bracket_form():
     # e_2 brackets only into the second Z coordinate; e_3 is central
     alg = TwoStepAlgebra.from_brackets("two-forms", 4, 2, {(0, 1): [F(1), F(0)],
                                                           (0, 2): [F(0), F(1, 2)]})
-    assert [c.v_part for c in center(alg) if any(c.v_part)] == [(F(0), F(0), F(0), F(1))]
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "singular" and verdict.witness == (0, 0, 0, 1)
+    assert reference_ad_rank(alg, verdict.witness) < alg.dim_z
 
 
 def test_center_of_quaternionic_instance():
-    alg = make_h_prime(Tag.H, 1, 1).algebra
-    assert len(center(alg)) == 3
+    # no V direction of h'_{1,1}(H) is central, so the verdict comes from the H-type route
+    ms = make_h_prime(Tag.H, 1, 1)
+    verdict = is_nonsingular(ms.algebra, gram_v=ms.gram_v, gram_z=ms.gram_z)
+    assert verdict.kind == "nonsingular" and "H-type" in verdict.certificate
 
 
 def test_fundamentality_of_constructors():
@@ -102,9 +131,9 @@ def test_free_two_step_is_singular_with_witness():
     verdict = is_nonsingular(alg)
     assert verdict.kind == "singular"
     assert verdict.witness is not None
-    assert rank(alg.ad_matrix(verdict.witness.v_part)) < alg.dim_z
+    assert reference_ad_rank(alg, verdict.witness) < alg.dim_z
     # any single generator is already a witness
-    assert rank(alg.ad_matrix([F(1), F(0), F(0)])) == 2
+    assert reference_ad_rank(alg, [F(1), F(0), F(0)]) == 2
 
 
 def test_heisenberg_nonsingular_via_line_route():
@@ -151,7 +180,7 @@ def test_second_pencil_with_a_rational_root_gives_a_witness():
         (0, 2): [1, 0, 1], (1, 3): [1, 0, 2], (0, 3): [0, -1, 0], (1, 2): [0, 1, 0]})
     verdict = is_nonsingular(alg)
     assert verdict.kind == "singular" and "B_2 - (1) B_0" in verdict.certificate
-    assert rank(alg.ad_matrix(verdict.witness.v_part)) < 3
+    assert reference_ad_rank(alg, verdict.witness) < 3
 
 
 def test_pencils_without_a_degenerate_member_leave_dimz3_inconclusive():
@@ -167,7 +196,7 @@ def test_center_at_least_as_large_as_v_is_singular(generators):
     alg = free_two_step(generators)
     verdict = is_nonsingular(alg)
     assert verdict.kind == "singular" and "dimZ" in verdict.certificate
-    assert verdict.witness.v_part == tuple(F(int(i == 0)) for i in range(generators))
+    assert verdict.witness == tuple(int(i == 0) for i in range(generators))
 
 
 def test_nonsingular_requires_fundamental():
@@ -206,7 +235,9 @@ def test_degenerate_abelian_input_accepted():
     alg, _, _ = nilalg.from_json({"name": "abelian", "dimV": 3, "dimZ": 0,
                                   "brackets": []})
     assert alg.dim_z == 0 and alg.is_fundamental()
-    assert len(center(alg)) == 3
+    verdict = is_nonsingular(alg)
+    assert (verdict.kind, verdict.certificate, verdict.witness) == (
+        "singular", "abelian: center is everything", None)
 
 
 def test_malformed_documents_rejected():

@@ -300,7 +300,7 @@ def test_layers_rebuilt_from_json_verify(key, tmp_path, capsys):
         k = entry["degree"]
         shapes = ((dims.get(k - 1, 0), alg.dim_v), (dims.get(k - 2, 0), alg.dim_z))
         layers.append(ProlongationLayer(k, dims.get(k - 1, 0), dims.get(k - 2, 0), tuple(
-            tuple(nilalg.matrix_from_json(b[name]) if b[name] else Matrix.zeros(*shape)
+            tuple(Matrix.from_rows(b[name]) if b[name] else Matrix.zeros(*shape)
                   for name, shape in zip(("v_block", "z_block"), shapes))
             for b in entry["basis"])))
     assert [layer.dim for layer in layers] == doc["dims"] == list(prolong_dims(key, 3)[0])
