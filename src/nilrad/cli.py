@@ -255,6 +255,18 @@ def _cmd_probe(args) -> int:
     return EXIT_GUARD
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low.  A smaller one is a usage
+    error (exit 2) that names the flag, not a value the verb goes on to use."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"          # argparse names the type in "invalid int value"
+    return parse
+
+
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first `main` call of the process."""
@@ -292,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
     cl.set_defaults(func=_cmd_classify)
 
     sa = sub.add_parser("scan-all", help="sweep all standard types and check uniqueness")
-    sa.add_argument("--max-rank", type=int, default=8)
+    sa.add_argument("--max-rank", type=_int_at_least(1), default=8)
     sa.add_argument("--json", action="store_true")
     sa.set_defaults(func=_cmd_scan_all)
 
@@ -305,8 +317,8 @@ def _parser() -> argparse.ArgumentParser:
     pr.add_argument("file")
     pr.add_argument("--max-degree", type=int, required=True)
     pr.add_argument("--stop-when-zero", action="store_true")
-    pr.add_argument("--max-unknowns", type=int, default=20000)
-    pr.add_argument("--max-entries", type=int, default=10**8)
+    pr.add_argument("--max-unknowns", type=_int_at_least(0), default=20000)
+    pr.add_argument("--max-entries", type=_int_at_least(0), default=10**8)
     pr.add_argument("--basis", action="store_true",
                     help="include layer basis matrices in JSON output")
     pr.add_argument("--json", action="store_true")

@@ -17,11 +17,12 @@ matrices [m | rhs] and [m | I], and `is_positive_definite` reads the
 leading minors off one fraction-free elimination.  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
 `nullspace` hands them back as coordinates.  A kernel is one exact
-route for every size: structured elimination drains the rows with one
-or two nonzeros, the integer echelon form reduces what is left, and
-back-substitution in Python ints recovers the echelon-form basis of the
-whole system.  Every vector is certified by exact integer substitution
-into every original row.
+route for every size: the columns of the one-term rows are zeroed before
+the rows are indexed, structured elimination drains the rows with one or
+two nonzeros, the integer echelon form reduces what is left block by
+block (blocks that share no column), and back-substitution in Python ints
+recovers the echelon-form basis of the whole system.  Every vector is
+certified by exact integer substitution into every original row.
 """
 
 from __future__ import annotations
@@ -409,8 +410,11 @@ def verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> b
     """True when every vector satisfies every sparse row, by exact substitution.
 
     A row holding no column of a vector's support vanishes on it, so each
-    vector is substituted into the rows that meet its support.
+    vector is substituted into the rows that meet its support.  With no
+    vector there is nothing to substitute, and no column index is built.
     """
+    if not vecs:
+        return True
     holds: dict = {}
     for k, r in enumerate(rows):
         for c, _ in r:
@@ -426,24 +430,58 @@ def verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> b
     return True
 
 
+def _blocks(rows: Sequence[dict]) -> List[Tuple[List[int], List[dict]]]:
+    """(columns in order, rows) for each block of the rows, where two blocks
+    share no column; a union-find joins the columns of each row."""
+    parent: dict = {}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for d in rows:
+        for c in d:
+            parent.setdefault(c, c)
+        roots = {find(c) for c in d}
+        a = roots.pop()
+        for b in roots:
+            parent[b] = a
+    blocks: dict = {}
+    for c in sorted(parent):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for d in rows:
+        blocks[find(next(iter(d)))][1].append(d)
+    return list(blocks.values())
+
+
 def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]:
     """Kernel basis of sparse integer rows, as primitive int vectors.
 
     Each row lists its entries as (column, value) pairs; a repeated
-    column adds up.  Structured elimination first drains the rows with
-    one or two nonzeros: a singleton a x_c = 0 sets x_c = 0, and a
-    doubleton a x_i + b x_j = 0 with i < j substitutes x_i = -b/a x_j
-    into every row holding i, so no row gains a nonzero.  The residual
-    rows go through `_int_rref` with their columns in the original order,
-    and its basis is back-substituted in reverse.  An eliminated column
-    is never the last nonzero of a kernel vector, so the residual's free
-    columns are those of the full echelon form and the result is the
-    basis `_nullspace_from_rref` reads off it: one vector per free column,
-    entries coprime, first nonzero positive.  Every returned vector is
-    certified against every input row by exact integer substitution.
+    column adds up.  The columns of the one-term rows are zero in every
+    kernel vector, so they are taken out before the rows are indexed, and
+    a row that lies wholly inside them is not stored.  Structured
+    elimination then drains the rows with one or two nonzeros: a
+    singleton a x_c = 0 sets x_c = 0, and a doubleton a x_i + b x_j = 0
+    with i < j substitutes x_i = -b/a x_j into every row holding i, so no
+    row gains a nonzero.  The residual rows split into blocks that share
+    no column, and each block goes through `_int_rref` in its own columns,
+    in their original order; a live column that no residual row holds is
+    free, with its unit vector.  The echelon form of a block-diagonal
+    system is the union of the blocks' echelon forms, so these vectors,
+    merged in order of their free column (the last nonzero of each), are
+    the residual's echelon basis; it is back-substituted in reverse.  An
+    eliminated column is never the last nonzero of a kernel vector, so the
+    residual's free columns are those of the full echelon form and the
+    result is the basis `_nullspace_from_rref` reads off it: one vector
+    per free column, entries coprime, first nonzero positive.  Every
+    returned vector is certified against every input row by exact integer
+    substitution.
     """
-    work: List[Optional[dict]] = []
-    holds: List[set] = [set() for _ in range(ncols)]    # column -> rows holding it
+    dead = set()            # columns of the one-term rows, then each eliminated one
+    merged = []
     for r in rows:
         d = dict(r)
         if len(d) < len(r):
@@ -452,11 +490,20 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                 d[c] = d.get(c, 0) + x
         if not all(d.values()):
             d = {c: x for c, x in d.items() if x}
-        if d:
-            for c in d:
-                holds[c].add(len(work))
-            work.append(d)
-    dead = set()
+        if len(d) == 1:
+            dead.update(d)
+        elif d:
+            merged.append(d)
+    work: List[Optional[dict]] = []
+    holds: List[set] = [set() for _ in range(ncols)]    # column -> rows holding it
+    for d in merged:
+        if dead and not dead.isdisjoint(d):
+            d = {c: x for c, x in d.items() if c not in dead}
+            if not d:
+                continue
+        for c in d:
+            holds[c].add(len(work))
+        work.append(d)
     subs = []               # (i, a, j, b): a x_i + b x_j = 0, in elimination order
     queue = deque(k for k, d in enumerate(work) if len(d) <= 2)
     while queue:
@@ -502,19 +549,27 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                     queue.append(m)
         dead.add(i)
         holds[i] = set()
-    live = [c for c in range(ncols) if c not in dead]
-    pos = {c: n for n, c in enumerate(live)}
-    residual = []
-    for d in work:
-        if d is not None:
-            dense = [0] * len(live)
-            for c, x in d.items():
-                dense[pos[c]] = x
-            residual.append(dense)
+    residual = [d for d in work if d is not None]
+    free = []               # (free column, {column: entry}) per residual kernel vector
+    if residual:
+        for cols, block in _blocks(residual):
+            pos = {c: n for n, c in enumerate(cols)}
+            dense = []
+            for d in block:
+                r = [0] * len(cols)
+                for c, x in d.items():
+                    r[pos[c]] = x
+                dense.append(r)
+            for w in _nullspace_from_rref(*_int_rref(dense), len(cols)):
+                entries = {c: x for c, x in zip(cols, w) if x}
+                free.append((max(entries), entries))
+    # holds[c] lists the residual rows holding a live column c
+    free += [(c, {c: 1}) for c in range(ncols) if c not in dead and not holds[c]]
+    free.sort(key=lambda fv: fv[0])
     basis = []
-    for w in _nullspace_from_rref(*_int_rref(residual), len(live)):
+    for _, entries in free:
         v = [0] * ncols
-        for c, x in zip(live, w):
+        for c, x in entries.items():
             v[c] = x
         for i, a, j, b in reversed(subs):
             y = -b * v[j]
@@ -538,8 +593,10 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
 
     With m = A / d in integers, c_0 m^0 + .. + c_k m^k = 0 exactly when the
     integer columns vec(A^j) d^(k-j), j = 0..k, satisfy the same relation.
-    The powers A^k are taken one at a time, and the first k whose columns
-    have a kernel is the degree; that kernel is one vector, the coefficients.
+    The powers are tried to k = 1, 2, 4, .. (at most n, where Cayley-Hamilton
+    gives a kernel).  At the first k with a kernel, its smallest free column
+    is the degree, so the first basis vector, cut at its last nonzero, holds
+    the coefficients.
     """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
@@ -548,10 +605,10 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
         return [Fraction(1)]
     d, a = scaled_sparse(m)
     powers: List[List[List[Tuple[int, int]]]] = [[[(i, 1)] for i in range(n)]]
-    kernel: List[List[int]] = []
-    while not kernel:
-        powers.append(sparse_mul(powers[-1], a))
-        k = len(powers) - 1
+    k = 1
+    while True:
+        while len(powers) <= k:
+            powers.append(sparse_mul(powers[-1], a))
         rows = [[] for _ in range(n * n)]
         for j, p in enumerate(powers):
             s = d ** (k - j)
@@ -559,8 +616,12 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
                 for c, x in r:
                     rows[i * n + c].append((j, x * s))
         kernel = nullspace_int_rows(rows, k + 1)
+        if kernel:
+            break
+        k = min(2 * k, n)
     v = kernel[0]
-    return [Fraction(c, v[-1]) for c in v]
+    deg = max(j for j, c in enumerate(v) if c)
+    return [Fraction(c, v[deg]) for c in v[:deg + 1]]
 
 
 def real_root_count(coeffs: Sequence[Fraction]) -> int:

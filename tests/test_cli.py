@@ -323,6 +323,22 @@ def test_root_count_guard_exits_three(capsys, argv, message):
     assert code == 3 and out == "" and "resource guard" in err and message in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-rank", "0"), ("--max-rank", "-1"),
+    ("--max-unknowns", "-1"), ("--max-entries", "-1"),
+])
+def test_nonsensical_numeric_flags_exit_two(tmp_path, capsys, flag, value):
+    # scan-all with no rank to scan never checks A1, and a negative guard is
+    # bad input, not a guard trip
+    path = str(tmp_path / "heis3.json")
+    nilalg.save(path, make_h_prime(Tag.C, 1, 0).algebra)
+    verb = (["scan-all"] if flag == "--max-rank"
+            else ["prolong", path, "--max-degree", "1"])
+    code, out, err = run(capsys, *verb, flag, value, "--json")
+    assert code == 2 and out == ""
+    assert "error:" in err and flag in err and "resource guard" not in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["classify", "--type", "Z", "--rank", "1"]) == 2
     # an invalid rank is a usage error, whatever root count its formula gives

@@ -127,6 +127,57 @@ def test_structured_kernel_is_the_echelon_basis(system):
         assert all(sum(x * v[c] for c, x in r) == 0 for r in rows)
 
 
+@st.composite
+def block_systems(draw):
+    """(ncols, rows) whose residual splits into blocks: two to four blocks of
+    rows with three or more terms, each on a shuffled column set that
+    interleaves with the others and with fewer rows than columns, so every
+    block has a kernel; one-term rows on further columns, rows lying wholly
+    inside those, rows meeting them and a block, and columns no row holds."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=2, max_size=4))
+    nsingle, nspare = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    ncols = sum(sizes) + nsingle + nspare
+    cols = draw(st.permutations(range(ncols)))
+    coef = st.one_of(st.integers(-5, 5), st.integers(-10**9, 10**9)).filter(bool)
+    rows, off = [], 0
+    for size in sizes:
+        block = cols[off:off + size]
+        off += size
+        for _ in range(draw(st.integers(1, size - 1))):
+            support = draw(st.lists(st.sampled_from(block), min_size=3, max_size=size,
+                                    unique=True))
+            rows.append([(c, draw(coef)) for c in support])
+    singles = cols[off:off + nsingle]
+    rows += [[(c, draw(coef))] for c in singles]
+    if singles:
+        inside = st.lists(st.sampled_from(singles), min_size=1, max_size=3)
+        rows += [[(c, draw(coef)) for c in draw(inside)]
+                 for _ in range(draw(st.integers(0, 2)))]
+        rows += [[(c, draw(coef)) for c in draw(inside) + draw(
+                     st.lists(st.sampled_from(cols[:off]), min_size=1, max_size=3))]
+                 for _ in range(draw(st.integers(0, 2)))]
+    return ncols, draw(st.permutations(rows))
+
+
+# blocks on columns {0, 3, 5, 7} and {1, 2, 6, 8}, whose free columns 5, 6,
+# 7, 8 interleave; columns 4 and 10 have one-term rows, a block row meets 4,
+# one row lies wholly inside {4, 10}, and column 9 is held by no row
+INTERLEAVED_BLOCKS = (11, [
+    [(0, 1), (3, 2), (5, -1)], [(3, 1), (5, 1), (7, 3), (4, 2)],
+    [(1, 2), (2, -3), (6, 1)], [(2, 1), (6, 4), (8, -1)],
+    [(4, 7)], [(10, -2)], [(4, 1), (10, 3)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_systems())
+@example(INTERLEAVED_BLOCKS)
+def test_block_residual_kernel_is_the_echelon_basis(system):
+    # the residual is reduced block by block; the merged vectors must be the
+    # dense echelon basis of the whole system, in the same order
+    ncols, rows = system
+    assert el.nullspace_int_rows(rows, ncols) == dense_kernel(rows, ncols)
+
+
 def test_kernel_of_rows_scaled_by_word_size_primes():
     # rows 0 and 1 vanish modulo the first and the second prime; the kernel
     # is the echelon basis of the integer system all the same
@@ -160,9 +211,19 @@ def test_verify_kernel_is_exact():
         assert not el.verify_kernel(rows, [v, off])
 
 
+def test_verify_kernel_of_no_vector_reads_no_row():
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a row was read with no vector to check")
+
+    rows = sparse([[1, 2, -1], [0, 3, 3]])
+    assert el.verify_kernel(rows, []) is True
+    assert el.verify_kernel(Unread(rows), []) is True
+
+
 def test_kernel_certification_survives_optimize_flag():
     # a wrong kernel from the residual echelon form must raise even when
-    # asserts are compiled away
+    # asserts are compiled away, also when only one block's basis is wrong
     proc = run_optimized("""
         import sys
         from nilrad import exactlin as el
@@ -173,11 +234,32 @@ def test_kernel_certification_survives_optimize_flag():
         if len(el.nullspace_int_rows(rows, 4)) != 1:
             sys.exit(3)
         # the three-term rows all reach the residual echelon form
+        right = el._nullspace_from_rref
         el._nullspace_from_rref = lambda pivots, prows, ncols: [[1] * ncols]
         try:
             el.nullspace_int_rows(rows, 4)
         except ArithmeticError:
-            sys.exit(0)
+            pass
+        else:
+            sys.exit(1)
+        # two blocks, on columns 0-3 and on 4-7: the first keeps its basis,
+        # the second gets a wrong one
+        rows += [[(c + 4, x) for c, x in r] for r in rows]
+        calls = []
+
+        def second_wrong(pivots, prows, ncols):
+            calls.append(ncols)
+            basis = right(pivots, prows, ncols)
+            return basis if len(calls) == 1 else [[1] * ncols]
+
+        el._nullspace_from_rref = right
+        if len(el.nullspace_int_rows(rows, 8)) != 2:
+            sys.exit(4)
+        el._nullspace_from_rref = second_wrong
+        try:
+            el.nullspace_int_rows(rows, 8)
+        except ArithmeticError:
+            sys.exit(0 if calls == [4, 4] else 5)
         sys.exit(1)
     """)
     assert proc.returncode == 0, proc.stderr
@@ -453,6 +535,59 @@ def spectral_squares(draw):
 @example(_block_diagonal([Matrix.from_rows([[1, 1], [0, 1]]), Matrix.identity(1)]))
 def test_minimal_polynomial_matches_the_fraction_reference(m):
     assert el.minimal_polynomial(m) == reference_minimal_polynomial(m)
+
+
+def per_degree_minimal_polynomial(m):
+    """`minimal_polynomial` before its doubling trials: the Krylov system is
+    solved again at every degree k = 1, 2, 3, .., and the first kernel, one
+    vector, holds the coefficients."""
+    n = m.rows
+    if n == 0:
+        return [F(1)]
+    d, a = el.scaled_sparse(m)
+    powers = [[[(i, 1)] for i in range(n)]]
+    kernel = []
+    while not kernel:
+        powers.append(el.sparse_mul(powers[-1], a))
+        k = len(powers) - 1
+        rows = [[] for _ in range(n * n)]
+        for j, p in enumerate(powers):
+            s = d ** (k - j)
+            for i, r in enumerate(p):
+                for c, x in r:
+                    rows[i * n + c].append((j, x * s))
+        kernel = el.nullspace_int_rows(rows, k + 1)
+    v = kernel[0]
+    return [F(c, v[-1]) for c in v]
+
+
+def _companion(coeffs):
+    """The companion matrix of the monic x^k + coeffs[k-1] x^(k-1) + .. + coeffs[0]."""
+    k = len(coeffs)
+    return Matrix.from_rows([[F(int(j == i - 1)) if j < k - 1 else -coeffs[i]
+                              for j in range(k)] for i in range(k)])
+
+
+@st.composite
+def companion_blocks(draw):
+    """Block-diagonal companion matrices, times a rational scalar: the minimal
+    polynomial is the lcm of the blocks' polynomials, of degree up to 12."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
+        lambda s: sum(s) <= 12))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    blocks = [_companion(draw(st.lists(coeff, min_size=k, max_size=k))) for k in sizes]
+    if len(blocks) > 1 and draw(st.booleans()):
+        blocks.append(blocks[0])               # a repeated block: a derogatory matrix
+    return _block_diagonal(blocks).scale(draw(st.sampled_from([1, -1, F(2, 3)])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(companion_blocks())
+@example(_companion([F(k - 5) for k in range(11)]))         # degree 11 in one block
+@example(_block_diagonal([_companion([F(1), F(0), F(-2)]), _companion([F(3)] * 4),
+                          _companion([F(-1), F(1)])]))    # degrees 3 + 4 + 2
+def test_minimal_polynomial_matches_the_per_degree_route(m):
+    assert el.minimal_polynomial(m) == per_degree_minimal_polynomial(m)
 
 
 @st.composite

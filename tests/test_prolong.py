@@ -249,6 +249,28 @@ def test_layer_kernels_are_the_dense_echelon_basis(key, monkeypatch):
     assert sizes == dims
 
 
+def test_h1O_residual_reaches_the_echelon_form_in_blocks(monkeypatch):
+    # the degree-0 residual of h_1(O) (512 rows in 192 columns) splits into
+    # eight blocks of 24 columns, each reduced on its own; degrees 1-3 drain
+    # to an empty residual and never reach the echelon form
+    exactlin = importlib.import_module("nilrad.exactlin")
+    reduce = exactlin._int_rref
+    widths = []
+
+    def recorded(rows):
+        widths.append(len(rows[0]) if rows else 0)
+        return reduce(rows)
+
+    monkeypatch.setattr(exactlin, "_int_rref", recorded)
+    alg = fleet_member("h1O").algebra
+    layers = []
+    for k in range(4):
+        widths.clear()
+        layers.append(compute_layer(alg, k, layers))
+        assert widths == ([24] * 8 if k == 0 else []), k
+    assert [layer.dim for layer in layers] == [30, 16, 8, 0]
+
+
 @pytest.mark.parametrize("key", FLEET)
 def test_rational_brackets_match_the_fraction_assembly(key):
     # rational diagonal changes of V and Z give bracket forms over d > 1, so
