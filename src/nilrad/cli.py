@@ -54,8 +54,7 @@ class MetricResourceError(RuntimeError):
 
 def _emit(doc: dict, as_json: bool, text: str) -> None:
     if as_json:
-        json.dump(doc, sys.stdout, indent=1, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=1, default=str) + "\n")
     else:
         print(text)
 
@@ -92,15 +91,11 @@ def _cmd_construct(args) -> int:
     alg = ms.algebra
     if args.name:
         alg = nilalg.TwoStepAlgebra(args.name, alg.dim_v, alg.dim_z, alg.brackets)
-    doc = nilalg.to_json(alg, ms.gram_v, ms.gram_z)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        nilalg.save(args.output, alg, ms.gram_v, ms.gram_z)
         print(f"wrote {alg.name}: dims ({alg.dim_v}, {alg.dim_z}) -> {args.output}")
     else:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        _emit(nilalg.to_json(alg, ms.gram_v, ms.gram_z), True, "")
     return EXIT_OK
 
 
@@ -207,12 +202,10 @@ def _cmd_prolong(args) -> int:
 def _cmd_transfer(args) -> int:
     ms1 = _load_metric(args.file)
     doc2 = nilalg.read_json(args.gram2)
-    gram = doc2.get("gram", doc2) if isinstance(doc2, dict) else doc2
     try:
-        gv = Matrix.from_rows(gram["v"])
-        gz = Matrix.from_rows(gram["z"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{args.gram2}: malformed gram block: {exc}") from exc
+        gv, gz = nilalg.gram_from_json(doc2.get("gram", doc2) if isinstance(doc2, dict) else doc2)
+    except ValueError as exc:
+        raise ValueError(f"{args.gram2}: {exc}") from exc
     ms2 = MetricStructure(ms1.algebra, gv, gz)
     op, rep = transfer_operator(ms1, ms2, args.precision)
     doc = {"command": "transfer", "file": args.file, "gram2": args.gram2,

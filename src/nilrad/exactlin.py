@@ -27,6 +27,7 @@ certified by exact integer substitution into every original row.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from collections import deque
@@ -319,28 +320,14 @@ def _int_rows(m: Matrix) -> List[List[int]]:
     return [clear_denominators(r) for r in m.data]
 
 
-def _row_primitive(row: List[int]) -> List[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
 def _int_rref(rows: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
     """Fraction-free RREF of integer rows (each pivot row made primitive).
 
     Returns (pivot_columns, reduced_pivot_rows).  Pivot rows end up with
-    positive pivots and zeros above/below each pivot.
+    positive pivots and zeros above/below each pivot.  A pivot row's first
+    nonzero is its pivot, so `_primitive` makes the pivot positive.
     """
-    work = [_row_primitive(list(r)) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    work = [_primitive(list(r)) for r in rows if any(r)]
     pivots: List[int] = []
     prows: List[List[int]] = []
     for r in work:
@@ -354,31 +341,28 @@ def _int_rref(rows: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
         if not any(r):
             continue
         c = next(j for j, x in enumerate(r) if x)
-        r = _row_primitive(r)
-        if r[c] < 0:
-            r = [-x for x in r]
+        r = _primitive(r)
         # clear the new pivot column in earlier rows
         for k, p in enumerate(prows):
             if p[c]:
                 pv, rv = r[c], p[c]
                 g = math.gcd(pv, rv)
                 a, b = pv // g, rv // g
-                pnew = [a * x - b * y for x, y in zip(p, r)]
-                pnew = _row_primitive(pnew)
-                if pnew[pivots[k]] < 0:
-                    pnew = [-x for x in pnew]
-                prows[k] = pnew
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < c:
-            pos += 1
+                prows[k] = _primitive([a * x - b * y for x, y in zip(p, r)])
+        pos = bisect.bisect(pivots, c)
         pivots.insert(pos, c)
         prows.insert(pos, r)
     return pivots, prows
 
 
 def _primitive(v: List[int]) -> List[int]:
-    """A nonzero int vector divided by its content, signed so its first nonzero is positive."""
-    g = math.gcd(*v)
+    """A nonzero int vector divided by its content, first nonzero positive (v if already so)."""
+    g = 0
+    for x in v:
+        if x:
+            g = math.gcd(g, x)
+            if g == 1:
+                break
     if next(x for x in v if x) < 0:
         g = -g
     return [x // g for x in v] if g != 1 else v

@@ -210,9 +210,9 @@ def make_h(tag: Tag, n: int) -> MetricStructure:
 
     Both Gram matrices are the identity.  Over O only n = 1 is accepted.
     """
-    HTypeFamilyId("h", tag, (n,))  # validates the parameters
+    fid = HTypeFamilyId("h", tag, (n,))  # validates the parameters
     d = tag.dim
-    dim_v, dim_z = 2 * n * d, d
+    dim_v, dim_z = fid.dims()
     brackets: Dict[Tuple[int, int], List[Fraction]] = {}
     for slot in range(n):
         for u in range(d):
@@ -222,7 +222,7 @@ def make_h(tag: Tag, n: int) -> MetricStructure:
                 prod = fmul(funit(tag, u), funit(tag, v))
                 if not prod.is_zero():
                     brackets[(i, j)] = list(prod.coords)
-    alg = TwoStepAlgebra.from_brackets(f"h_{n}({tag.name})", dim_v, dim_z, brackets)
+    alg = TwoStepAlgebra.from_brackets(str(fid), dim_v, dim_z, brackets)
     return MetricStructure(alg, Matrix.identity(dim_v), Matrix.identity(dim_z))
 
 
@@ -232,9 +232,9 @@ def make_h_prime(tag: Tag, p: int, q: int) -> MetricStructure:
     Bracket on the p block is a.conj(c) - c.conj(a), on the q block
     conj(d).b - conj(b).d; gramV = 2 Id and gramZ = Id (see module notes).
     """
-    HTypeFamilyId("hprime", tag, (p, q))  # validates the parameters
+    fid = HTypeFamilyId("hprime", tag, (p, q))  # validates the parameters
     d = tag.dim
-    dim_v, dim_z = (p + q) * d, d - 1
+    dim_v, dim_z = fid.dims()
     brackets: Dict[Tuple[int, int], List[Fraction]] = {}
     for slot in range(p + q):
         plus_block = slot < p
@@ -249,7 +249,7 @@ def make_h_prime(tag: Tag, p: int, q: int) -> MetricStructure:
                     raise ArithmeticError(f"bracket of units {u}, {v} has a real part")
                 if not w.is_zero():
                     brackets[(slot * d + u, slot * d + v)] = list(w.coords[1:])
-    alg = TwoStepAlgebra.from_brackets(f"h'_{p},{q}({tag.name})", dim_v, dim_z, brackets)
+    alg = TwoStepAlgebra.from_brackets(str(fid), dim_v, dim_z, brackets)
     return MetricStructure(alg, Matrix.identity(dim_v).scale(2), Matrix.identity(dim_z))
 
 
@@ -326,23 +326,15 @@ def make_clifford_module_algebra(
     dim, gens = clifford_generators(center_dim)
     blocks = [gens] * mults[0] + [[-g for g in gens]] * mults[1]
     total = dim * len(blocks)
-    js = []
-    for a in range(center_dim):
-        rows = [[Fraction(0)] * total for _ in range(total)]
-        for b, blk in enumerate(blocks):
-            g = blk[a]
-            off = b * dim
-            for i in range(dim):
-                for j in range(dim):
-                    if g[i, j]:
-                        rows[off + i][off + j] = g[i, j]
-        js.append(Matrix.from_rows(rows))
+    # J_a is block diagonal: [e_i, e_j]_a = J_a[j, i] within a block, 0 across blocks
     brackets: Dict[Tuple[int, int], List[Fraction]] = {}
-    for i in range(total):
-        for j in range(i + 1, total):
-            vec = [js[a][j, i] for a in range(center_dim)]
-            if any(vec):
-                brackets[(i, j)] = vec
+    for b, blk in enumerate(blocks):
+        off = b * dim
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                vec = [g[j, i] for g in blk]
+                if any(vec):
+                    brackets[(off + i, off + j)] = vec
     desc = f"{mults[0]}" if not mults[1] else f"{mults[0]}+,{mults[1]}-"
     alg = TwoStepAlgebra.from_brackets(
         f"clifford({center_dim};{desc})", total, center_dim, brackets)
@@ -781,7 +773,9 @@ class TransferReport:
 
     `exact` says whether P is rational.  The residuals are exact rationals
     read as floats: of P when it is rational, of M = P^2 otherwise, so every
-    one is zero when `ok` holds.  `lam` is lambda when it is rational, else its
+    one is zero when `ok` holds; `residual_metric` is 0 by construction, since
+    P P = M and gram1 P = P^t gram1 give P^t gram1 P = gram1 M = gram2 (checked
+    exactly for a rational P).  `lam` is lambda when it is rational, else its
     decimal truncation at `precision` bits; `lam_sq` is lambda^2.
     """
 
@@ -821,14 +815,19 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
         raise ValueError("first metric is not H-type; the transfer operator is undefined")
     if not is_htype(ms2):
         raise ValueError("second metric is not H-type; the transfer operator is undefined")
-    alg = ms1.algebra
     mv = inverse(ms1.gram_v) * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
     pv = _rational_positive_sqrt(mv, ms1.gram_v)
     pz = _rational_positive_sqrt(mz, ms1.gram_z)
     if pv is not None and pz is not None:
-        return _exact_report(alg, ms1, ms2, pv, pz, precision)
-    return _square_report(alg, ms1, ms2, mv, mz, precision)
+        op, gm, lam = TransferOperator(pv, pz), GradedMap(pv, pz), pz[0, 0]
+        lam_sq = lam * lam
+    else:
+        op, gm, lam_sq = None, GradedMap(mv, mz), mz[0, 0]
+        lam = rational_sqrt(lam_sq)
+        if lam is None:
+            lam = _decimal_sqrt(lam_sq, precision)
+    return op, _report(ms1.algebra, ms1, ms2, gm, op is not None, lam, lam_sq, precision)
 
 
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
@@ -838,7 +837,7 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
         return Matrix.zeros(0, 0)
     poly = minimal_polynomial(m)
     roots = rational_roots(poly)
-    if roots is None or len(roots) != len(poly) - 1 or len(set(roots)) != len(roots):
+    if roots is None or len(roots) != len(poly) - 1:
         return None
     sqrts = []
     for r in roots:
@@ -861,35 +860,17 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     return p
 
 
-def _exact_report(alg, ms1, ms2, pv: Matrix, pz: Matrix, precision: int):
-    """(P, report) for a rational P, whose residuals are P's own."""
-    lam = pz[0, 0]
-    res_metric = (pv.transpose() * ms1.gram_v * pv - ms2.gram_v).max_abs()
-    return TransferOperator(pv, pz), _report(alg, ms1, ms2, GradedMap(pv, pz), res_metric,
-                                             True, lam, lam * lam, precision)
-
-
-def _square_report(alg, ms1, ms2, mv: Matrix, mz: Matrix, precision: int):
-    """(None, report) for an irrational P, whose residuals are those of M = P^2."""
-    lam_sq = mz[0, 0]
-    lam = rational_sqrt(lam_sq)
-    if lam is None:
-        lam = _decimal_sqrt(lam_sq, precision)
-    return None, _report(alg, ms1, ms2, GradedMap(mv, mz), Fraction(0),
-                         False, lam, lam_sq, precision)
-
-
-def _report(alg, ms1, ms2, gm: GradedMap, res_metric: Fraction, exact: bool,
-            lam, lam_sq: Fraction, precision: int) -> TransferReport:
+def _report(alg, ms1, ms2, gm: GradedMap, exact: bool, lam, lam_sq: Fraction,
+            precision: int) -> TransferReport:
     """The report on gm = P or M: its bracket defect and the distance of its Z
-    block from a scalar, with the metric residual and gramZ_2 - lambda^2 gramZ_1."""
+    block from a scalar, with gramZ_2 - lambda^2 gramZ_1."""
     scalar = gm.map_z[0, 0]
     res_center = (gm.map_z - Matrix.identity(alg.dim_z).scale(scalar)).max_abs()
     scale, defects = _bracket_defects(alg, gm)
     res_auto = Fraction(max((abs(x) for dc in defects for r in dc for _, x in r),
                             default=0), scale)
     res_l2 = (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
-    residuals = (res_auto, res_center, res_metric, res_l2)
+    residuals = (res_auto, res_center, 0, res_l2)
     return TransferReport(precision, exact, lam, lam_sq,
                           *map(float, residuals), not any(residuals))
 

@@ -247,6 +247,8 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
         raise ValueError(f"algebra document must be a JSON object, got {type(doc).__name__}")
     try:
         name = doc.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a JSON string, got {name!r}")
         dim_v = json_int(doc["dimV"], "dimV")
         dim_z = json_int(doc["dimZ"], "dimZ")
         brackets = {}
@@ -266,14 +268,18 @@ def from_json(doc: dict) -> Tuple[TwoStepAlgebra, Optional[Matrix], Optional[Mat
     gram = doc.get("gram")
     gv = gz = None
     if gram is not None:
-        try:
-            gv = Matrix.from_rows(gram["v"])
-            gz = Matrix.from_rows(gram["z"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed gram block: {exc}") from exc
+        gv, gz = gram_from_json(gram)
         if gv.shape != (dim_v, dim_v) or gz.shape != (dim_z, dim_z):
             raise ValueError("gram block dimensions do not match the algebra layers")
     return alg, gv, gz
+
+
+def gram_from_json(gram) -> Tuple[Matrix, Matrix]:
+    """(gramV, gramZ) from a gram block {"v": rows, "z": rows}."""
+    try:
+        return Matrix.from_rows(gram["v"]), Matrix.from_rows(gram["z"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed gram block: {exc}") from exc
 
 
 def save(path: str, alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,

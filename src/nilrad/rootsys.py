@@ -70,42 +70,38 @@ def _check_rank(type_tag: str, rank: int) -> None:
         raise ValueError(f"{type_tag} has rank {type_tag[1]}")
 
 
-def _simple_roots(type_tag: str, rank: int) -> List[Coords]:
-    """The simple roots of the standard realization, for a checked rank."""
-    F = Fraction
+def _doubled_simple_roots(type_tag: str, rank: int) -> List[Tuple[int, ...]]:
+    """Twice the simple roots of the standard realization, in integers, for a checked rank."""
     if type_tag == "A":
-        dim = rank + 1
-        return [tuple(F(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(dim))
+        return [tuple(2 if k == i else (-2 if k == i + 1 else 0) for k in range(rank + 1))
                 for i in range(rank)]
     if type_tag in ("B", "C", "D", "BC"):
-        dim = rank
-        base = [tuple(F(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(dim))
+        base = [tuple(2 if k == i else (-2 if k == i + 1 else 0) for k in range(rank))
                 for i in range(rank - 1)]
         if type_tag in ("B", "BC"):
-            last = tuple(F(1 if k == rank - 1 else 0) for k in range(dim))
+            last = tuple(2 if k == rank - 1 else 0 for k in range(rank))
         elif type_tag == "C":
-            last = tuple(F(2 if k == rank - 1 else 0) for k in range(dim))
+            last = tuple(4 if k == rank - 1 else 0 for k in range(rank))
         else:
-            last = tuple(F(1 if k >= rank - 2 else 0) for k in range(dim))
+            last = tuple(2 if k >= rank - 2 else 0 for k in range(rank))
         return base + [last]
     if type_tag == "G2":
-        return [(F(1), F(-1), F(0)), (F(-2), F(1), F(1))]
+        return [(2, -2, 0), (-4, 2, 2)]
     if type_tag == "F4":
-        return [(F(0), F(1), F(-1), F(0)),
-                (F(0), F(0), F(1), F(-1)),
-                (F(0), F(0), F(0), F(1)),
-                (F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2))]
+        return [(0, 2, -2, 0),
+                (0, 0, 2, -2),
+                (0, 0, 0, 2),
+                (1, -1, -1, -1)]
     if type_tag in ("E6", "E7", "E8"):
-        half = F(1, 2)
         e8 = [
-            (half, -half, -half, -half, -half, -half, -half, half),
-            (F(1), F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
-            (F(-1), F(1), F(0), F(0), F(0), F(0), F(0), F(0)),
-            (F(0), F(-1), F(1), F(0), F(0), F(0), F(0), F(0)),
-            (F(0), F(0), F(-1), F(1), F(0), F(0), F(0), F(0)),
-            (F(0), F(0), F(0), F(-1), F(1), F(0), F(0), F(0)),
-            (F(0), F(0), F(0), F(0), F(-1), F(1), F(0), F(0)),
-            (F(0), F(0), F(0), F(0), F(0), F(-1), F(1), F(0)),
+            (1, -1, -1, -1, -1, -1, -1, 1),
+            (2, 2, 0, 0, 0, 0, 0, 0),
+            (-2, 2, 0, 0, 0, 0, 0, 0),
+            (0, -2, 2, 0, 0, 0, 0, 0),
+            (0, 0, -2, 2, 0, 0, 0, 0),
+            (0, 0, 0, -2, 2, 0, 0, 0),
+            (0, 0, 0, 0, -2, 2, 0, 0),
+            (0, 0, 0, 0, 0, -2, 2, 0),
         ]
         return e8[:rank]
     raise ValueError(f"unknown root system type {type_tag!r}")
@@ -149,8 +145,8 @@ class RootSystem:
     @cached_property
     def roots(self) -> Tuple[Coords, ...]:
         """Ambient coordinates: each expansion applied to the simple roots."""
-        # summed in ints on the doubled simple roots, which `build` checked are integral
-        doubled = [[int(2 * x) for x in a] for a in _simple_roots(self.type_tag, self.rank)]
+        # summed in ints on the doubled simple roots
+        doubled = _doubled_simple_roots(self.type_tag, self.rank)
         return tuple(tuple(Fraction(sum(c * a[d] for c, a in zip(e, doubled)), 2)
                            for d in range(len(doubled[0])))
                      for e in self.expansions)
@@ -190,13 +186,9 @@ def build(type_tag: str, rank: int) -> RootSystem:
         raise ValueError(f"unknown root system type {type_tag!r}")
     _check_rank(type_tag, rank)
     _check_root_count(type_tag, rank)
-    # twice each simple root, as {coordinate: integer}
-    doubled = [{d: 2 * x for d, x in enumerate(a) if x} for a in _simple_roots(type_tag, rank)]
-    if any(x.denominator != 1 for a in doubled for x in a.values()):
-        raise ArithmeticError(f"{type_tag}{rank}: a simple root is not in (1/2)Z^n")
-    doubled = [{d: x.numerator for d, x in a.items()} for a in doubled]
+    doubled = _doubled_simple_roots(type_tag, rank)
     # gram4[k][i] = 4 (a_k, a_i), and <a_k, a_i^vee> = 2 gram4[k][i] / gram4[i][i]
-    gram4 = [[sum(x * t.get(d, 0) for d, x in s.items()) for t in doubled] for s in doubled]
+    gram4 = [[sum(x * y for x, y in zip(s, t)) for t in doubled] for s in doubled]
     cartan = []
     for k in range(rank):
         row = []
@@ -489,6 +481,8 @@ def entry_from_json(obj: dict) -> RealFormEntry:
         if not all(isinstance(x, str) for x in (entry.name, entry.restricted_type,
                                                  entry.satake_label, entry.notes)):
             raise ValueError("name, type, satake_label and notes must be JSON strings")
+        if entry.restricted_type not in _VALID_TYPES:
+            raise ValueError(f"type must be one of {', '.join(_VALID_TYPES)}")
         return entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed real-form entry {obj.get('name', '?')!r}: {exc}") from exc
@@ -497,14 +491,14 @@ def entry_from_json(obj: dict) -> RealFormEntry:
 def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
     """The curated table, from a file or the packaged data.
 
-    The document must be a JSON list of objects; every row is validated
-    through `nilradical_profile` on load.
+    The document must be a non-empty JSON list of objects; every row is
+    validated through `nilradical_profile` on load.
     """
     if path is None:
         path = resources.files("nilrad").joinpath("data/real_forms.json")
     docs = read_json(path)
-    if not isinstance(docs, list):
-        raise ValueError(f"{path}: real-form table must be a JSON list of objects")
+    if not isinstance(docs, list) or not docs:
+        raise ValueError(f"{path}: real-form table must be a non-empty JSON list of objects")
     entries = [entry_from_json(d) for d in docs]
     for e in entries:
         nilradical_profile(e)

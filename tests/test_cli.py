@@ -220,6 +220,93 @@ def test_table_rejects_numbers_that_are_not_json_integers(tmp_path, capsys, row)
     assert code == 2 and "must be a JSON integer" in err and "Traceback" not in err
 
 
+def _packaged_table():
+    from importlib import resources
+    return json.loads(resources.files("nilrad").joinpath("data/real_forms.json").read_text())
+
+
+def _lowercase_a1_table():
+    # the three so(n,1) rows spelled "a": `build` upper-cases the type, but the
+    # A1 exception compares it with "A"
+    doc = _packaged_table()
+    for row in doc:
+        if row["restricted"] == {"type": "A", "rank": 1}:
+            row["restricted"]["type"] = "a"
+    return doc
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("doc, message", [
+    ([], "real-form table must be a non-empty JSON list of objects"),
+    (_lowercase_a1_table(), "type must be one of A, B, C, D, BC, G2, F4, E6, E7, E8"),
+], ids=["empty", "lowercase-a1"])
+def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, capsys, doc,
+                                                                   message, as_json):
+    path = str(tmp_path / "table.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "table", "--file", path, *(["--json"] if as_json else []))
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["verify-htype", "nonsingular", "prolong"])
+@pytest.mark.parametrize("name", [5, None, ["h"], {"h": 1}], ids=["int", "null", "list", "object"])
+def test_algebra_name_must_be_a_json_string(tmp_path, capsys, verb, name):
+    ms = make_h_prime(Tag.C, 1, 0)
+    doc = nilalg.to_json(ms.algebra, ms.gram_v, ms.gram_z)
+    path = str(tmp_path / "named.json")
+    extra = ["--max-degree", "1"] if verb == "prolong" else []
+    doc.pop("name")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run(capsys, verb, path, *extra)
+    assert code == 0 and out.startswith("unnamed: ")
+    with open(path, "w") as fh:
+        json.dump(dict(doc, name=name), fh)
+    code, out, err = run(capsys, verb, path, *extra)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: {path}: malformed algebra document: name must be a JSON string, " \
+                  f"got {name!r}\n"
+
+
+@pytest.mark.parametrize("gram, text", [
+    ([["1", "0"], ["0", "1"]], "list indices must be integers or slices, not str"),
+    ({"v": [["2", "0"], ["0", "2"]]}, "'z'"),
+    ({"gram": {"v": [["2", "0"], ["0"]], "z": [["1"]]}}, "ragged rows"),
+], ids=["list", "missing-z", "ragged"])
+def test_gram_blocks_of_both_readers_keep_their_error_text(tmp_path, capsys, gram, text):
+    ms = make_h_prime(Tag.C, 1, 0)
+    base, gram2 = str(tmp_path / "base.json"), str(tmp_path / "gram2.json")
+    nilalg.save(base, ms.algebra, ms.gram_v, ms.gram_z)
+    with open(gram2, "w") as fh:
+        json.dump(gram, fh)
+    block = gram.get("gram", gram) if isinstance(gram, dict) else gram
+    with pytest.raises(ValueError) as exc:
+        nilalg.gram_from_json(block)
+    assert str(exc.value) == f"malformed gram block: {text}"
+    code, out, err = run(capsys, "transfer", base, "--gram2", gram2)
+    assert code == 2 and out == "" and err == f"error: {gram2}: malformed gram block: {text}\n"
+    # the algebra loader reads its own gram block through the same function
+    with open(base, "w") as fh:
+        json.dump(dict(nilalg.to_json(ms.algebra), gram=block), fh)
+    code, out, err = run(capsys, "verify-htype", base)
+    assert code == 2 and out == "" and err == f"error: {base}: malformed gram block: {text}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "h", "--field", "C", "--n", "1"],
+    ["--family", "h", "--field", "O", "--n", "1"],
+    ["--family", "hprime", "--field", "H", "--p", "1", "--q", "1", "--name", "sp(2,2)"],
+], ids=["h1C", "h1O", "hp11H-named"])
+def test_construct_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys, argv):
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert run(capsys, "construct", *argv, "-o", str(path))[0] == 0
+    assert path.read_text(encoding="utf-8") == out
+
+
 def test_malformed_file_reports_context(tmp_path, capsys):
     path = str(tmp_path / "broken.json")
     with open(path, "w") as fh:

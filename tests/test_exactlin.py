@@ -178,6 +178,69 @@ def test_block_residual_kernel_is_the_echelon_basis(system):
     assert el.nullspace_int_rows(rows, ncols) == dense_kernel(rows, ncols)
 
 
+def _row_primitive(row):
+    """Reference: the content normaliser `_int_rref` used before `_primitive`; it
+    divides by the content and leaves the sign alone."""
+    g = 0
+    for x in row:
+        if x:
+            g = math.gcd(g, x)
+            if g == 1:
+                return row
+    return [x // g for x in row] if g > 1 else row
+
+
+def _sign_flip_rref(rows):
+    """Reference: the integer RREF with `_row_primitive` and a hand-written
+    sign flip of each new or updated pivot row."""
+    work = [_row_primitive(list(r)) for r in rows if any(r)]
+    pivots, prows = [], []
+    for r in work:
+        for c, p in zip(pivots, prows):
+            if r[c]:
+                g = math.gcd(p[c], r[c])
+                a, b = p[c] // g, r[c] // g
+                r = [a * x - b * y for x, y in zip(r, p)]
+        if not any(r):
+            continue
+        c = next(j for j, x in enumerate(r) if x)
+        r = _row_primitive(r)
+        if r[c] < 0:
+            r = [-x for x in r]
+        for k, p in enumerate(prows):
+            if p[c]:
+                g = math.gcd(r[c], p[c])
+                a, b = r[c] // g, p[c] // g
+                pnew = _row_primitive([a * x - b * y for x, y in zip(p, r)])
+                if pnew[pivots[k]] < 0:
+                    pnew = [-x for x in pnew]
+                prows[k] = pnew
+        pos = sum(1 for q in pivots if q < c)
+        pivots.insert(pos, c)
+        prows.insert(pos, r)
+    return pivots, prows
+
+
+# rows with a common factor and either sign, so that content and sign both need fixing
+scaled_int_rows = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+              st.sampled_from([1, -1, 2, -3, 6, -12])).map(lambda rk: [rk[1] * x for x in rk[0]]),
+    max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_int_rows)
+@example([[-2, 4, 6], [0, -3, 9]])
+def test_int_rref_pivot_rows_are_primitive_with_positive_pivots(rows):
+    before = [list(r) for r in rows]
+    pivots, prows = el._int_rref(rows)
+    assert rows == before
+    assert (pivots, prows) == _sign_flip_rref(rows)
+    for c, p in zip(pivots, prows):
+        assert math.gcd(*p) == 1 and next(x for x in p if x) == p[c] > 0
+        assert all(q[c] == 0 for q in prows if q is not p)
+
+
 def test_kernel_of_rows_scaled_by_word_size_primes():
     # rows 0 and 1 vanish modulo the first and the second prime; the kernel
     # is the echelon basis of the integer system all the same

@@ -235,6 +235,37 @@ def test_clifford_zero_module_rejected():
         make_clifford_module_algebra(5, (1, 1))   # two classes only for 3, 7
 
 
+def _dense_block_brackets(center_dim, multiplicities):
+    """Reference: each J_a copied into a dense total x total matrix, and
+    [e_i, e_j]_a = J_a[j, i] read back out of it for every pair i < j."""
+    mults = (multiplicities, 0) if isinstance(multiplicities, int) else multiplicities
+    dim, gens = clifford_generators(center_dim)
+    blocks = [gens] * mults[0] + [[-g for g in gens]] * mults[1]
+    total = dim * len(blocks)
+    js = []
+    for a in range(center_dim):
+        rows = [[F(0)] * total for _ in range(total)]
+        for b, blk in enumerate(blocks):
+            for i in range(dim):
+                for j in range(dim):
+                    rows[b * dim + i][b * dim + j] = blk[a][i, j]
+        js.append(Matrix.from_rows(rows))
+    brackets = {}
+    for i in range(total):
+        for j in range(i + 1, total):
+            vec = [js[a][j, i] for a in range(center_dim)]
+            if any(vec):
+                brackets[(i, j)] = vec
+    return TwoStepAlgebra.from_brackets("reference", total, center_dim, brackets).brackets
+
+
+@pytest.mark.parametrize("center_dim, multiplicities",
+                         [(m, 1) for m in range(1, 9)] + [(3, (2, 1)), (7, (1, 1)), (5, 2)])
+def test_clifford_brackets_match_the_dense_block_construction(center_dim, multiplicities):
+    alg = make_clifford_module_algebra(center_dim, multiplicities).algebra
+    assert alg.brackets == _dense_block_brackets(center_dim, multiplicities)
+
+
 def test_clifford_volume_classes_differ():
     dim, gens = clifford_generators(7)
     vol = gens[0]
@@ -442,13 +473,14 @@ def test_exact_transfer_residual_matches_pair_loop(key):
     alg, rng = ms.algebra, random.Random(key)
     dil = dilation(alg, F(3, 2))
     pv, pz = dil.map_v, dil.map_z
-    _, rep = htype._exact_report(alg, ms, ms, pv, pz, 128)
+    lam = pz[0, 0]
+    rep = htype._report(alg, ms, ms, GradedMap(pv, pz), True, lam, lam * lam, 128)
     assert rep.residual_automorphism == 0
     for _ in range(4):
         rows = pv.to_rows()
         rows[rng.randrange(alg.dim_v)][rng.randrange(alg.dim_v)] += F(rng.randint(1, 5), 7)
         bent = Matrix.from_rows(rows)
-        _, rep = htype._exact_report(alg, ms, ms, bent, pz, 128)
+        rep = htype._report(alg, ms, ms, GradedMap(bent, pz), True, lam, lam * lam, 128)
         want = _pair_loop_residual(alg, bent, pz)
         assert want > 0 and rep.residual_automorphism == float(want)
 
@@ -927,20 +959,54 @@ def test_transfer_square_check_matches_pair_loop():
     alg, rng = ms1.algebra, random.Random(11)
     mv = inverse(ms1.gram_v) * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
-    op, rep = htype._square_report(alg, ms1, ms2, mv, mz, 128)
+    op, rep = htype.transfer_operator(ms1, ms2, 128)
+    lam, lam_sq = rep.lam, rep.lam_sq
+    rep = htype._report(alg, ms1, ms2, GradedMap(mv, mz), False, lam, lam_sq, 128)
     assert op is None and rep.ok and rep.residual_automorphism == rep.residual_center == 0
     for _ in range(4):
         rows = mv.to_rows()
         rows[rng.randrange(8)][rng.randrange(8)] += F(rng.randint(1, 5), 7)
         bent = Matrix.from_rows(rows)
-        _, rep = htype._square_report(alg, ms1, ms2, bent, mz, 128)
+        rep = htype._report(alg, ms1, ms2, GradedMap(bent, mz), False, lam, lam_sq, 128)
         want = _pair_loop_residual(alg, bent, mz)
         assert want > 0 and rep.residual_automorphism == float(want) and not rep.ok
     rows = mz.to_rows()
     rows[1][2] += F(1, 7)
     rows[2][1] += F(1, 7)
-    _, rep = htype._square_report(alg, ms1, ms2, mv, Matrix.from_rows(rows), 128)
+    rep = htype._report(alg, ms1, ms2, GradedMap(mv, Matrix.from_rows(rows)), False, lam,
+                        lam_sq, 128)
     assert rep.residual_center == float(F(1, 7)) and not rep.ok
+
+
+def _rational_transfer_pairs(seed=7, count=12):
+    """Second metrics on h_1(H) drawn as in `transfer_pairs`, but from quaternions
+    whose squared norms are rational squares, so that P = M^{1/2} is rational."""
+    ms1 = make_h(Tag.H, 1)
+    squares = [element(Tag.H, [F(x) for x in q]) for q in
+               ([1, 2, 2, 0], [2, 0, 0, 0], [1, 1, 1, 1], [0, 3, 4, 0], [F(3, 5), 0, F(4, 5), 0])]
+    rng = random.Random(seed)
+    out = []
+    for trial in range(count):
+        gm = conformal_automorphism_h1H(*(rng.choice(squares) for _ in range(3)))
+        gm = gm.compose(dilation(ms1.algebra, F(rng.randint(1, 5), rng.randint(1, 3))))
+        if trial % 3 == 0:
+            gm = gm.compose(sigma_automorphism(ms1, unit_z(ms1, rng.randrange(4))))
+        out.append(pullback_metric(ms1, gm))
+    return out
+
+
+def test_transfer_metric_residual_is_zero_by_construction():
+    # the report carries residual_metric = 0 without computing it; the
+    # computation it no longer makes, P^t gram1 P = gram2, is the oracle here
+    ms1 = fleet_member("h1H")
+    rational = _rational_transfer_pairs()
+    for ms2 in transfer_pairs() + rational:
+        op, rep = transfer_operator(ms1, ms2)
+        assert rep.ok and rep.residual_metric == 0
+        assert (op is not None) is rep.exact is any(ms2 is r for r in rational)
+        if op is not None:
+            assert op.map_v.transpose() * ms1.gram_v * op.map_v == ms2.gram_v
+            assert op.map_z.transpose() * ms1.gram_z * op.map_z == ms2.gram_z
 
 
 @pytest.mark.parametrize("precision", [64, 128, 4096])
