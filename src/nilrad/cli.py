@@ -42,6 +42,10 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# exit code of a verdict kind; any other kind ("inconclusive") is EXIT_GUARD
+VERDICT_EXIT = {"nonsingular": EXIT_OK, "irreducible": EXIT_OK,
+                "singular": EXIT_FALSE, "reducible": EXIT_FALSE}
+
 # largest dimV or dimZ that the metric verbs (verify-htype, nonsingular,
 # transfer, identify, probe-irreducible) accept; a dense metric block
 # holds dim^2 rationals
@@ -115,11 +119,7 @@ def _cmd_nonsingular(args) -> int:
     if verdict.witness is not None:
         doc["witness"] = [rat_str(c) for c in verdict.witness]
     _emit(doc, args.json, f"{alg.name}: {verdict.kind} ({verdict.certificate})")
-    if verdict.kind == "nonsingular":
-        return EXIT_OK
-    if verdict.kind == "singular":
-        return EXIT_FALSE
-    return EXIT_GUARD
+    return VERDICT_EXIT.get(verdict.kind, EXIT_GUARD)
 
 
 def _cmd_classify(args) -> int:
@@ -241,11 +241,7 @@ def _cmd_probe(args) -> int:
     if verdict.invariant_subspace is not None:
         doc["invariant_subspace_dim"] = len(verdict.invariant_subspace)
     _emit(doc, args.json, f"{ms.algebra.name}: {verdict.kind} ({verdict.detail})")
-    if verdict.kind == "irreducible":
-        return EXIT_OK
-    if verdict.kind == "reducible":
-        return EXIT_FALSE
-    return EXIT_GUARD
+    return VERDICT_EXIT.get(verdict.kind, EXIT_GUARD)
 
 
 def _int_at_least(low: int):
@@ -334,8 +330,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="decide irreducibility of the Clifford action J_z, the V "
                              "action of the reflection automorphisms")
     pb.add_argument("file")
-    pb.add_argument("--trials", type=int, default=32,
-                    help="ignored: the probe is an exact decision")
     pb.add_argument("--seed", type=int, default=0,
                     help="ignored: the probe is an exact decision")
     pb.add_argument("--json", action="store_true")

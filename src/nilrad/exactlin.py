@@ -644,8 +644,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """All rational roots of the polynomial (low-first coefficients), each once.
 
     Degrees 1 and 2 are solved in closed form, higher ones by the divisor
-    search of the rational root theorem.  Returns None when the cleared
-    constant or leading coefficient exceeds 10^12, at every degree.
+    search of the rational root theorem.  That search alone is capped: from
+    degree 3 up, None (not searched) is returned when the cleared constant or
+    leading coefficient exceeds 10^12.
     """
     cs = [rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -663,8 +664,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     if len(ics) <= 1:
         return roots
     a0, an = ics[0], ics[-1]
-    if abs(a0) > 10**12 or abs(an) > 10**12:
-        return None
     deg = len(ics) - 1
     if deg == 1:
         return sorted(roots + [Fraction(-a0, an)])
@@ -675,6 +674,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
         if s * s == disc:
             roots += {Fraction(-ics[1] + s, 2 * an), Fraction(-ics[1] - s, 2 * an)}
         return sorted(roots)
+    if abs(a0) > 10**12 or abs(an) > 10**12:
+        return None
     d0, dn = _divisors(a0), _divisors(an)
     # each candidate +-p/q in lowest terms once; it is a root exactly when
     # q^deg f(p/q) = sum_k a_k p^k q^(deg-k) vanishes, a sum in ints

@@ -83,11 +83,16 @@ class MetricStructure:
         return sum((a * b for a, b in zip(mat_vec(self.gram_z, w), z)), Fraction(0))
 
     @cached_property
+    def gram_v_inv(self) -> Matrix:
+        """gramV^{-1}, inverted once per metric."""
+        return inverse(self.gram_v)
+
+    @cached_property
     def int_j_maps(self) -> Tuple[int, Tuple[List[List[Tuple[int, int]]], ...]]:
         """(d, maps) with J_a = maps[a] / d = -gramV^{-1} sum_c gramZ[a, c] B_c in
-        sparse integer rows, from one inverse of gramV and the bracket forms B_c."""
+        sparse integer rows, from the cached gramV^{-1} and the bracket forms B_c."""
         n = self.algebra.dim_v
-        dg, ginv = scaled_sparse(-inverse(self.gram_v))
+        dg, ginv = scaled_sparse(-self.gram_v_inv)
         dz, gz = scaled_sparse(self.gram_z)
         db, forms = self.algebra.bracket_forms
         return dg * dz * db, tuple(
@@ -97,9 +102,8 @@ class MetricStructure:
     @cached_property
     def j_maps(self) -> Tuple[Matrix, ...]:
         """J maps of the Z basis vectors as rational matrices."""
-        (d, maps), n = self.int_j_maps, self.algebra.dim_v
-        return tuple(Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d) for j in range(n))
-                                        for r in map(dict, m))) for m in maps)
+        m = self.algebra.dim_z
+        return tuple(jz(self, [int(a == b) for b in range(m)]) for a in range(m))
 
     @cached_property
     def clifford(self) -> bool:
@@ -126,9 +130,11 @@ def jz(ms: MetricStructure, z: Sequence) -> Matrix:
     (d, maps), n = ms.int_j_maps, ms.algebra.dim_v
     dz = math.lcm(*(c.denominator for c in zz))
     zrow = [(a, c.numerator * (dz // c.denominator)) for a, c in enumerate(zz) if c]
-    rows = [dict(sparse_mul([zrow], [m[i] for m in maps])[0]) for i in range(n)]
-    return Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d * dz) for j in range(n))
-                              for r in rows))
+    # sum_a z_a M_a is the block row [z_0 Id .. z_m Id] times the block column [M_0; ..; M_m]
+    prod = sparse_mul([[(a * n + i, c) for a, c in zrow] for i in range(n)],
+                      [r for m in maps for r in m])
+    rows = [{j: quotient(x, d * dz) for j, x in r} for r in prod]
+    return Matrix(n, n, tuple(tuple(r.get(j, 0) for j in range(n)) for r in rows))
 
 
 def j_basis(ms: MetricStructure) -> List[Matrix]:
@@ -438,12 +444,8 @@ def is_isometry(ms: MetricStructure, gm: GradedMap) -> bool:
 
 
 def _preserves(a: Matrix, gram: Matrix) -> bool:
-    """a^t gram a == gram, compared as At G A == dA^2 G for a = A / dA and
-    gram = G / dG in sparse integer rows."""
-    if a.rows != gram.rows:
-        raise ValueError(f"shape mismatch {a.shape} vs {gram.shape}")
-    (da, at), (_, ai), (_, g) = (scaled_sparse(x) for x in (a.transpose(), a, gram))
-    return sparse_mul(sparse_mul(at, g), ai) == [[(j, x * da * da) for j, x in r] for r in g]
+    """a^t gram a == gram."""
+    return a.transpose() * gram * a == gram
 
 
 def pullback_metric(ms: MetricStructure, gm: GradedMap) -> MetricStructure:
@@ -500,7 +502,7 @@ class ProbeVerdict:
 
 def irreducibility_probe(ms: MetricStructure,
                          generators: Optional[Sequence[GradedMap]] = None,
-                         trials: int = 32, seed: int = 0) -> ProbeVerdict:
+                         seed: int = 0) -> ProbeVerdict:
     """Decide whether the Clifford maps J_a, or the given generators, act
     irreducibly on the V layer over R.
 
@@ -518,8 +520,9 @@ def irreducibility_probe(ms: MetricStructure,
     Hence V is irreducible exactly when the gramV-self-adjoint commutant is the
     scalars; a non-scalar element S certifies reducibility, and a rational
     eigenspace W = ker(S - r I) is an invariant subspace, verified exactly by
-    (S - r I) g w = 0 for every map g and basis vector w.
-    `trials` and `seed` are ignored; they stay accepted for existing callers.
+    (S - r I) g W = 0 for every map g, W holding a basis of the eigenspace as
+    columns.
+    `seed` is ignored; it stays accepted for existing callers.
     """
     alg = ms.algebra
     if generators is None:
@@ -537,36 +540,39 @@ def irreducibility_probe(ms: MetricStructure,
     n = alg.dim_v
     if n == 0 or not maps:
         return ProbeVerdict("inconclusive", "nothing to act on")
-    sym_comm = _symmetric_commutant(maps, ms.gram_v)
+    sym_comm = _symmetric_commutant(maps, ms)
     if len(sym_comm) == 1:
         return ProbeVerdict("irreducible", "the exact gramV-self-adjoint commutant "
                             "is the scalars")
     ident = Matrix.identity(n)
+    unsearched = 0
     for s in sym_comm:
         trace = sum(s[i, i] for i in range(n))
-        scalar = s == ident.scale(Fraction(trace, n))
-        roots = None if scalar else rational_roots(minimal_polynomial(s))
+        if s == ident.scale(Fraction(trace, n)):
+            continue
+        roots = rational_roots(minimal_polynomial(s))
+        unsearched += roots is None
         if not roots:
             continue
         k = s - ident.scale(roots[0])
-        w_basis = [list(w) for w in nullspace(k)]
-        _, k_rows = scaled_sparse(k)
-        _, w_cols = scaled_sparse(Matrix.from_rows(w_basis).transpose())
-        if any(any(sparse_mul(k_rows, sparse_mul(scaled_sparse(g)[1], w_cols)))
-               for g in maps):
+        w_basis = nullspace(k)
+        w = Matrix.from_rows(w_basis).transpose()
+        if any(not (k * (g * w)).is_zero() for g in maps):
             raise ArithmeticError("eigenspace of a commutant element is not "
                                   "invariant under the generators")
         return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
                             "commutant element, invariance verified exactly",
-                            tuple(map(tuple, w_basis)))
+                            tuple(w_basis))
+    why = (f"no rational eigenvalue was found, and the rational-root search skipped "
+           f"{unsearched} basis element(s) with a minimal-polynomial coefficient past "
+           f"10^12" if unsearched else "no element of its basis has a rational eigenvalue")
     return ProbeVerdict("reducible", f"the gramV-self-adjoint commutant has dimension "
-                        f"{len(sym_comm)}, but no element of its basis has a "
-                        f"rational eigenvalue")
+                        f"{len(sym_comm)}, but {why}")
 
 
-def _symmetric_commutant(maps: Sequence[Matrix], gram: Matrix) -> List[Matrix]:
+def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Matrix]:
     """Exact basis of the gram-self-adjoint commutant {S : S g = g S, gram S = S^t gram}
-    of the V maps g.
+    of the V maps g, for gram = gramV of the metric.
 
     It is S = gram^{-1} T for the invariant symmetric forms T = T^t with
     T g = h T, h = gram g gram^{-1}; for gram = c Id these are the symmetric
@@ -576,8 +582,8 @@ def _symmetric_commutant(maps: Sequence[Matrix], gram: Matrix) -> List[Matrix]:
     dh T Gg - dg Gh T, where Gh = G Gg G' and dh = dG dg dG' are formed in
     sparse integer rows from gram = G / dG and gram^{-1} = G' / dG'.
     """
+    gram, gram_inv = ms.gram_v, ms.gram_v_inv
     n = gram.rows
-    gram_inv = inverse(gram)
     (dgram, grows), (dinv, irows) = scaled_sparse(gram), scaled_sparse(gram_inv)
     pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
     rows = []
@@ -760,14 +766,6 @@ DEFAULT_PRECISION = 128
 
 
 @dataclass(frozen=True)
-class TransferOperator:
-    """Rational graded positive map P with <x,y>_2 = (Px, Py)_1, P|_Z = lambda Id."""
-
-    map_v: Matrix
-    map_z: Matrix
-
-
-@dataclass(frozen=True)
 class TransferReport:
     """The exact verdict of `transfer_operator`.
 
@@ -792,7 +790,7 @@ class TransferReport:
 
 def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
                       precision: int = DEFAULT_PRECISION
-                      ) -> Tuple[Optional[TransferOperator], TransferReport]:
+                      ) -> Tuple[Optional[GradedMap], TransferReport]:
     """Unique positive gram1-self-adjoint P with <x,y>_2 = (Px, Py)_1.
 
     Both metrics must make the (same) algebra H-type; that hypothesis is
@@ -803,8 +801,8 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
     e_i, e_j forces mu_i mu_j = lambda^2, so sqrt(mu_i) sqrt(mu_j) = lambda
     and P is a graded automorphism with P|_Z = lambda Id.  Conversely M = P^2,
     and gramZ_2 = lambda^2 gramZ_1 is M|_Z = lambda^2 Id.  So every claim is
-    an exact check on M.  A rational P is returned and its own residuals are
-    checked; otherwise the operator is None and the residuals are M's.
+    an exact check on M.  A rational P is returned as a `GradedMap` and its own
+    residuals are checked; otherwise the operator is None and the residuals are M's.
     """
     if ms1.algebra is not ms2.algebra and ms1.algebra != ms2.algebra:
         raise ValueError("transfer operator needs two metrics on the same algebra")
@@ -815,12 +813,13 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
         raise ValueError("first metric is not H-type; the transfer operator is undefined")
     if not is_htype(ms2):
         raise ValueError("second metric is not H-type; the transfer operator is undefined")
-    mv = inverse(ms1.gram_v) * ms2.gram_v
+    mv = ms1.gram_v_inv * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
     pv = _rational_positive_sqrt(mv, ms1.gram_v)
     pz = _rational_positive_sqrt(mz, ms1.gram_z)
     if pv is not None and pz is not None:
-        op, gm, lam = TransferOperator(pv, pz), GradedMap(pv, pz), pz[0, 0]
+        op = gm = GradedMap(pv, pz)
+        lam = pz[0, 0]
         lam_sq = lam * lam
     else:
         op, gm, lam_sq = None, GradedMap(mv, mz), mz[0, 0]

@@ -136,10 +136,10 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
     Else det(t B_a + B_b) = det B_a det(t I + M) for M = B_a^{-1} B_b, so a member is
     degenerate exactly when the minimal polynomial f of M has a real root (Sturm count).  A
     rational root mu gives the witness ker(M - mu I) = ker(B_b - mu B_a); otherwise the count
-    is the certificate.  For dimZ = 2 every z != 0 is a multiple of e_a or t e_a + e_b, so a
-    pencil with no degenerate member proves "nonsingular"; for dimZ >= 3 the pencils miss
-    most of Z and the verdict is "inconclusive".  Every witness x is re-verified exactly by
-    rank(ad x) < dimZ.
+    is the certificate, which says whether no root is rational or the root search was capped.
+    For dimZ = 2 every z != 0 is a multiple of e_a or t e_a + e_b, so a pencil with no
+    degenerate member proves "nonsingular"; for dimZ >= 3 the pencils miss most of Z and the
+    verdict is "inconclusive".  Every witness x is re-verified exactly by rank(ad x) < dimZ.
     """
     if alg.dim_v == 0:
         raise ValueError("non-singularity check needs a nonempty V layer, got dimV=0")
@@ -187,10 +187,13 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
         f = minimal_polynomial(m)
         count = real_root_count(f)
         if count:
-            mu = (rational_roots(f) or [None])[0]
-            if mu is None:
+            roots = rational_roots(f)
+            if not roots:
+                why = ("none rational" if roots == [] else
+                       "rational roots not searched: a coefficient exceeds 10^12")
                 return NonsingularVerdict("singular", f"det(t B_{a} + B_{b}) has {count} distinct "
-                                          f"real root(s) by Sturm's theorem, none rational")
+                                          f"real root(s) by Sturm's theorem, {why}")
+            mu = roots[0]
             return _singular(alg, nullspace(m - Matrix.identity(n).scale(mu))[0],
                              f"B_{b} - ({rat_str(mu)}) B_{a} is degenerate")
     if alg.dim_z == 2:

@@ -406,6 +406,11 @@ class RealFormEntry:
     def system(self) -> RootSystem:
         return build(self.restricted_type, self.restricted_rank)
 
+    @cached_property
+    def profile(self) -> NilradicalProfile:
+        """`nilradical_profile` of the row, computed once."""
+        return nilradical_profile(self)
+
 
 @dataclass(frozen=True)
 class NilradicalProfile:
@@ -492,7 +497,7 @@ def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
     """The curated table, from a file or the packaged data.
 
     The document must be a non-empty JSON list of objects; every row is
-    validated through `nilradical_profile` on load.
+    validated through its `profile` on load.
     """
     if path is None:
         path = resources.files("nilrad").joinpath("data/real_forms.json")
@@ -501,7 +506,7 @@ def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
         raise ValueError(f"{path}: real-form table must be a non-empty JSON list of objects")
     entries = [entry_from_json(d) for d in docs]
     for e in entries:
-        nilradical_profile(e)
+        e.profile       # raises on a data error
     return entries
 
 
@@ -538,19 +543,16 @@ def render_table(table: Sequence[RealFormEntry], as_json: bool = False):
     """Rows: real form | restricted system | Phi | label | nilradical | dims."""
     rows = []
     for e in table:
-        profile = nilradical_profile(e)
         phi_txt = "{" + ", ".join(f"a{i+1}" for i in e.phi) + "}"
-        sys_label = e.restricted_type if e.restricted_type[-1].isdigit() \
-            else f"{e.restricted_type}{e.restricted_rank}"
         nil = "abelian" if e.abelian_only else str(e.nilradical)
         rows.append({
             "name": e.name,
-            "restricted": sys_label,
+            "restricted": e.system().label,
             "phi": phi_txt,
             "label": e.satake_label,
             "nilradical": nil,
-            "dimV": profile.dim_v,
-            "dimZ": profile.dim_z,
+            "dimV": e.profile.dim_v,
+            "dimZ": e.profile.dim_z,
         })
     if as_json:
         return rows

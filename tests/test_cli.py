@@ -150,6 +150,44 @@ def test_nonsingular_takes_no_seed(tmp_path, capsys):
     assert code == 2 and "--seed" in err
 
 
+def test_probe_takes_no_trials(tmp_path, capsys):
+    ms = fleet_member("hp11H")
+    path = str(tmp_path / "hp11H.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    code, _, err = run(capsys, "probe-irreducible", path, "--trials", "5")
+    assert code == 2 and "--trials" in err
+    assert run(capsys, "probe-irreducible", path, "--seed", "5")[0] == 1
+
+
+def test_nonsingular_pencils_past_the_root_search_cap(tmp_path, capsys):
+    # det(t B_0 + B_1) has the integer roots -1000003 and -1000033, found in
+    # closed form; the degree-3 pencil's search is capped, so it has no witness
+    for name, pairs, want in (
+            ("quadratic", [(0, 2, 1000003), (1, 3, 1000033)], ["1", "0", "0", "0"]),
+            ("cubic", [(0, 3, 100000), (1, 4, 100001), (2, 5, 100002)], None)):
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump({"dimV": 2 * len(pairs), "dimZ": 2,
+                       "brackets": [[i, j, ["1", str(c)]] for i, j, c in pairs]}, fh)
+        code, out, _ = run(capsys, "nonsingular", path, "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc.get("witness")) == (1, "singular", want)
+        assert "none rational" not in doc["certificate"]
+    assert "not searched" in doc["certificate"]
+
+
+def test_transfer_of_a_large_rational_dilation_is_exact(tmp_path, capsys):
+    ms = fleet_member("h1H")
+    base, gram2 = str(tmp_path / "h1H.json"), str(tmp_path / "gram2.json")
+    nilalg.save(base, ms.algebra, ms.gram_v, ms.gram_z)
+    for t in (1000, 1001):
+        pulled = pullback_metric(ms, dilation(ms.algebra, t))
+        nilalg.save(gram2, ms.algebra, pulled.gram_v, pulled.gram_z)
+        code, out, _ = run(capsys, "transfer", base, "--gram2", gram2, "--json")
+        doc = json.loads(out)
+        assert (code, doc["exact"], doc["lambda"], doc["ok"]) == (0, True, str(t * t), True)
+
+
 def test_transfer_cli(tmp_path, capsys):
     ms = make_h_prime(Tag.H, 1, 0)
     base = str(tmp_path / "alg.json")

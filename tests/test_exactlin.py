@@ -528,7 +528,8 @@ def reference_divisors(n):
 
 
 def reference_rational_roots(coeffs):
-    """`rational_roots` before its closed forms: the divisor search at every degree."""
+    """`rational_roots` before its closed forms: the divisor search at every degree,
+    capped at 10^12 from degree 3 up."""
     cs = [el.rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -544,11 +545,11 @@ def reference_rational_roots(coeffs):
     if len(ics) <= 1:
         return roots
     a0, an = ics[0], ics[-1]
-    if abs(a0) > 10**12 or abs(an) > 10**12:
+    deg = len(ics) - 1
+    if deg >= 3 and (abs(a0) > 10**12 or abs(an) > 10**12):
         return None
     d0 = reference_divisors(a0)
     dn = reference_divisors(an)
-    deg = len(ics) - 1
     for p, q in ((p, q) for p in d0 for q in dn if math.gcd(p, q) == 1):
         for s in (p, -p):
             if sum(c * s ** k * q ** (deg - k) for k, c in enumerate(ics)) == 0:
@@ -676,9 +677,10 @@ def root_polynomials(draw):
 @example([F(9), F(-6), F(1)])                   # (x - 3)^2: a double root
 @example([F(0), F(0), F(4), F(-4), F(1)])       # x^2 (x - 2)^2
 @example([F(0), F(3), F(-7, 2)])                # zero root and a degree-1 rest
-@example([F(10**13), F(1)])                     # constant above the cap
-@example([F(1), F(0), F(10**13)])               # leading coefficient above the cap
-@example([F(0), F(-1), F(0), F(10**13)])        # above the cap after a zero root
+@example([F(10**13), F(1)])                     # degree 1 above the cap: -10^13
+@example([F(1), F(0), F(10**13)])               # degree 2 above the cap: no root
+@example([F(0), F(-1), F(0), F(10**13)])        # a zero root, then degree 2 above the cap
+@example([F(10**13), F(0), F(0), F(1)])         # degree 3 above the cap: not searched
 @example([F(-1), F(0), F(10**12)])              # at the cap: +-1/10^6
 @example([F(1, 10**13), F(-1, 10**13)])         # large denominators clear to 1, -1
 @example([])
@@ -686,6 +688,14 @@ def root_polynomials(draw):
 @example([F(5)])
 def test_rational_roots_match_the_divisor_search(coeffs):
     assert el.rational_roots(coeffs) == reference_rational_roots(coeffs)
+
+
+def test_rational_roots_cap_only_the_divisor_search():
+    assert el.rational_roots([F(10**13), F(1)]) == [-10**13]
+    assert el.rational_roots([F(1), F(0), F(10**13)]) == []
+    assert el.rational_roots([F(0), F(-1), F(0), F(10**13)]) == [0]
+    assert el.rational_roots([F(-(1001**4)), F(1)]) == [1001**4]
+    assert el.rational_roots([F(10**13), F(0), F(0), F(1)]) is None
 
 
 def test_rational_sqrt():

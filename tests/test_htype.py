@@ -179,6 +179,26 @@ def test_clifford_data_is_computed_once_per_metric(monkeypatch):
     assert len(calls) == 1
 
 
+def test_probe_and_transfer_read_the_cached_gram_v_inverse(monkeypatch, tmp_path, capsys):
+    # the probe's commutant reuses the J maps' gramV^{-1}; the transfer inverts
+    # gramV_1 once for both, then gramV_2 for the J maps and gramZ_1 for M
+    real_inverse, calls = htype.inverse, []
+    monkeypatch.setattr(htype, "inverse", lambda m: calls.append(m) or real_inverse(m))
+    ms = fleet_member("hp11H")
+    path = str(tmp_path / "hp11H.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    assert cli.main(["probe-irreducible", path]) == 1
+    assert calls == [ms.gram_v]
+    ms = fleet_member("h1H")
+    path, gram2 = str(tmp_path / "h1H.json"), str(tmp_path / "gram2.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    nilalg.save(gram2, ms.algebra, ms.gram_v.scale(4), ms.gram_z.scale(16))
+    calls.clear()
+    assert cli.main(["transfer", path, "--gram2", gram2]) == 0
+    assert calls == [ms.gram_v, ms.gram_v.scale(4), ms.gram_z]
+    capsys.readouterr()
+
+
 def _dense_j_maps(ms):
     """Reference: J_a = -gramV^{-1} S_a with S_a[i][j] = <[e_i, e_j], z_a>, entry by entry."""
     alg, n = ms.algebra, ms.algebra.dim_v
@@ -697,7 +717,7 @@ def test_symmetric_commutant_matches_full_system(key):
             random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))]
     maps = [g.map_v for g in gens]
     for part in (maps, maps[:1]):  # one generator leaves a large commutant
-        basis = htype._symmetric_commutant(part, gram)
+        basis = htype._symmetric_commutant(part, ms)
         for s in basis:
             assert (gram * s).is_symmetric() and all(s * g == g * s for g in part)
         assert [gram * s for s in basis] == _full_symmetric_commutant(part, gram)
@@ -722,7 +742,7 @@ def test_probe_ignores_seed_and_trials():
     gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(7)]
     verdict = irreducibility_probe(ms, gens)
     for seed in range(4):
-        assert irreducibility_probe(ms, gens, trials=seed + 1, seed=seed) == verdict
+        assert irreducibility_probe(ms, gens, seed=seed) == verdict
 
 
 def test_probe_decides_reducible_without_a_rational_eigenvalue():
@@ -736,10 +756,17 @@ def test_probe_decides_reducible_without_a_rational_eigenvalue():
         rows[i + 1][i] = F(1)
     rows[0][3] = F(-1)
     c = GradedMap(Matrix.from_rows(rows), Matrix.identity(0))
-    assert len(htype._symmetric_commutant([c.map_v], ms.gram_v)) == 2
+    assert len(htype._symmetric_commutant([c.map_v], ms)) == 2
     verdict = irreducibility_probe(ms, [c])
     assert verdict.kind == "reducible" and verdict.invariant_subspace is None
-    assert "dimension 2" in verdict.detail
+    assert "dimension 2" in verdict.detail and "no element" in verdict.detail
+
+
+def test_probe_tells_a_capped_root_search_from_no_rational_root(monkeypatch):
+    monkeypatch.setattr(htype, "rational_roots", lambda coeffs: None)
+    verdict = irreducibility_probe(fleet_member("hp11H"))
+    assert verdict.kind == "reducible" and verdict.invariant_subspace is None
+    assert "rational-root search skipped" in verdict.detail
 
 
 def test_cli_probe_runs_no_automorphism_check(monkeypatch, tmp_path):

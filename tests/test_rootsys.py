@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from nilrad import rootsys
+from nilrad.cli import main
 from nilrad.division import Tag
 from nilrad.htype import HTypeFamilyId
 from nilrad.rootsys import (
@@ -308,6 +310,17 @@ def test_bc1_row_is_not_abelian():
     bc1 = build("BC", 1)
     choice = pc(bc1, 0)
     assert max(phi_height(choice, i) for i in bc1.positives) == 2
+
+
+def test_table_computes_each_profile_once(monkeypatch, capsys):
+    real, calls = rootsys.nilradical_profile, []
+    monkeypatch.setattr(rootsys, "nilradical_profile", lambda e: calls.append(e) or real(e))
+    rows = len(load_table())
+    for argv in (["table"], ["table", "--json"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == rows == 20
+    capsys.readouterr()
 
 
 def test_render_table_mentions_exception():
