@@ -112,8 +112,8 @@ def _cmd_verify_htype(args) -> int:
 
 
 def _cmd_nonsingular(args) -> int:
-    alg, gv, gz = _load_bounded(args.file)
-    verdict = is_nonsingular(alg, gram_v=gv, gram_z=gz)
+    alg = _load_bounded(args.file)[0]
+    verdict = is_nonsingular(alg)
     doc = {"command": "nonsingular", "file": args.file, "verdict": verdict.kind,
            "certificate": verdict.certificate}
     if verdict.witness is not None:

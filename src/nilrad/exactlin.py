@@ -315,6 +315,15 @@ def sparse_mul(a: Sequence[SparseRow], b: Sequence[SparseRow]
     return out
 
 
+def anticommutator_scalar(a: List[SparseRow], b: List[SparseRow]) -> Optional[int]:
+    """s with A B + B A = s I for square matrices in sparse integer rows, else None;
+    A B + B A is the block row [A B] times the block column [B; A]."""
+    n = len(a)
+    prod = sparse_mul([ra + [(k + n, x) for k, x in rb] for ra, rb in zip(a, b)], b + a)
+    s = dict(prod[0]).get(0, 0) if n else 0
+    return s if prod == [[(i, s)] if s else [] for i in range(n)] else None
+
+
 def _int_rows(m: Matrix) -> List[List[int]]:
     """Clear denominators row by row (each row times the lcm of its denominators)."""
     return [clear_denominators(r) for r in m.data]

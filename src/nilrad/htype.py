@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .division import Tag, mul as fmul, conj as fconj, unit as funit
 from .exactlin import (
     Matrix,
+    anticommutator_scalar,
     inverse,
     is_positive_definite,
     mat_vec,
@@ -112,13 +113,9 @@ class MetricStructure:
         alg = self.algebra
         if alg.dim_z == 0 or alg.dim_v == 0:
             return False
-        (d, maps), n, gz = self.int_j_maps, alg.dim_v, self.gram_z
-        # M_a M_b + M_b M_a is the block row [M_a M_b] times the block column [M_b; M_a]
-        return all(
-            sparse_mul([ra + [(k + n, x) for k, x in rb] for ra, rb in zip(maps[a], maps[b])],
-                       maps[b] + maps[a])
-            == [[(i, -2 * gz[a, b] * d * d)] if gz[a, b] else [] for i in range(n)]
-            for a in range(alg.dim_z) for b in range(a, alg.dim_z))
+        (d, maps), gz = self.int_j_maps, self.gram_z
+        return all(anticommutator_scalar(maps[a], maps[b]) == -2 * gz[a, b] * d * d
+                   for a in range(alg.dim_z) for b in range(a, alg.dim_z))
 
 
 def jz(ms: MetricStructure, z: Sequence) -> Matrix:
@@ -495,9 +492,6 @@ class ProbeVerdict:
     kind: str
     detail: str = ""
     invariant_subspace: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.kind == "irreducible"
 
 
 def irreducibility_probe(ms: MetricStructure,

@@ -14,11 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactlin import (Matrix, Rational, inverse, minimal_polynomial, nullspace,
-                       nullspace_int_rows, rat_str, rank, rational_roots, real_root_count, scalar)
+from .exactlin import (Matrix, Rational, anticommutator_scalar, inverse, is_positive_definite,
+                       minimal_polynomial, nullspace, nullspace_int_rows, rat_str, rank,
+                       rational_roots, real_root_count, scalar, scaled_sparse, sparse_mul)
 
 
 @dataclass(frozen=True)
@@ -120,26 +121,21 @@ class NonsingularVerdict:
     certificate: str = ""
     witness: Optional[Tuple[Rational, ...]] = None  # V coordinates of x
 
-    def __bool__(self) -> bool:
-        return self.kind == "nonsingular"
 
+def is_nonsingular(alg: TwoStepAlgebra) -> NonsingularVerdict:
+    """Decide whether ad x maps onto the center for every x outside it, with no metric.
 
-def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
-                   gram_z: Optional[Matrix] = None) -> NonsingularVerdict:
-    """Decide whether ad x maps onto the center for every x outside it.
-
-    ad x misses Z exactly when B_z x = 0 for some z != 0, B_z = sum_c z_c B_c the skew
-    bracket forms.  Routes, in order: a central V direction (singular); dimZ = 1 (nonsingular
-    off the center); the H-type certificate J_z x != 0 under the supplied or standard metric
-    (nonsingular); dimZ >= dimV, where [e_0, e_0] = 0 gives rank(ad e_0) < dimZ (singular);
-    then each coordinate pencil t B_a + B_b, a < b.  A degenerate B_a has a kernel witness.
-    Else det(t B_a + B_b) = det B_a det(t I + M) for M = B_a^{-1} B_b, so a member is
-    degenerate exactly when the minimal polynomial f of M has a real root (Sturm count).  A
-    rational root mu gives the witness ker(M - mu I) = ker(B_b - mu B_a); otherwise the count
-    is the certificate, which says whether no root is rational or the root search was capped.
-    For dimZ = 2 every z != 0 is a multiple of e_a or t e_a + e_b, so a pencil with no
-    degenerate member proves "nonsingular"; for dimZ >= 3 the pencils miss most of Z and the
-    verdict is "inconclusive".  Every witness x is re-verified exactly by rank(ad x) < dimZ.
+    ad x misses Z exactly when B_z x = 0 for some z != 0, B_z = sum_c z_c B_c the skew bracket
+    forms.  Routes, in order: a central V direction (singular); dimZ = 1 (nonsingular); dimZ >=
+    dimV, where [e_0, e_0] = 0 gives rank(ad e_0) < dimZ; a degenerate B_0 (kernel witness).
+    The Clifford pencil: if A'_b = B_0^{-1} B_b - (tr / n) I anticommute to -2 q_ab I, then
+    B_z = B_0 (w I + X) with (w I + X)(w I - X) = (w^2 + q(z')) I, so a positive definite q
+    proves "nonsingular" (every H-type algebra passes, in any basis).  Last, the coordinate
+    pencils t B_a + B_b, a < b: one has a degenerate member exactly when B_a is degenerate or the
+    minimal polynomial of B_a^{-1} B_b has a real root (Sturm count), with a witness when the
+    root is rational.  Else the verdict is "nonsingular" for dimZ = 2, "singular" with no
+    witness for a Clifford pencil with q not positive definite (w I +- X is singular for
+    w^2 = -q(z') >= 0), and "inconclusive" otherwise.  Every witness is re-checked exactly.
     """
     if alg.dim_v == 0:
         raise ValueError("non-singularity check needs a nonempty V layer, got dimV=0")
@@ -160,48 +156,64 @@ def is_nonsingular(alg: TwoStepAlgebra, gram_v: Optional[Matrix] = None,
         return NonsingularVerdict(
             "nonsingular", "center is a nondegenerate line: ad x != 0 off the center")
 
-    from .htype import MetricStructure, is_htype  # local import to avoid a cycle
-
-    gv = gram_v if gram_v is not None else Matrix.identity(alg.dim_v)
-    gz = gram_z if gram_z is not None else Matrix.identity(alg.dim_z)
-    try:
-        ms = MetricStructure(alg, gv, gz)
-        if is_htype(ms):
-            return NonsingularVerdict(
-                "nonsingular", "H-type certificate: J_z x != 0 for x, z != 0")
-    except ValueError:
-        pass
-
-    n = alg.dim_v
-    if alg.dim_z >= n:
+    n, m = alg.dim_v, alg.dim_z
+    if m >= n:
         # past the first route no V direction is central, e_0 among them
-        return _singular(alg, [int(i == 0) for i in range(n)], f"dimZ = {alg.dim_z} >= dimV")
-    pencils = list(itertools.combinations(range(alg.dim_z), 2))
-    for a, b in pencils:
+        return _singular(alg, [int(i == 0) for i in range(n)], f"dimZ = {m} >= dimV")
+    dense = cache(lambda c: Matrix.from_rows(  # B_c, built at most once
+        [[r.get(j, 0) for j in range(n)] for r in map(dict, forms[c])]))
+    q = None
+    for a in range(m - 1):
         kernel = nullspace_int_rows(forms[a], n)
         if kernel:
             return _singular(alg, kernel[0], f"B_{a} is degenerate")
-        ba, bb = (Matrix.from_rows([[dict(r).get(j, 0) for j in range(n)] for r in forms[c]])
-                  for c in (a, b))
-        m = inverse(ba) * bb
-        f = minimal_polynomial(m)
-        count = real_root_count(f)
-        if count:
-            roots = rational_roots(f)
-            if not roots:
-                why = ("none rational" if roots == [] else
-                       "rational roots not searched: a coefficient exceeds 10^12")
-                return NonsingularVerdict("singular", f"det(t B_{a} + B_{b}) has {count} distinct "
-                                          f"real root(s) by Sturm's theorem, {why}")
-            mu = roots[0]
-            return _singular(alg, nullspace(m - Matrix.identity(n).scale(mu))[0],
-                             f"B_{b} - ({rat_str(mu)}) B_{a} is degenerate")
-    if alg.dim_z == 2:
+        inv = inverse(dense(a))
+        if a == 0:
+            q = _clifford_form(inv, forms)
+            if q is not None and is_positive_definite(q):
+                return NonsingularVerdict("nonsingular", "Clifford pencil with q positive "
+                                          "definite: B_z is invertible for every z != 0")
+        for b in range(a + 1, m):
+            f = minimal_polynomial(mab := inv * dense(b))
+            count = real_root_count(f)
+            if count:
+                roots = rational_roots(f)
+                if not roots:
+                    why = ("none rational" if roots == [] else
+                           "rational roots not searched: a coefficient exceeds 10^12")
+                    return NonsingularVerdict("singular", f"det(t B_{a} + B_{b}) has {count} "
+                                              f"distinct real root(s) by Sturm's theorem, {why}")
+                mu = roots[0]
+                return _singular(alg, nullspace(mab - Matrix.identity(n).scale(mu))[0],
+                                 f"B_{b} - ({rat_str(mu)}) B_{a} is degenerate")
+    if m == 2:
         return NonsingularVerdict("nonsingular", "B_0 is nondegenerate and det(t B_0 + B_1) "
                                   "has no real root by Sturm's theorem")
-    return NonsingularVerdict("inconclusive", "no H-type certificate, and no coordinate pencil "
-                              "t B_a + B_b of (a, b) = " + ", ".join(map(str, pencils))
-                              + " has a degenerate member")
+    if q is not None:
+        return NonsingularVerdict("singular", "Clifford pencil with q not positive definite: "
+                                  "some B_z, z != 0, is degenerate; no witness searched")
+    pencils = ", ".join(map(str, itertools.combinations(range(m), 2)))
+    return NonsingularVerdict("inconclusive", "not a Clifford pencil, and no coordinate pencil "
+                              f"t B_a + B_b of (a, b) = {pencils} has a degenerate member")
+
+
+def _clifford_form(inv0: Matrix, forms) -> Optional[Matrix]:
+    """q_ab, a, b = 1 .. dimZ-1, with {A'_a, A'_b} = -2 q_ab I, or None once one is no scalar;
+    in ints on C_b = n e A'_b = n P_b - tr(P_b) I, B_0^{-1} = rows / e and P_b = rows B_b."""
+    n = len(forms[0])
+    e, rows = scaled_sparse(inv0)
+    cs, q = [], {}
+    for b, form in enumerate(forms[1:]):
+        p = sparse_mul(rows, form)
+        tr = sum(dict(r).get(i, 0) for i, r in enumerate(p))
+        # a repeated column in a sparse row adds up, so (i, -tr) joins row i as it is
+        cs.append([[(j, n * x) for j, x in r] + [(i, -tr)] for i, r in enumerate(p)])
+        for a in range(b + 1):
+            s = anticommutator_scalar(cs[a], cs[b])
+            if s is None:
+                return None
+            q[a, b] = q[b, a] = Fraction(-s, 2 * (n * e) ** 2)
+    return Matrix.from_rows([[q[a, b] for b in range(len(cs))] for a in range(len(cs))])
 
 
 def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> NonsingularVerdict:

@@ -318,3 +318,56 @@ def pencil_findings():
         "S = [[0, 2], [1, 0]]", 4, 2,
         {(0, 2): [1, 0], (1, 3): [1, 0], (0, 3): [0, 2], (1, 2): [0, 1]})
     return rebased, irrational
+
+
+def mix_z(alg: TwoStepAlgebra, seed: int) -> TwoStepAlgebra:
+    """alg with every bracket value mapped by P = L U, L and U unit triangular with
+    random thirds in [-1, 1] off the diagonal: the same algebra in another Z basis,
+    neither orthogonal nor a scaling of one, and carrying no metric."""
+    rng, m = random.Random(seed), alg.dim_z
+    tri = [[[Fraction(rng.randint(-3, 3), 3) if (i > j if lower else i < j) else
+             Fraction(int(i == j)) for j in range(m)] for i in range(m)] for lower in (True, False)]
+    p = Matrix.from_rows(tri[0]) * Matrix.from_rows(tri[1])
+    return TwoStepAlgebra.from_brackets(alg.name + " z-mixed", alg.dim_v, m,
+                                        {key: list(mat_vec(p, vec)) for key, vec in alg.brackets})
+
+
+# findings with dimV 8 and dimV 4 and dimZ 3: the first is no Clifford pencil and none of its
+# coordinate pencils has a degenerate member; the second is a Clifford pencil with the
+# indefinite q = [[1/2, -7/4], [-7/4, 47/16]]
+NON_CLIFFORD_DIMV8 = {(0, 1): [-1, 1, -2], (0, 2): [2, -1, 1], (0, 7): [2, 0, -2],
+                      (1, 2): [-1, 1, 0], (1, 6): [-1, -2, 2], (2, 3): [-2, 0, -1],
+                      (2, 4): [1, 2, -1], (2, 6): [2, 0, 2], (3, 4): [2, -2, 2],
+                      (3, 5): [1, 0, -2], (4, 7): [1, -1, 1], (5, 7): [1, -2, 2],
+                      (6, 7): [-1, 0, -2]}
+INDEFINITE_DIMV4 = {(0, 1): [1, -2, 1], (0, 3): [1, 1, -2], (1, 2): [-1, 1, 2],
+                    (1, 3): [2, 1, 1], (2, 3): [-1, 2, -2]}
+
+
+def split_quaternion_algebra(rows=((1, 0, 0), (0, 1, 0), (0, 0, 1))) -> TwoStepAlgebra:
+    """The pseudo-H-type algebra of the split quaternions (i^2 = -1, j^2 = k^2 = 1,
+    k = i j): [x, y]_c = <x, L_{u_c} y> for the split norm diag(1, 1, -1, -1) and the
+    imaginary units u_c = rows[c] in (i, j, k) coordinates.  B_z is degenerate exactly
+    when z is on the null cone of that norm, so the algebra is singular."""
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f + c * g + d * h, a * f + b * e - c * h + d * g,
+                a * g + c * e - b * h + d * f, a * h + d * e + b * g - c * f)
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    norm = (1, 1, -1, -1)
+    forms = [[[norm[i] * sum(u * mul(unit[t + 1], unit[j])[i] for t, u in enumerate(row))
+               for j in range(4)] for i in range(4)] for row in rows]
+    return TwoStepAlgebra.from_brackets(
+        "split quaternions", 4, 3, {(i, j): [b[i][j] for b in forms]
+                                    for i in range(4) for j in range(i + 1, 4)})
+
+
+def sturm_pencil() -> TwoStepAlgebra:
+    """A dimZ = 2 pencil that is no Clifford pencil: B_0 = [[0, I_4], [-I_4, 0]] and
+    B_1 = [[0, S], [-S^t, 0]] with S = diag(R, 2 R), R = [[0, -1], [1, 0]].
+    B_0^{-1} B_1 = diag(S^t, S) has the eigenvalues +-i and +-2i, so it is nonsingular."""
+    s = {(0, 1): -1, (1, 0): 1, (2, 3): -2, (3, 2): 2}
+    brackets = {(i, i + 4): [1, 0] for i in range(4)}
+    brackets.update({(i, j + 4): [0, c] for (i, j), c in s.items()})
+    return TwoStepAlgebra.from_brackets("S = diag(R, 2R)", 8, 2, brackets)

@@ -10,13 +10,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (FLEET, UNIT_PAIRS, fleet_member, pencil_findings, random_thirds,
-                      rebase_v, rebase_z, run_python, transfer_pairs)
+from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, UNIT_PAIRS, fleet_member,
+                      mix_z, pencil_findings, random_thirds, rebase_v, rebase_z, run_python,
+                      transfer_pairs)
 from nilrad import nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
-from nilrad.htype import MAX_PRECISION, dilation, is_htype, make_h_prime, pullback_metric
+from nilrad.htype import (MAX_PRECISION, dilation, is_htype, make_clifford_module_algebra,
+                          make_h, make_h_prime, pullback_metric)
 
 
 def run(capsys, *argv):
@@ -139,6 +141,43 @@ def test_nonsingular_decides_the_dimz2_findings_exactly(tmp_path, capsys):
         path = str(tmp_path / "alg.json")
         nilalg.save(path, alg)
         code, out, _ = run(capsys, "nonsingular", path, "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == want and "witness" not in doc
+
+
+# seven H-type algebras that the bracket forms alone must certify in any basis
+HTYPE_FINDINGS = {"h1H": lambda: make_h(Tag.H, 1), "hp11H": lambda: make_h_prime(Tag.H, 1, 1),
+                  "h1O": lambda: make_h(Tag.O, 1), "hp10O": lambda: make_h_prime(Tag.O, 1, 0),
+                  "hp21H": lambda: make_h_prime(Tag.H, 2, 1), "h3H": lambda: make_h(Tag.H, 3),
+                  "cliff5": lambda: make_clifford_module_algebra(5, 1)}
+
+
+@pytest.mark.parametrize("key", HTYPE_FINDINGS)
+def test_nonsingular_certifies_htype_files_without_a_gram_block(tmp_path, capsys, key):
+    # V rebased by rebase_v and Z by a random rational matrix at three seeds; the canonical
+    # h'_{1,1}(H) and h'_{1,0}(O) too, whose H-type gramV is 2 Id and not the identity
+    ms = HTYPE_FINDINGS[key]()
+    algs = [mix_z(rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed)).algebra, seed)
+            for seed in (1, 2, 3)]
+    algs += [ms.algebra] if key in ("hp11H", "hp10O") else []
+    for alg in algs:
+        path = str(tmp_path / "alg.json")
+        nilalg.save(path, alg)
+        code, out, _ = run(capsys, "nonsingular", path, "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "nonsingular") and "witness" not in doc
+        assert "Clifford pencil" in doc["certificate"]
+
+
+def test_nonsingular_on_the_two_dimz3_findings(tmp_path, capsys):
+    # an indefinite Clifford pencil is singular with no witness; a non-Clifford algebra
+    # whose coordinate pencils have no degenerate member stays inconclusive
+    for brackets, n, want in ((INDEFINITE_DIMV4, 4, (1, "singular")),
+                              (NON_CLIFFORD_DIMV8, 8, (3, "inconclusive"))):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dimV": n, "dimZ": 3, "brackets": [
+            [i, j, [str(c) for c in vec]] for (i, j), vec in brackets.items()]}))
+        code, out, _ = run(capsys, "nonsingular", str(path), "--json")
         doc = json.loads(out)
         assert (code, doc["verdict"]) == want and "witness" not in doc
 

@@ -424,6 +424,20 @@ def test_sparse_mul_matches_matrix_product(pair):
         [list(r) for r in want.data]
 
 
+def test_anticommutator_scalar_refuses_a_change_of_one_third():
+    # X = [[0, -1], [1, 0]] and Y = diag(1, -1) anticommute, and X^2 = -I; replacing Y by
+    # Y + E_00 / 3 changes X Y + Y X by X / 3, which is no scalar.  The rows hold 3 X, 3 Y
+    # and 3 Y + E_00, whose anticommutators are 9 times those of X, Y and Y + E_00 / 3.
+    x, y, y3 = [[(1, -3)], [(0, 3)]], [[(0, 3)], [(1, -3)]], [[(0, 4)], [(1, -3)]]
+    assert el.anticommutator_scalar(x, y) == 0
+    assert el.anticommutator_scalar(x, x) == -18
+    assert el.anticommutator_scalar(y, y) == 18
+    assert el.anticommutator_scalar(x, y3) is None
+    xm, ym = (Matrix.from_rows([[F(dict(r).get(j, 0), 3) for j in range(2)] for r in m])
+              for m in (x, y3))
+    assert xm * ym + ym * xm == xm.scale(F(1, 3))
+
+
 def test_product_rejects_a_shape_mismatch():
     with pytest.raises(ValueError):
         Matrix.identity(2) * Matrix.identity(3)

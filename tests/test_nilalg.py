@@ -1,16 +1,19 @@
+import ast
 import json
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (FLEET, fleet_member, pair_loop_bracket, pencil_findings, random_thirds,
-                      rebase_v, rebase_z)
+from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, fleet_member, mix_z,
+                      pair_loop_bracket, pencil_findings, random_thirds, rebase_v, rebase_z,
+                      split_quaternion_algebra, sturm_pencil)
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
-from nilrad.exactlin import Matrix, rank
-from nilrad.htype import make_h, make_h_prime
+from nilrad.exactlin import Matrix, inverse, rank
+from nilrad.htype import MetricStructure, make_h, make_h_prime
 from nilrad.nilalg import (
     TwoStepAlgebra,
     free_two_step,
@@ -27,6 +30,17 @@ def forms_bracket(alg, x, y):
     d, forms = alg.bracket_forms
     return [F(sum(xi * s * y[j] for xi, row in zip(x, form) for j, s in row)) / d
             for form in forms]
+
+
+def dense_form(alg, c):
+    """B_c as a dense matrix, up to the common denominator of the bracket forms."""
+    return Matrix.from_rows([[dict(r).get(j, 0) for j in range(alg.dim_v)]
+                             for r in alg.bracket_forms[1][c]])
+
+
+def clifford_form(alg):
+    """The form q of the Clifford pencil of alg, or None when it is no Clifford pencil."""
+    return nilalg._clifford_form(inverse(dense_form(alg, 0)), alg.bracket_forms[1])
 
 
 def reference_ad_rank(alg, x):
@@ -113,10 +127,10 @@ def test_center_reads_every_bracket_form():
 
 
 def test_center_of_quaternionic_instance():
-    # no V direction of h'_{1,1}(H) is central, so the verdict comes from the H-type route
+    # no V direction of h'_{1,1}(H) is central, so the verdict comes from the Clifford pencil
     ms = make_h_prime(Tag.H, 1, 1)
-    verdict = is_nonsingular(ms.algebra, gram_v=ms.gram_v, gram_z=ms.gram_z)
-    assert verdict.kind == "nonsingular" and "H-type" in verdict.certificate
+    verdict = is_nonsingular(ms.algebra)
+    assert verdict.kind == "nonsingular" and "Clifford pencil" in verdict.certificate
 
 
 def test_fundamentality_of_constructors():
@@ -142,11 +156,11 @@ def test_heisenberg_nonsingular_via_line_route():
     assert "line" in verdict.certificate
 
 
-def test_octonion_nonsingular_via_htype_route():
+def test_octonion_nonsingular_via_clifford_pencil():
     ms = make_h_prime(Tag.O, 1, 0)
-    verdict = is_nonsingular(ms.algebra, gram_v=ms.gram_v, gram_z=ms.gram_z)
+    verdict = is_nonsingular(ms.algebra)
     assert verdict.kind == "nonsingular"
-    assert "H-type" in verdict.certificate
+    assert "Clifford pencil" in verdict.certificate
 
 
 def test_central_v_direction_makes_singular():
@@ -158,6 +172,8 @@ def test_central_v_direction_makes_singular():
 def test_pencil_decides_both_findings():
     rebased, irrational = pencil_findings()
     verdict = is_nonsingular(rebased)
+    assert verdict.kind == "nonsingular" and "Clifford pencil" in verdict.certificate
+    verdict = is_nonsingular(sturm_pencil())
     assert verdict.kind == "nonsingular" and "Sturm" in verdict.certificate
     verdict = is_nonsingular(irrational)
     assert verdict.kind == "singular" and verdict.witness is None
@@ -167,10 +183,10 @@ def test_pencil_decides_both_findings():
 @pytest.mark.parametrize("n", [1, 2])
 def test_rebased_complex_heisenberg_is_nonsingular_without_its_gram(n):
     # Z columns 2 z_0 and 2 z_0 + 6 z_1: neither a unit nor orthogonal, so the
-    # identity metric is not H-type and the pencil decides
+    # identity metric is not H-type; the Clifford pencil needs no metric
     alg = rebase_z(make_h(Tag.C, n), [(1, 3)], 2).algebra
     verdict = is_nonsingular(alg)
-    assert verdict.kind == "nonsingular" and "Sturm" in verdict.certificate
+    assert verdict.kind == "nonsingular" and "Clifford pencil" in verdict.certificate
 
 
 def test_second_pencil_with_a_rational_root_gives_a_witness():
@@ -184,10 +200,79 @@ def test_second_pencil_with_a_rational_root_gives_a_witness():
 
 
 def test_pencils_without_a_degenerate_member_leave_dimz3_inconclusive():
-    alg = rebase_z(make_h_prime(Tag.H, 1, 0), [(1, 3), (1, 1)], 2).algebra
+    alg = TwoStepAlgebra.from_brackets("dimV 8", 8, 3, NON_CLIFFORD_DIMV8)
     verdict = is_nonsingular(alg)
     assert verdict.kind == "inconclusive"
     assert "(0, 1), (0, 2), (1, 2)" in verdict.certificate
+
+
+def test_rebased_quaternionic_heisenberg_is_nonsingular_without_its_gram():
+    # its coordinate pencils have no degenerate member, which once left it inconclusive
+    alg = rebase_z(make_h_prime(Tag.H, 1, 0), [(1, 3), (1, 1)], 2).algebra
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "nonsingular" and "Clifford pencil" in verdict.certificate
+
+
+def test_indefinite_clifford_pencil_is_singular_without_a_witness():
+    alg = TwoStepAlgebra.from_brackets("dimV 4", 4, 3, INDEFINITE_DIMV4)
+    assert clifford_form(alg) == Matrix.from_rows([[F(1, 2), F(-7, 4)], [F(-7, 4), F(47, 16)]])
+    verdict = is_nonsingular(alg)
+    assert (verdict.kind, verdict.witness) == ("singular", None)
+    assert "q not positive definite" in verdict.certificate
+
+
+def test_split_quaternion_pseudo_htype_algebra_is_singular():
+    # in the Z basis (i, j, k), A'_1 = B_0^{-1} B_1 = -L_k squares to +I: a coordinate pencil
+    # has the rational roots +-1; in the basis (j, k, i + 2 j + 2 k) every coordinate plane
+    # misses the null cone, and only the indefinite q of the Clifford pencil decides
+    alg = split_quaternion_algebra()
+    a1 = inverse(dense_form(alg, 0)) * dense_form(alg, 1)
+    assert a1 * a1 == Matrix.identity(4) and all(a1[i, i] == 0 for i in range(4))
+    assert clifford_form(alg) == Matrix.identity(2).scale(-1)
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "singular" and reference_ad_rank(alg, verdict.witness) < 3
+    verdict = is_nonsingular(split_quaternion_algebra(((0, 1, 0), (0, 0, 1), (1, 2, 2))))
+    assert (verdict.kind, verdict.witness) == ("singular", None)
+    assert "q not positive definite" in verdict.certificate
+
+
+def test_perturbed_clifford_pencil_is_not_certified():
+    # one bracket coordinate of h_1(H) off by 1/3: B_0^{-1} B_b no longer anticommute to
+    # scalars, and for dimZ >= 3 only the Clifford pencil proves "nonsingular"
+    h1h = make_h(Tag.H, 1).algebra
+    assert clifford_form(h1h) == Matrix.identity(h1h.dim_z - 1)
+    brackets = h1h.bracket_map()
+    key = min(brackets)
+    brackets[key] = [brackets[key][0] + F(1, 3), *brackets[key][1:]]
+    alg = TwoStepAlgebra.from_brackets("h_1(H) perturbed", h1h.dim_v, h1h.dim_z, brackets)
+    assert clifford_form(alg) is None
+    verdict = is_nonsingular(alg)
+    assert verdict.kind == "inconclusive" and "not a Clifford pencil" in verdict.certificate
+
+
+def test_nilalg_imports_nothing_from_htype():
+    tree = ast.parse(Path(nilalg.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and not any("htype" in name for name in names)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["split", "indefinite", "sturm", "irrational", "h1C", "h1H", "hp10H",
+                        "hp11H", "hp21H", "cliff5"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_verdict_is_the_same_in_every_basis(key, v_seed, z_seed):
+    algs = {"split": split_quaternion_algebra,
+            "indefinite": lambda: TwoStepAlgebra.from_brackets("dimV 4", 4, 3, INDEFINITE_DIMV4),
+            "sturm": sturm_pencil, "irrational": lambda: pencil_findings()[1]}
+    alg = algs[key]() if key in algs else fleet_member(key).algebra
+    want = "nonsingular" if key in FLEET or key == "sturm" else "singular"
+    assert is_nonsingular(alg).kind == want
+    # rebase_v reads only the algebra of a metric structure; any valid metric will do
+    ms = MetricStructure(alg, Matrix.identity(alg.dim_v), Matrix.identity(alg.dim_z))
+    moved = mix_z(rebase_v(ms, random_thirds(alg.dim_v - 1, v_seed)).algebra, z_seed)
+    assert is_nonsingular(moved).kind == want
 
 
 @pytest.mark.parametrize("generators", [3, 4])
