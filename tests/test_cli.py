@@ -13,12 +13,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, UNIT_PAIRS, fleet_member,
                       mix_z, pencil_findings, random_thirds, rebase_v, rebase_z, run_python,
                       transfer_pairs)
-from nilrad import nilalg
+from nilrad import cli, nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
 from nilrad.htype import (MAX_PRECISION, dilation, is_htype, make_clifford_module_algebra,
                           make_h, make_h_prime, pullback_metric)
+from nilrad.prolong import ProlongationLayer
 
 
 def run(capsys, *argv):
@@ -92,6 +93,69 @@ def test_prolong_json_with_basis(tmp_path, capsys):
     assert len(doc["layers"][0]["basis"]) == 4
     first = doc["layers"][0]["basis"][0]
     assert len(first["v_block"]) == 2 and len(first["z_block"]) == 1
+
+
+def test_prolong_basis_without_json_prints_the_plain_text(tmp_path, capsys):
+    alg = make_h_prime(Tag.C, 1, 0).algebra
+    path = str(tmp_path / "heis3.json")
+    nilalg.save(path, alg)
+    plain = run(capsys, "prolong", path, "--max-degree", "2")
+    assert plain[0] == 0
+    assert run(capsys, "prolong", path, "--max-degree", "2", "--basis") == plain
+
+
+def reference_basis_json(doc: dict, layers) -> str:
+    """`prolong --basis --json` through `matrix_to_json` and the indent encoder."""
+    doc = dict(doc, layers=[
+        {"degree": layer.degree,
+         "basis": [{"v_block": nilalg.matrix_to_json(v), "z_block": nilalg.matrix_to_json(z)}
+                   for v, z in layer.basis]}
+        for layer in layers])
+    return json.dumps(doc, indent=1, default=str) + "\n"
+
+
+# (member, max degree, stop when zero) of the benchmark's prolongation table
+PROLONG_TABLE = [("hp10H", 3, True), ("hp11H", 3, True), ("h1H", 3, True), ("hp10O", 3, True),
+                 ("h1O", 3, True), ("h1C", 3, False), ("hp10C", 4, False),
+                 ("cliff5", 1, False), ("cliff7x2", 1, False)]
+
+
+@pytest.mark.parametrize("rebased", [False, True])
+@pytest.mark.parametrize("key,degree,stop", PROLONG_TABLE)
+def test_prolong_basis_json_is_the_indent_encoders_bytes(tmp_path, capsys, monkeypatch,
+                                                       key, degree, stop, rebased):
+    ms = fleet_member(key)
+    if rebased:
+        ms = rebase_v(ms, random_thirds(ms.algebra.dim_v, 11))
+    path = str(tmp_path / f"{key}.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    results = []
+    real = cli.prolong
+
+    def recording_prolong(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "prolong", recording_prolong)
+    argv = ["prolong", path, "--max-degree", str(degree), "--basis", "--json"]
+    code, out, _ = run(capsys, *argv + ["--stop-when-zero"] * stop)
+    res, = results
+    doc = {"command": "prolong", "file": path, "name": ms.algebra.name, "dims": res.dims(),
+           "verdict": res.verdict, "last_nonzero_degree": res.last_nonzero}
+    assert code == 0
+    assert out == reference_basis_json(doc, res.layers)
+
+
+def test_basis_writer_on_hand_built_layers():
+    v = Matrix.from_rows([[-3, F(1, 2), 0], [10**30, F(-7, 3), 1]])
+    layers = (ProlongationLayer(0, 2, 0, ((v, Matrix.zeros(0, 3)), (v, Matrix.zeros(0, 3)))),
+              ProlongationLayer(1, 2, 2, ((Matrix.zeros(2, 0), v),)),
+              ProlongationLayer(2, 1, 2, ()))
+    doc = {"command": "prolong", "file": 'a "quoted" p\u00e4th', "name": "hand\tbuilt",
+           "dims": [2, 1, 0], "verdict": "nontrivial_up_to_cutoff", "last_nonzero_degree": None}
+    for some in (layers, layers[2:], ()):
+        assert cli._prolong_basis_json(doc, some) == reference_basis_json(doc, some)
+    assert '"basis": []' in cli._prolong_basis_json(doc, layers)
 
 
 def test_prolong_resource_guard_exit_code(tmp_path, capsys):
