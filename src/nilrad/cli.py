@@ -18,6 +18,9 @@ from . import nilalg
 from .division import Tag
 from .exactlin import Matrix, rat_str
 from .htype import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
     MetricStructure,
     identify_family,
     is_htype,
@@ -351,8 +354,8 @@ def _parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("transfer", help="transfer operator between two H-type metrics")
     tr.add_argument("file")
     tr.add_argument("--gram2", required=True)
-    tr.add_argument("--precision", type=int, default=128,
-                    help="bits of an irrational lambda, 64 to 4096")
+    tr.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                    help=f"bits of an irrational lambda, {MIN_PRECISION} to {MAX_PRECISION}")
     tr.add_argument("--json", action="store_true")
     tr.set_defaults(func=_cmd_transfer)
 

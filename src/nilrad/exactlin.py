@@ -23,6 +23,9 @@ two nonzeros, the integer echelon form reduces what is left block by
 block (blocks that share no column), and back-substitution in Python ints
 recovers the echelon-form basis of the whole system.  Every vector is
 certified by exact integer substitution into every original row.
+Polynomials are read off one Sturm chain in ints: `real_root_count` counts
+their distinct real roots, and `rational_roots` isolates them by bisection
+and finds every rational root, with no cap on the coefficients.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from typing import List, Optional, Sequence, Tuple
 Rational = Fraction
 
 
+# "p" or "p/q" in ASCII digits, signed, with surrounding ASCII whitespace: no
+# exponent (a "1e30000000" would build a 30-million-digit int), decimal point,
+# underscore or non-ASCII digit, so every supported Python reads the same strings
+_RAT_STR = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*\Z", re.ASCII)
+
+
 def rat(x) -> Fraction:
     """Coerce int (not bool) / str ("p/q" or "p") / Fraction to Fraction."""
     if isinstance(x, Fraction):
@@ -44,23 +53,22 @@ def rat(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RAT_STR.match(x):
+            raise ValueError(f"cannot read {x!r} as a rational \"p\" or \"p/q\"")
+        p, _, q = x.partition("/")
         try:
-            return Fraction(x)
+            return Fraction(int(p), int(q or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
-
-
-# a string that int() reads exactly as Fraction() does: ASCII digits and
-# whitespace only, and no underscores, which Fraction rejects before Python 3.11
-_INT_STR = re.compile(r"\s*[+-]?\d+\s*\Z", re.ASCII)
 
 
 def scalar(x):
     """An int for an int (not bool) or an integer string, else `rat(x)`."""
     if type(x) is int:
         return x
-    if type(x) is str and _INT_STR.match(x):
+    # a run of ASCII digits, the commonest entry, needs no pattern match
+    if type(x) is str and (x.isascii() and x.isdecimal() or "/" not in x and _RAT_STR.match(x)):
         return int(x)
     return rat(x)
 
@@ -187,13 +195,7 @@ class Matrix:
             for i in range(self.rows) for j in range(self.cols))
 
     def max_abs(self) -> Fraction:
-        m = Fraction(0)
-        for r in self.data:
-            for x in r:
-                a = -x if x < 0 else x
-                if a > m:
-                    m = a
-        return m
+        return max((abs(x) for r in self.data for x in r), default=Fraction(0))
 
     def _expect_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
@@ -617,81 +619,87 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
     return [Fraction(c, v[deg]) for c in v[:deg + 1]]
 
 
-def real_root_count(coeffs: Sequence[Fraction]) -> int:
-    """The number of distinct real roots of f (low-first, nonzero leading coefficient).
-
-    The Sturm chain p_0 = f, p_1 = f', p_{k+1} = -(p_{k-1} mod p_k) ends at
-    gcd(f, f'), and by the generalised Sturm theorem the count is the sign
-    changes of its leading terms at -infinity less those at +infinity, with
-    no square-free step.
-    """
-    f = [rat(c) for c in coeffs]
+def _sturm_chain(f: List[int]) -> List[List[int]]:
+    """p_0 = f, p_1 = f', p_{k+1} = -(p_{k-1} mod p_k), down to gcd(f, f'), for an int f
+    (low-first, nonzero leading coefficient); each remainder is a pseudo-remainder in
+    ints, made primitive, so each member is a positive multiple of the classical one."""
     chain = [f, [k * c for k, c in enumerate(f)][1:]]
     while chain[-1]:
         r, q = list(chain[-2]), chain[-1]
         while len(r) >= len(q):
-            s = r.pop() / q[-1]
+            # |lc q| r - sign(lc q) lead(r) x^k q drops the leading term
+            t = r.pop() if q[-1] > 0 else -r.pop()
+            r = [abs(q[-1]) * c for c in r]
             for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
-                r[i] -= s * c
+                r[i] -= t * c
         while r and not r[-1]:
             r.pop()
-        chain.append([-c for c in r])
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
     chain.pop()
+    return chain
+
+
+def _scaled_value(p: Sequence[int], u: int, w: int) -> int:
+    """w^deg(p) p(u / w), an int with the sign of p(u / w) for w > 0 (Horner)."""
+    acc, s = 0, 1
+    for c in reversed(p):
+        acc, s = acc * u + c * s, s * w
+    return acc
+
+
+def real_root_count(coeffs: Sequence[Fraction]) -> int:
+    """The number of distinct real roots of f (low-first, nonzero leading coefficient):
+    by the generalised Sturm theorem, the sign changes of the chain's leading terms
+    at -infinity less those at +infinity, with no square-free step."""
+    chain = _sturm_chain(clear_denominators([rat(c) for c in coeffs]))
     # signs of each p at +infinity and at -infinity, where an odd degree flips it
     pos = [p[-1] > 0 for p in chain]
     neg = [up != (len(p) % 2 == 0) for up, p in zip(pos, chain)]
     return sum(a != b for a, b in zip(neg, neg[1:])) - sum(a != b for a, b in zip(pos, pos[1:]))
 
 
-def _divisors(n: int) -> List[int]:
-    """The positive divisors of n != 0, by trial division up to sqrt(|n|)."""
-    n = abs(n)
-    return sorted({x for d in range(1, math.isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
+def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
+    """All rational roots of a nonzero polynomial (low-first coefficients), each once.
 
-
-def rational_roots(coeffs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """All rational roots of the polynomial (low-first coefficients), each once.
-
-    Degrees 1 and 2 are solved in closed form, higher ones by the divisor
-    search of the rational root theorem.  That search alone is capped: from
-    degree 3 up, None (not searched) is returned when the cleared constant or
-    leading coefficient exceeds 10^12.
+    Degrees 1 and 2 are solved in closed form.  Otherwise, with f cleared
+    to ints and e = |a_n|, a root p/q in lowest terms has q | a_n, so it is k / e
+    for an integer k, and no point (2k + 1) / (2e) is a root.  Bisection on Sturm
+    counts at those points stops at the intervals around one k / e, and each k / e
+    whose interval holds a real root is checked by exact substitution.  No cap.
     """
-    cs = [rat(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return None
-    lcm = math.lcm(*(c.denominator for c in cs))
-    ics = [int(c * lcm) for c in cs]
-    roots: List[Fraction] = []
-    # strip zero roots
-    while ics and ics[0] == 0:
-        if not roots or roots[-1] != 0:
-            roots.append(Fraction(0))
-        ics = ics[1:]
-    if len(ics) <= 1:
-        return roots
-    a0, an = ics[0], ics[-1]
-    deg = len(ics) - 1
+    ics = clear_denominators([rat(c) for c in coeffs])
+    while ics and not ics[-1]:
+        ics.pop()
+    if not ics:
+        raise ValueError("the zero polynomial has every rational root")
+    a0, an, deg = ics[0], ics[-1], len(ics) - 1
     if deg == 1:
-        return sorted(roots + [Fraction(-a0, an)])
+        return [Fraction(-a0, an)]
     if deg == 2:
         # the roots (-a1 +- s) / (2 a2) are rational exactly when a1^2 - 4 a0 a2 = s^2
         disc = ics[1] ** 2 - 4 * a0 * an
         s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s == disc:
-            roots += {Fraction(-ics[1] + s, 2 * an), Fraction(-ics[1] - s, 2 * an)}
-        return sorted(roots)
-    if abs(a0) > 10**12 or abs(an) > 10**12:
-        return None
-    d0, dn = _divisors(a0), _divisors(an)
-    # each candidate +-p/q in lowest terms once; it is a root exactly when
-    # q^deg f(p/q) = sum_k a_k p^k q^(deg-k) vanishes, a sum in ints
-    for p, q in ((p, q) for p in d0 for q in dn if math.gcd(p, q) == 1):
-        for s in (p, -p):
-            if sum(c * s ** k * q ** (deg - k) for k, c in enumerate(ics)) == 0:
-                roots.append(Fraction(s, q))
+        return sorted({Fraction(-ics[1] + s, 2 * an), Fraction(-ics[1] - s, 2 * an)}
+                      if s * s == disc else [])
+    chain, e, roots = _sturm_chain(ics), abs(an), []
+
+    def variations(u: int) -> int:
+        """Sign changes of the chain at u / (2e), zeros skipped."""
+        signs = [v > 0 for v in (_scaled_value(p, u, 2 * e) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Cauchy: every root has |x| <= 1 + max |a_k / a_n|, so |2e x| < u
+    u = 2 * (e + max(map(abs, ics))) + 1
+    stack = [(-u, variations(-u), u, variations(u))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo != vhi and hi - lo == 2 and not _scaled_value(ics, (lo + 1) // 2, e):
+            roots.append(Fraction((lo + 1) // 2, e))
+        elif vlo != vhi and hi - lo > 2:
+            mid = lo + 2 * ((hi - lo) // 4)
+            vmid = variations(mid)
+            stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
     return sorted(roots)
 
 

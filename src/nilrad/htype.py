@@ -539,13 +539,11 @@ def irreducibility_probe(ms: MetricStructure,
         return ProbeVerdict("irreducible", "the exact gramV-self-adjoint commutant "
                             "is the scalars")
     ident = Matrix.identity(n)
-    unsearched = 0
     for s in sym_comm:
         trace = sum(s[i, i] for i in range(n))
         if s == ident.scale(Fraction(trace, n)):
             continue
         roots = rational_roots(minimal_polynomial(s))
-        unsearched += roots is None
         if not roots:
             continue
         k = s - ident.scale(roots[0])
@@ -557,11 +555,9 @@ def irreducibility_probe(ms: MetricStructure,
         return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
                             "commutant element, invariance verified exactly",
                             tuple(w_basis))
-    why = (f"no rational eigenvalue was found, and the rational-root search skipped "
-           f"{unsearched} basis element(s) with a minimal-polynomial coefficient past "
-           f"10^12" if unsearched else "no element of its basis has a rational eigenvalue")
     return ProbeVerdict("reducible", f"the gramV-self-adjoint commutant has dimension "
-                        f"{len(sym_comm)}, but {why}")
+                        f"{len(sym_comm)}, but no element of its basis has a rational "
+                        "eigenvalue")
 
 
 def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Matrix]:
@@ -826,29 +822,21 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     """Exact positive square root of gram^{-1} gram2, when it exists over Q."""
     n = m.rows
-    if n == 0:
-        return Matrix.zeros(0, 0)
     poly = minimal_polynomial(m)
     roots = rational_roots(poly)
-    if roots is None or len(roots) != len(poly) - 1:
+    # m is diagonalizable over Q with positive square eigenvalues (None and 0 fail)
+    sqrts = [rational_sqrt(r) for r in roots]
+    if len(roots) != len(poly) - 1 or not all(sqrts):
         return None
-    sqrts = []
-    for r in roots:
-        s = rational_sqrt(r)
-        if s is None or r <= 0:
-            return None
-        sqrts.append(s)
     ident = Matrix.identity(n)
     p = Matrix.zeros(n, n)
-    for i, (mu, s) in enumerate(zip(roots, sqrts)):
+    for mu, s in zip(roots, sqrts):
         proj = ident
-        for j, nu in enumerate(roots):
-            if j != i:
+        for nu in roots:
+            if nu != mu:
                 proj = proj * (m - ident.scale(nu)).scale(Fraction(1) / (mu - nu))
         p = p + proj.scale(s)
-    if p * p != m:
-        return None
-    if gram * p != p.transpose() * gram:
+    if p * p != m or gram * p != p.transpose() * gram:
         return None
     return p
 

@@ -179,10 +179,9 @@ def is_nonsingular(alg: TwoStepAlgebra) -> NonsingularVerdict:
             if count:
                 roots = rational_roots(f)
                 if not roots:
-                    why = ("none rational" if roots == [] else
-                           "rational roots not searched: a coefficient exceeds 10^12")
                     return NonsingularVerdict("singular", f"det(t B_{a} + B_{b}) has {count} "
-                                              f"distinct real root(s) by Sturm's theorem, {why}")
+                                              "distinct real root(s) by Sturm's theorem, "
+                                              "none rational")
                 mu = roots[0]
                 return _singular(alg, nullspace(mab - Matrix.identity(n).scale(mu))[0],
                                  f"B_{b} - ({rat_str(mu)}) B_{a} is degenerate")

@@ -17,8 +17,8 @@ from nilrad import cli, nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
-from nilrad.htype import (MAX_PRECISION, dilation, is_htype, make_clifford_module_algebra,
-                          make_h, make_h_prime, pullback_metric)
+from nilrad.htype import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, dilation, is_htype,
+                          make_clifford_module_algebra, make_h, make_h_prime, pullback_metric)
 from nilrad.prolong import ProlongationLayer
 
 
@@ -264,10 +264,12 @@ def test_probe_takes_no_trials(tmp_path, capsys):
 
 def test_nonsingular_pencils_past_the_root_search_cap(tmp_path, capsys):
     # det(t B_0 + B_1) has the integer roots -1000003 and -1000033, found in
-    # closed form; the degree-3 pencil's search is capped, so it has no witness
+    # closed form; the degree-3 pencil's roots 100000, 100001 and 100002 are
+    # isolated on the Sturm chain, with no cap on the coefficients
     for name, pairs, want in (
             ("quadratic", [(0, 2, 1000003), (1, 3, 1000033)], ["1", "0", "0", "0"]),
-            ("cubic", [(0, 3, 100000), (1, 4, 100001), (2, 5, 100002)], None)):
+            ("cubic", [(0, 3, 100000), (1, 4, 100001), (2, 5, 100002)],
+             ["1", "0", "0", "0", "0", "0"])):
         path = str(tmp_path / f"{name}.json")
         with open(path, "w") as fh:
             json.dump({"dimV": 2 * len(pairs), "dimZ": 2,
@@ -276,7 +278,7 @@ def test_nonsingular_pencils_past_the_root_search_cap(tmp_path, capsys):
         doc = json.loads(out)
         assert (code, doc["verdict"], doc.get("witness")) == (1, "singular", want)
         assert "none rational" not in doc["certificate"]
-    assert "not searched" in doc["certificate"]
+    assert doc["certificate"].startswith("B_1 - (100000) B_0 is degenerate")
 
 
 def test_transfer_of_a_large_rational_dilation_is_exact(tmp_path, capsys):
@@ -504,6 +506,32 @@ def test_invalid_document_exits_two(tmp_path, capsys, verb, doc, message):
         json.dump(doc, fh)
     code, _, err = run(capsys, verb, path)
     assert code == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["brackets", "gram"])
+@pytest.mark.parametrize("text", ["1e30000000", "1E3", "1.5", "1_0", "\u0663", " 3\x1c"])
+def test_entries_other_than_p_and_p_over_q_exit_two_at_once(tmp_path, capsys, where, text):
+    # an exponent is never expanded, so a coordinate "1e30000000" exits 2 at once
+    doc = {"dimV": 2, "dimZ": 1, "brackets": [[0, 1, [text if where == "brackets" else "1"]]]}
+    if where == "gram":
+        doc["gram"] = {"v": [[text, "0"], ["0", "1"]], "z": [["1"]]}
+    path = str(tmp_path / "exp.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nonsingular", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and repr(text) in err and "Traceback" not in err
+
+
+def test_transfer_precision_flag_reads_the_library_bounds(tmp_path, capsys):
+    code, out, _ = run(capsys, "transfer", "--help")
+    assert code == 0 and f"lambda, {MIN_PRECISION} to {MAX_PRECISION}" in " ".join(out.split())
+    ms = make_h_prime(Tag.C, 1, 0)
+    path = str(tmp_path / "h.json")
+    nilalg.save(path, ms.algebra, ms.gram_v, ms.gram_z)
+    code, out, _ = run(capsys, "transfer", path, "--gram2", path, "--json")
+    assert (code, json.loads(out)["precision"]) == (0, DEFAULT_PRECISION)
 
 
 def test_nonsingular_empty_algebra_exits_two(tmp_path, capsys):

@@ -694,14 +694,21 @@ def root_polynomials(draw):
 @example([F(10**13), F(1)])                     # degree 1 above the cap: -10^13
 @example([F(1), F(0), F(10**13)])               # degree 2 above the cap: no root
 @example([F(0), F(-1), F(0), F(10**13)])        # a zero root, then degree 2 above the cap
-@example([F(10**13), F(0), F(0), F(1)])         # degree 3 above the cap: not searched
+@example([F(10**13), F(0), F(0), F(1)])         # degree 3 above the cap: no rational root
 @example([F(-1), F(0), F(10**12)])              # at the cap: +-1/10^6
 @example([F(1, 10**13), F(-1, 10**13)])         # large denominators clear to 1, -1
 @example([])
 @example([F(0)])
 @example([F(5)])
 def test_rational_roots_match_the_divisor_search(coeffs):
-    assert el.rational_roots(coeffs) == reference_rational_roots(coeffs)
+    if not any(coeffs):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            el.rational_roots(coeffs)
+        return
+    roots, want = el.rational_roots(coeffs), reference_rational_roots(coeffs)
+    # past the reference's cap, every root found is checked by substitution
+    assert roots == want if want is not None else not any(
+        sum(c * r ** k for k, c in enumerate(coeffs)) for r in roots)
 
 
 def test_rational_roots_cap_only_the_divisor_search():
@@ -709,7 +716,37 @@ def test_rational_roots_cap_only_the_divisor_search():
     assert el.rational_roots([F(1), F(0), F(10**13)]) == []
     assert el.rational_roots([F(0), F(-1), F(0), F(10**13)]) == [0]
     assert el.rational_roots([F(-(1001**4)), F(1)]) == [1001**4]
-    assert el.rational_roots([F(10**13), F(0), F(0), F(1)]) is None
+    assert el.rational_roots([F(10**13), F(0), F(0), F(1)]) == []
+    cubic = _poly_mul(_poly_mul([F(-100000), F(1)], [F(-100001), F(1)]), [F(-100002), F(1)])
+    assert el.rational_roots(cubic) == [100000, 100001, 100002]
+
+
+@st.composite
+def large_root_polynomials(draw):
+    """(coeffs, roots): a rational multiple of linear factors q x - p with |p| past
+    10^12, some doubled, of degree 3 to 8 in all, times up to two quadratics
+    x^2 + b x + c with b^2 < 4c, which have no rational root."""
+    coeffs = [draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))]
+    roots, degree = set(), draw(st.integers(3, 8))
+    while len(coeffs) <= degree:
+        p = draw(st.integers(10**12, 10**15)) * draw(st.sampled_from([1, -1]))
+        q = draw(st.integers(1, 50))
+        for _ in range(min(draw(st.integers(1, 2)), degree + 1 - len(coeffs))):
+            coeffs = _poly_mul(coeffs, [F(-p), F(q)])
+        roots.add(F(p, q))
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.integers(-10**6, 10**6))
+        coeffs = _poly_mul(coeffs, [F(b * b // 4 + draw(st.integers(1, 10**6))), F(b), F(1)])
+    return coeffs, sorted(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_root_polynomials())
+@example((_poly_mul(_poly_mul([F(-(10**13 + 7)), F(1)], [F(1), F(0), F(1)]),
+                    [F(2), F(0), F(1)]), [10**13 + 7]))    # degree 5, one root
+def test_rational_roots_find_every_root_past_the_old_cap(case):
+    coeffs, roots = case
+    assert el.rational_roots(coeffs) == roots
 
 
 def test_rational_sqrt():

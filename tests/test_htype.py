@@ -762,13 +762,6 @@ def test_probe_decides_reducible_without_a_rational_eigenvalue():
     assert "dimension 2" in verdict.detail and "no element" in verdict.detail
 
 
-def test_probe_tells_a_capped_root_search_from_no_rational_root(monkeypatch):
-    monkeypatch.setattr(htype, "rational_roots", lambda coeffs: None)
-    verdict = irreducibility_probe(fleet_member("hp11H"))
-    assert verdict.kind == "reducible" and verdict.invariant_subspace is None
-    assert "rational-root search skipped" in verdict.detail
-
-
 def test_cli_probe_runs_no_automorphism_check(monkeypatch, tmp_path):
     # the verb acts with the J maps that is_htype certifies: no sigma map is built
     ms = fleet_member("cliff7x2")
