@@ -31,6 +31,7 @@ and finds every rational root, with no cap on the coefficients.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
 from collections import deque
@@ -67,8 +68,7 @@ def scalar(x):
     """An int for an int (not bool) or an integer string, else `rat(x)`."""
     if type(x) is int:
         return x
-    # a run of ASCII digits, the commonest entry, needs no pattern match
-    if type(x) is str and (x.isascii() and x.isdecimal() or "/" not in x and _RAT_STR.match(x)):
+    if type(x) is str and "/" not in x and _RAT_STR.match(x):
         return int(x)
     return rat(x)
 
@@ -195,7 +195,13 @@ class Matrix:
             for i in range(self.rows) for j in range(self.cols))
 
     def max_abs(self) -> Fraction:
-        return max((abs(x) for r in self.data for x in r), default=Fraction(0))
+        m = Fraction(0)
+        for r in self.data:
+            for x in r:
+                a = -x if x < 0 else x
+                if a > m:
+                    m = a
+        return m
 
     def _expect_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
@@ -619,7 +625,9 @@ def minimal_polynomial(m: Matrix) -> List[Fraction]:
     return [Fraction(c, v[deg]) for c in v[:deg + 1]]
 
 
-def _sturm_chain(f: List[int]) -> List[List[int]]:
+# the last chain is kept, so real_root_count then rational_roots on one f build it once
+@functools.lru_cache(maxsize=1)
+def _sturm_chain(f: Tuple[int, ...]) -> List[Sequence[int]]:
     """p_0 = f, p_1 = f', p_{k+1} = -(p_{k-1} mod p_k), down to gcd(f, f'), for an int f
     (low-first, nonzero leading coefficient); each remainder is a pseudo-remainder in
     ints, made primitive, so each member is a positive multiple of the classical one."""
@@ -652,7 +660,7 @@ def real_root_count(coeffs: Sequence[Fraction]) -> int:
     """The number of distinct real roots of f (low-first, nonzero leading coefficient):
     by the generalised Sturm theorem, the sign changes of the chain's leading terms
     at -infinity less those at +infinity, with no square-free step."""
-    chain = _sturm_chain(clear_denominators([rat(c) for c in coeffs]))
+    chain = _sturm_chain(tuple(clear_denominators([rat(c) for c in coeffs])))
     # signs of each p at +infinity and at -infinity, where an odd degree flips it
     pos = [p[-1] > 0 for p in chain]
     neg = [up != (len(p) % 2 == 0) for up, p in zip(pos, chain)]
@@ -682,7 +690,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
         s = math.isqrt(disc) if disc >= 0 else -1
         return sorted({Fraction(-ics[1] + s, 2 * an), Fraction(-ics[1] - s, 2 * an)}
                       if s * s == disc else [])
-    chain, e, roots = _sturm_chain(ics), abs(an), []
+    chain, e, roots = _sturm_chain(tuple(ics)), abs(an), []
 
     def variations(u: int) -> int:
         """Sign changes of the chain at u / (2e), zeros skipped."""

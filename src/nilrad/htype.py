@@ -822,21 +822,29 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     """Exact positive square root of gram^{-1} gram2, when it exists over Q."""
     n = m.rows
+    if n == 0:
+        return Matrix.zeros(0, 0)
     poly = minimal_polynomial(m)
     roots = rational_roots(poly)
-    # m is diagonalizable over Q with positive square eigenvalues (None and 0 fail)
-    sqrts = [rational_sqrt(r) for r in roots]
-    if len(roots) != len(poly) - 1 or not all(sqrts):
+    if len(roots) != len(poly) - 1:
         return None
+    sqrts = []
+    for r in roots:
+        s = rational_sqrt(r)
+        if s is None or r <= 0:
+            return None
+        sqrts.append(s)
     ident = Matrix.identity(n)
     p = Matrix.zeros(n, n)
-    for mu, s in zip(roots, sqrts):
+    for i, (mu, s) in enumerate(zip(roots, sqrts)):
         proj = ident
-        for nu in roots:
-            if nu != mu:
+        for j, nu in enumerate(roots):
+            if j != i:
                 proj = proj * (m - ident.scale(nu)).scale(Fraction(1) / (mu - nu))
         p = p + proj.scale(s)
-    if p * p != m or gram * p != p.transpose() * gram:
+    if p * p != m:
+        return None
+    if gram * p != p.transpose() * gram:
         return None
     return p
 
