@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -96,9 +96,14 @@ class MetricStructure:
         dg, ginv = scaled_sparse(-self.gram_v_inv)
         dz, gz = scaled_sparse(self.gram_z)
         db, forms = self.algebra.bracket_forms
-        return dg * dz * db, tuple(
-            sparse_mul(ginv, [sparse_mul([row], [f[k] for f in forms])[0] for k in range(n)])
-            for row in gz)
+        # sum_c gZ[a, c] B_c for every a: gZ times the forms flattened to rows (k n + j)
+        sums = sparse_mul(gz, [[(k * n + j, x) for k, r in enumerate(f) for j, x in r]
+                               for f in forms])
+        blocks = [[[] for _ in range(n)] for _ in sums]
+        for block, flat in zip(blocks, sums):
+            for kj, x in flat:
+                block[kj // n].append((kj % n, x))
+        return dg * dz * db, tuple(sparse_mul(ginv, block) for block in blocks)
 
     @cached_property
     def j_maps(self) -> Tuple[Matrix, ...]:
@@ -571,6 +576,9 @@ def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Ma
     all n^2 entries; g = Gg / dg and h = Gh / dh add the integer rows of
     dh T Gg - dg Gh T, where Gh = G Gg G' and dh = dG dg dG' are formed in
     sparse integer rows from gram = G / dG and gram^{-1} = G' / dG'.
+    When G Gg is skew (every J_a and every sigma V block), g^t = -h, so
+    E = T g - h T is symmetric for symmetric T and row (j, i) repeats row (i, j):
+    only the n(n+1)/2 rows i <= j are emitted.  Other maps give all n^2 rows.
     """
     gram, gram_inv = ms.gram_v, ms.gram_v_inv
     n = gram.rows
@@ -580,9 +588,12 @@ def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Ma
     for g in maps:
         dg, gcols = scaled_sparse(g.transpose())
         dh = dgram * dg * dinv
-        hrows = sparse_mul(sparse_mul(grows, scaled_sparse(g)[1]), irows)
+        ggrows = sparse_mul(grows, scaled_sparse(g)[1])
+        entries = {(i, k): x for i, r in enumerate(ggrows) for k, x in r}
+        skew = all(entries.get((k, i)) == -x for (i, k), x in entries.items())
+        hrows = sparse_mul(ggrows, irows)
         for i in range(n):
-            for j in range(n):
+            for j in range(i if skew else 0, n):
                 rows.append([(pos[i][k], x * dh) for k, x in gcols[j]]
                             + [(pos[k][j], -x * dg) for k, x in hrows[i]])
     out = []
@@ -783,8 +794,7 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
                       ) -> Tuple[Optional[GradedMap], TransferReport]:
     """Unique positive gram1-self-adjoint P with <x,y>_2 = (Px, Py)_1.
 
-    Both metrics must make the (same) algebra H-type; that hypothesis is
-    checked exactly before any computation.  P is the blockwise positive
+    Both metrics must make the (same) algebra H-type.  P is the blockwise positive
     square root of M = gram1^{-1} gram2, so P^t gram1 P = gram2 by
     construction.  M is gram1-self-adjoint and positive; if it is a graded
     automorphism with M|_Z = lambda^2 Id, a nonzero bracket of eigenvectors
@@ -793,6 +803,10 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
     and gramZ_2 = lambda^2 gramZ_1 is M|_Z = lambda^2 Id.  So every claim is
     an exact check on M.  A rational P is returned as a `GradedMap` and its own
     residuals are checked; otherwise the operator is None and the residuals are M's.
+    The first metric is checked exactly before any computation, the second only
+    when the report is not `ok`: an `ok` report certifies a graded automorphism P
+    with P^t gram1 P = gram2, which makes gram2 H-type (J'_z = P^{-1} J_{P z} P);
+    lambda is expanded after that check, as M|_Z may then have a negative entry.
     """
     if ms1.algebra is not ms2.algebra and ms1.algebra != ms2.algebra:
         raise ValueError("transfer operator needs two metrics on the same algebra")
@@ -801,8 +815,6 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
                          f"{MAX_PRECISION} bits")
     if not is_htype(ms1):
         raise ValueError("first metric is not H-type; the transfer operator is undefined")
-    if not is_htype(ms2):
-        raise ValueError("second metric is not H-type; the transfer operator is undefined")
     mv = ms1.gram_v_inv * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
     pv = _rational_positive_sqrt(mv, ms1.gram_v)
@@ -812,11 +824,14 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
         lam = pz[0, 0]
         lam_sq = lam * lam
     else:
-        op, gm, lam_sq = None, GradedMap(mv, mz), mz[0, 0]
+        op, gm, lam_sq, lam = None, GradedMap(mv, mz), mz[0, 0], None
+    rep = _report(ms1.algebra, ms1, ms2, gm, op is not None, lam, lam_sq, precision)
+    if not rep.ok and not is_htype(ms2):
+        raise ValueError("second metric is not H-type; the transfer operator is undefined")
+    if lam is None:
         lam = rational_sqrt(lam_sq)
-        if lam is None:
-            lam = _decimal_sqrt(lam_sq, precision)
-    return op, _report(ms1.algebra, ms1, ms2, gm, op is not None, lam, lam_sq, precision)
+        rep = replace(rep, lam=_decimal_sqrt(lam_sq, precision) if lam is None else lam)
+    return op, rep
 
 
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:

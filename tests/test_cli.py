@@ -309,6 +309,21 @@ def test_transfer_cli(tmp_path, capsys):
                          "residual_lambda_sq", "ok"]
 
 
+def test_transfer_to_a_second_metric_that_is_not_htype_exits_two(tmp_path, capsys):
+    # h_1(C) in the Z basis (z_0, 3 z_0 + z_1) against gramZ_2 = [[1, 4], [4, 17]]:
+    # M|_Z has the corner -2, which must never reach the square root of lambda^2
+    ms = rebase_z(fleet_member("h1C"), [(3, 1)])
+    base, gram2 = str(tmp_path / "h1C.z3.json"), str(tmp_path / "gram2.json")
+    nilalg.save(base, ms.algebra, ms.gram_v, ms.gram_z)
+    nilalg.save(gram2, ms.algebra, Matrix.identity(4), Matrix.from_rows([[1, 4], [4, 17]]))
+    assert run(capsys, "verify-htype", base)[0] == 0
+    for argv in (["transfer", base, "--gram2", gram2], ["transfer", base, "--gram2", gram2,
+                                                       "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: second metric is not H-type; the transfer operator is undefined\n"
+
+
 def test_identify_cli(tmp_path, capsys):
     ms = make_h_prime(Tag.H, 1, 1)
     path = str(tmp_path / "h11.json")

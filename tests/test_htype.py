@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     conformal_automorphism_h1H,
@@ -181,7 +182,8 @@ def test_clifford_data_is_computed_once_per_metric(monkeypatch):
 
 def test_probe_and_transfer_read_the_cached_gram_v_inverse(monkeypatch, tmp_path, capsys):
     # the probe's commutant reuses the J maps' gramV^{-1}; the transfer inverts
-    # gramV_1 once for both, then gramV_2 for the J maps and gramZ_1 for M
+    # gramV_1 once for its J maps and M, then gramZ_1 for M, and never gramV_2:
+    # an ok transfer proves the second metric H-type without its J maps
     real_inverse, calls = htype.inverse, []
     monkeypatch.setattr(htype, "inverse", lambda m: calls.append(m) or real_inverse(m))
     ms = fleet_member("hp11H")
@@ -195,7 +197,7 @@ def test_probe_and_transfer_read_the_cached_gram_v_inverse(monkeypatch, tmp_path
     nilalg.save(gram2, ms.algebra, ms.gram_v.scale(4), ms.gram_z.scale(16))
     calls.clear()
     assert cli.main(["transfer", path, "--gram2", gram2]) == 0
-    assert calls == [ms.gram_v, ms.gram_v.scale(4), ms.gram_z]
+    assert calls == [ms.gram_v, ms.gram_z]
     capsys.readouterr()
 
 
@@ -723,6 +725,34 @@ def test_symmetric_commutant_matches_full_system(key):
         assert [gram * s for s in basis] == _full_symmetric_commutant(part, gram)
 
 
+@pytest.mark.parametrize("rebased", [False, True])
+def test_symmetric_commutant_emits_one_row_per_pair_for_skew_maps(monkeypatch, rebased):
+    # the sigma V blocks of h'_{1,1}(H) have gram g skew, so each adds the n(n+1)/2
+    # rows i <= j; the swap automorphism's gram g is symmetric, so it adds all n^2
+    ms = fleet_member("hp11H")
+    swap = build_swap_automorphism(ms, _basis_vectors(8, [0, 1, 2, 3]),
+                                   _basis_vectors(8, [4, 5, 6, 7]),
+                                   quaternion_conj_swap(ms)).automorphism.map_v
+    if rebased:
+        thirds = random_thirds(7, 1)
+        t = Matrix.from_rows([[int(i == j) + (thirds[i] if j == i + 1 else 0)
+                               for j in range(8)] for i in range(8)])
+        ms, swap = rebase_v(ms, thirds), inverse(t) * swap * t
+    n, gram = 8, ms.gram_v
+    maps = [sigma_automorphism(ms, unit_z(ms, a)).map_v for a in range(3)] + [swap]
+    rows = [n * (n + 1) // 2 if (gram * g + (gram * g).transpose()).is_zero() else n * n
+            for g in maps]
+    assert rows == [36, 36, 36, 64]
+    real_kernel, counts = htype.nullspace_int_rows, []
+    monkeypatch.setattr(htype, "nullspace_int_rows",
+                        lambda rows, ncols: counts.append(len(rows)) or real_kernel(rows, ncols))
+    for part in (slice(None), slice(1), slice(3, None), slice(None, None, -1)):
+        counts.clear()
+        basis = htype._symmetric_commutant(maps[part], ms)
+        assert counts == [sum(rows[part])]
+        assert [gram * s for s in basis] == _full_symmetric_commutant(maps[part], gram)
+
+
 @pytest.mark.parametrize("key,dim", [("cliff7x2", 8), ("hp11H", 4), ("hp21H", 8)])
 def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
     # T = I + N with random thirds on the superdiagonal is not orthogonal for
@@ -939,6 +969,56 @@ def test_transfer_requires_htype_hypothesis():
         transfer_operator(ms, bad, 128)
     with pytest.raises(ValueError, match="H-type"):
         transfer_operator(bad, ms, 128)
+
+
+def h1c_z3():
+    """h_1(C) in the Z basis (z_0, 3 z_0 + z_1): gramZ = [[1, 3], [3, 10]], still H-type."""
+    return rebase_z(fleet_member("h1C"), [(3, 1)])
+
+
+def test_transfer_rejects_a_second_metric_whose_m_has_a_negative_corner():
+    # M|_Z = gramZ_1^{-1} [[1, 4], [4, 17]] = [[-2, -11], [1, 5]]: lambda^2 would be
+    # read as -2, so lambda may only be expanded after the second metric is checked
+    ms1 = h1c_z3()
+    ms2 = MetricStructure(ms1.algebra, Matrix.identity(4), Matrix.from_rows([[1, 4], [4, 17]]))
+    assert is_htype(ms1) and not is_htype(ms2)
+    assert (inverse(ms1.gram_z) * ms2.gram_z)[0, 0] == -2
+    with pytest.raises(ValueError) as exc:
+        transfer_operator(ms1, ms2)
+    assert str(exc.value) == "second metric is not H-type; the transfer operator is undefined"
+
+
+def _positive_definite(n):
+    """L L^t for a lower triangular integer L with a positive diagonal."""
+    def gram(xs):
+        low = Matrix.from_rows([[abs(xs[i * n + j]) + 1 if i == j else xs[i * n + j] if j < i
+                                 else 0 for j in range(n)] for i in range(n)])
+        return low * low.transpose()
+    return st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n).map(gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["h1C", "h1C-z3", "hp10H", "h1H"]), st.data())
+def test_transfer_rejects_every_metric_that_is_not_htype(key, data):
+    # the second metric is checked only after the report, the first before anything
+    ms1 = h1c_z3() if key == "h1C-z3" else fleet_member(key)
+    alg = ms1.algebra
+    ms2 = MetricStructure(alg, data.draw(_positive_definite(alg.dim_v)),
+                          data.draw(_positive_definite(alg.dim_z)))
+    assume(not is_htype(ms2))
+    for first, second, which in ((ms1, ms2, "second"), (ms2, ms1, "first")):
+        with pytest.raises(ValueError) as exc:
+            transfer_operator(first, second)
+        assert str(exc.value) == f"{which} metric is not H-type; the transfer operator is undefined"
+
+
+def test_ok_transfer_never_builds_the_second_metrics_j_maps():
+    ms1 = fleet_member("h1H")
+    rational = _rational_transfer_pairs(count=6)
+    for ms2 in transfer_pairs(count=6) + rational + [pullback_metric(ms1, dilation(ms1.algebra, 2))]:
+        _, rep = transfer_operator(ms1, ms2)
+        assert rep.ok and "int_j_maps" not in ms2.__dict__ and "clifford" not in ms2.__dict__
+        assert is_htype(ms2)
 
 
 def test_transfer_requires_same_algebra():
