@@ -506,7 +506,7 @@ def irreducibility_probe(ms: MetricStructure,
     irreducibly on the V layer over R.
 
     Without generators the metric must pass the exact `is_htype` check
-    (ValueError otherwise), and the maps are its cached J_a.  G J_a =
+    (ValueError otherwise), and the maps are its cached integer J_a.  G J_a =
     -sum_c gramZ[a, c] B_c is skew, so the gramV-adjoint of J_a is -J_a: the
     family is closed under the adjoint up to sign, and the gramV-orthogonal
     complement of an invariant subspace is invariant.  For a gramZ-unit z the V
@@ -514,7 +514,7 @@ def irreducibility_probe(ms: MetricStructure,
     unit vectors span Z (the rational ones do too, when there is one), so the
     commutant of the J_a is the commutant of the sigma maps, in every basis of Z.
     Explicit generators must each pass an exact automorphism and isometry check
-    (ValueError otherwise); then the maps are their V blocks, and complements of
+    (ValueError otherwise); then the maps are their cleared V blocks, and complements of
     invariant subspaces are again invariant.
     Hence V is irreducible exactly when the gramV-self-adjoint commutant is the
     scalars; a non-scalar element S certifies reducibility, and a rational
@@ -528,14 +528,14 @@ def irreducibility_probe(ms: MetricStructure,
         if not is_htype(ms):
             raise ValueError("the metric is not H-type, so it has no Clifford maps J_z "
                              "to probe with")
-        maps = list(ms.j_maps)
+        maps = [(ms.int_j_maps[0], m) for m in ms.int_j_maps[1]]
     else:
         for g in generators:
             if not is_graded_automorphism(alg, g):
                 raise ValueError("generator fails exact automorphism verification")
             if not is_isometry(ms, g):
                 raise ValueError("generator is not an isometry of the metric")
-        maps = [g.map_v for g in generators]
+        maps = [scaled_sparse(g.map_v) for g in generators]
     n = alg.dim_v
     if n == 0 or not maps:
         return ProbeVerdict("inconclusive", "nothing to act on")
@@ -553,8 +553,10 @@ def irreducibility_probe(ms: MetricStructure,
             continue
         k = s - ident.scale(roots[0])
         w_basis = nullspace(k)
-        w = Matrix.from_rows(w_basis).transpose()
-        if any(not (k * (g * w)).is_zero() for g in maps):
+        # W takes one common denominator: clearing row by row would change its span
+        _, krows = scaled_sparse(k)
+        _, wrows = scaled_sparse(Matrix.from_rows(w_basis).transpose())
+        if any(any(sparse_mul(krows, sparse_mul(g, wrows))) for _, g in maps):
             raise ArithmeticError("eigenspace of a commutant element is not "
                                   "invariant under the generators")
         return ProbeVerdict("reducible", "eigenspace of a gramV-self-adjoint "
@@ -565,9 +567,10 @@ def irreducibility_probe(ms: MetricStructure,
                         "eigenvalue")
 
 
-def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Matrix]:
+def _symmetric_commutant(maps: Sequence[Tuple[int, list]], ms: MetricStructure) -> List[Matrix]:
     """Exact basis of the gram-self-adjoint commutant {S : S g = g S, gram S = S^t gram}
-    of the V maps g, for gram = gramV of the metric.
+    of the V maps g = Gg / dg, each given as (dg, sparse integer rows of Gg), for
+    gram = gramV of the metric.
 
     It is S = gram^{-1} T for the invariant symmetric forms T = T^t with
     T g = h T, h = gram g gram^{-1}; for gram = c Id these are the symmetric
@@ -575,7 +578,8 @@ def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Ma
     row-major order, so the basis read off the echelon form is the one over
     all n^2 entries; g = Gg / dg and h = Gh / dh add the integer rows of
     dh T Gg - dg Gh T, where Gh = G Gg G' and dh = dG dg dG' are formed in
-    sparse integer rows from gram = G / dG and gram^{-1} = G' / dG'.
+    sparse integer rows from gram = G / dG and gram^{-1} = G' / dG', and the
+    columns of Gg are read by bucketing its rows.
     When G Gg is skew (every J_a and every sigma V block), g^t = -h, so
     E = T g - h T is symmetric for symmetric T and row (j, i) repeats row (i, j):
     only the n(n+1)/2 rows i <= j are emitted.  Other maps give all n^2 rows.
@@ -585,10 +589,13 @@ def _symmetric_commutant(maps: Sequence[Matrix], ms: MetricStructure) -> List[Ma
     (dgram, grows), (dinv, irows) = scaled_sparse(gram), scaled_sparse(gram_inv)
     pos = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
     rows = []
-    for g in maps:
-        dg, gcols = scaled_sparse(g.transpose())
+    for dg, g in maps:
         dh = dgram * dg * dinv
-        ggrows = sparse_mul(grows, scaled_sparse(g)[1])
+        gcols = [[] for _ in range(n)]
+        for k, r in enumerate(g):
+            for j, x in r:
+                gcols[j].append((k, x))
+        ggrows = sparse_mul(grows, g)
         entries = {(i, k): x for i, r in enumerate(ggrows) for k, x in r}
         skew = all(entries.get((k, i)) == -x for (i, k), x in entries.items())
         hrows = sparse_mul(ggrows, irows)
@@ -818,7 +825,7 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
     mv = ms1.gram_v_inv * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
     pv = _rational_positive_sqrt(mv, ms1.gram_v)
-    pz = _rational_positive_sqrt(mz, ms1.gram_z)
+    pz = None if pv is None else _rational_positive_sqrt(mz, ms1.gram_z)
     if pv is not None and pz is not None:
         op = gm = GradedMap(pv, pz)
         lam = pz[0, 0]
@@ -835,7 +842,11 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
 
 
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
-    """Exact positive square root of gram^{-1} gram2, when it exists over Q."""
+    """Exact positive square root P of M = gram^{-1} gram2, when it exists over Q:
+    P = q(M) for the q with q(mu_i) = sqrt(mu_i) on the distinct eigenvalues mu_i
+    of the diagonalizable M, by Horner's rule on the Newton divided differences c_i,
+    P = c_0 + (M - mu_0)(c_1 + (M - mu_1)(c_2 + ...)), in k - 1 products for k roots.
+    P P = M and gram P = (gram P)^t (gram is symmetric) are checked exactly."""
     n = m.rows
     if n == 0:
         return Matrix.zeros(0, 0)
@@ -843,23 +854,21 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     roots = rational_roots(poly)
     if len(roots) != len(poly) - 1:
         return None
-    sqrts = []
+    c = []
     for r in roots:
         s = rational_sqrt(r)
         if s is None or r <= 0:
             return None
-        sqrts.append(s)
+        c.append(s)
+    for k in range(1, len(c)):
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (roots[i] - roots[i - k])
     ident = Matrix.identity(n)
-    p = Matrix.zeros(n, n)
-    for i, (mu, s) in enumerate(zip(roots, sqrts)):
-        proj = ident
-        for j, nu in enumerate(roots):
-            if j != i:
-                proj = proj * (m - ident.scale(nu)).scale(Fraction(1) / (mu - nu))
-        p = p + proj.scale(s)
-    if p * p != m:
-        return None
-    if gram * p != p.transpose() * gram:
+    p = ident.scale(c[-1])
+    for ci, mu in zip(c[-2::-1], roots[-2::-1]):
+        p = (m - ident.scale(mu)) * p + ident.scale(ci)
+    gp = gram * p
+    if p * p != m or gp != gp.transpose():
         return None
     return p
 

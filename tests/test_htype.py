@@ -27,6 +27,8 @@ from nilrad.exactlin import (
     minimal_polynomial,
     nullspace,
     rational_roots,
+    rational_sqrt,
+    scaled_sparse,
     solve,
 )
 from nilrad.htype import (
@@ -719,7 +721,7 @@ def test_symmetric_commutant_matches_full_system(key):
             random_quaternion(rng), random_quaternion(rng), random_quaternion(rng))]
     maps = [g.map_v for g in gens]
     for part in (maps, maps[:1]):  # one generator leaves a large commutant
-        basis = htype._symmetric_commutant(part, ms)
+        basis = htype._symmetric_commutant([scaled_sparse(g) for g in part], ms)
         for s in basis:
             assert (gram * s).is_symmetric() and all(s * g == g * s for g in part)
         assert [gram * s for s in basis] == _full_symmetric_commutant(part, gram)
@@ -748,7 +750,7 @@ def test_symmetric_commutant_emits_one_row_per_pair_for_skew_maps(monkeypatch, r
                         lambda rows, ncols: counts.append(len(rows)) or real_kernel(rows, ncols))
     for part in (slice(None), slice(1), slice(3, None), slice(None, None, -1)):
         counts.clear()
-        basis = htype._symmetric_commutant(maps[part], ms)
+        basis = htype._symmetric_commutant([scaled_sparse(g) for g in maps[part]], ms)
         assert counts == [sum(rows[part])]
         assert [gram * s for s in basis] == _full_symmetric_commutant(maps[part], gram)
 
@@ -786,7 +788,7 @@ def test_probe_decides_reducible_without_a_rational_eigenvalue():
         rows[i + 1][i] = F(1)
     rows[0][3] = F(-1)
     c = GradedMap(Matrix.from_rows(rows), Matrix.identity(0))
-    assert len(htype._symmetric_commutant([c.map_v], ms)) == 2
+    assert len(htype._symmetric_commutant([scaled_sparse(c.map_v)], ms)) == 2
     verdict = irreducibility_probe(ms, [c])
     assert verdict.kind == "reducible" and verdict.invariant_subspace is None
     assert "dimension 2" in verdict.detail and "no element" in verdict.detail
@@ -836,6 +838,38 @@ def test_probe_witness_check_rejects_a_vector_outside_the_eigenspace(monkeypatch
         irreducibility_probe(ms, gens)
     with pytest.raises(ArithmeticError, match="not invariant"):
         irreducibility_probe(ms)
+
+
+@pytest.mark.parametrize("key", ["hp11H", "hp21H", "cliff7x2"])
+def test_probe_clears_the_eigenspace_basis_to_one_common_denominator(monkeypatch, key):
+    # each basis vector scaled by its own non-integral factor: clearing W row by
+    # row would rescale its coordinates unequally and leave the eigenspace (in a
+    # skew V basis, where a coordinate mixes several basis vectors)
+    ms = rebase_v(fleet_member(key), random_thirds(fleet_member(key).algebra.dim_v - 1, 1))
+    gens = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(ms.algebra.dim_z)]
+    want = [irreducibility_probe(ms, gens), irreducibility_probe(ms)]
+    kernel = htype.nullspace
+    monkeypatch.setattr(htype, "nullspace", lambda m: [
+        tuple(x * F(i + 1, 2 * i + 3) for x in v) for i, v in enumerate(kernel(m))])
+    for verdict, before in zip([irreducibility_probe(ms, gens), irreducibility_probe(ms)], want):
+        assert verdict.kind == before.kind == "reducible"
+        assert len(verdict.invariant_subspace) == len(before.invariant_subspace)
+        assert verdict.invariant_subspace != before.invariant_subspace
+
+
+def test_probe_acts_with_the_integer_j_maps_alone():
+    # the verb never forms the dense Matrix views of the J maps
+    for ms in (make_h_prime(Tag.H, 1, 1), make_h(Tag.O, 1), make_clifford_module_algebra(7, 2)):
+        irreducibility_probe(ms)
+        assert "int_j_maps" in ms.__dict__ and "j_maps" not in ms.__dict__
+
+
+def test_probe_rejects_a_generator_that_is_not_an_automorphism():
+    ms = fleet_member("h1H")
+    not_auto = GradedMap(Matrix.diagonal([2] + [1] * 7), Matrix.identity(4))
+    assert not is_graded_automorphism(ms.algebra, not_auto)
+    with pytest.raises(ValueError, match="automorphism verification"):
+        irreducibility_probe(ms, [sigma_automorphism(ms, unit_z(ms, 0)), not_auto])
 
 
 @pytest.mark.parametrize("key", ["h1H", "hp11H", "cliff7x2"])
@@ -1019,6 +1053,87 @@ def test_ok_transfer_never_builds_the_second_metrics_j_maps():
         _, rep = transfer_operator(ms1, ms2)
         assert rep.ok and "int_j_maps" not in ms2.__dict__ and "clifford" not in ms2.__dict__
         assert is_htype(ms2)
+
+
+def _lagrange_sqrt(m):
+    """Reference: sum_i sqrt(mu_i) prod_{j != i} (M - mu_j) / (mu_i - mu_j), the
+    spectral projectors of the diagonalizable M, for rational square roots mu_i."""
+    roots = rational_roots(minimal_polynomial(m))
+    ident, p = Matrix.identity(m.rows), Matrix.zeros(m.rows, m.rows)
+    for mu in roots:
+        proj = ident
+        for nu in roots:
+            if nu != mu:
+                proj = proj * (m - ident.scale(nu)).scale(1 / (mu - nu))
+        p = p + proj.scale(rational_sqrt(mu))
+    return p
+
+
+def _conjugated(diag, seed):
+    """(M, gram): M = B D B^{-1} for a rational non-orthogonal B, and gram =
+    (B B^t)^{-1}, for which gram M = B^{-t} D B^{-1} is symmetric."""
+    n, rng = len(diag), random.Random(seed)
+    low = Matrix.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 3)) if j < i else int(i == j)
+                             for j in range(n)] for i in range(n)])
+    up = Matrix.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 3)) if j > i else int(i == j)
+                            for j in range(n)] for i in range(n)])
+    b = low * up
+    m = b * Matrix.diagonal(diag) * inverse(b)
+    return m, inverse(b * b.transpose())
+
+
+@pytest.mark.parametrize("diag", [[F(9, 4)] * 5, [4, 4, F(1, 9), 4, F(1, 9)],
+                                  [1, F(25, 16), 1, 49, F(25, 16), 49],
+                                  [F(4, 9), 36, F(1, 100)]])
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_sqrt_matches_the_lagrange_projectors(diag, seed):
+    # one, two and three distinct eigenvalues: no product, one, two
+    m, gram = _conjugated(diag, seed)
+    assert (gram * m).is_symmetric() and (not m.is_symmetric() or len(set(diag)) == 1)
+    assert len(rational_roots(minimal_polynomial(m))) == len(set(diag))
+    p = htype._rational_positive_sqrt(m, gram)
+    assert p == _lagrange_sqrt(m)
+    assert p * p == m and (gram * p).is_symmetric()
+
+
+@pytest.mark.parametrize("diag", [[4, 2, 4], [F(9, 4), -4, 1], [-1, -1]])
+def test_rational_sqrt_rejects_eigenvalues_without_a_positive_rational_root(diag):
+    m, gram = _conjugated(diag, 1)
+    assert htype._rational_positive_sqrt(m, gram) is None
+
+
+def test_rational_sqrt_rejects_a_minimal_polynomial_with_an_irrational_root():
+    # x^2 - 2 on a plane, 4 on a line: symmetric, but sqrt(2) is no eigenvalue over Q
+    m = Matrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 4]])
+    gram = Matrix.diagonal([1, 2, 1])
+    assert (gram * m).is_symmetric()
+    assert htype._rational_positive_sqrt(m, gram) is None
+
+
+def test_rational_sqrt_rejects_an_m_that_is_not_gram_self_adjoint():
+    # the conjugated M has rational square-root eigenvalues and P P = M holds, so
+    # only the check gram P = (gram P)^t turns it away under the identity gram
+    m, gram = _conjugated([4, F(1, 9), 4], 2)
+    p = _lagrange_sqrt(m)
+    assert p * p == m and (gram * p).is_symmetric()
+    assert not p.is_symmetric()
+    assert htype._rational_positive_sqrt(m, Matrix.identity(3)) is None
+    assert htype._rational_positive_sqrt(m, gram) == p
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_transfer_takes_the_z_root_only_after_a_v_root(monkeypatch, exact):
+    ms = fleet_member("h1H")
+    rng = random.Random(23)
+    gm = (dilation(ms.algebra, F(3, 2)) if exact else
+          conformal_automorphism_h1H(random_quaternion(rng), random_quaternion(rng),
+                                     random_quaternion(rng)))
+    real_sqrt, calls = htype._rational_positive_sqrt, []
+    monkeypatch.setattr(htype, "_rational_positive_sqrt",
+                        lambda m, gram: calls.append(gram) or real_sqrt(m, gram))
+    _, rep = transfer_operator(ms, pullback_metric(ms, gm))
+    assert rep.ok and rep.exact == exact
+    assert calls == ([ms.gram_v, ms.gram_z] if exact else [ms.gram_v])
 
 
 def test_transfer_requires_same_algebra():
