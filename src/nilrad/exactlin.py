@@ -4,6 +4,9 @@ Scalars are Python ints when integral and `fractions.Fraction` otherwise
 (arbitrary precision, always reduced, positive denominator); matrices
 are small immutable dense arrays of rationals.  An integral entry stays
 an int from the JSON file (`scalar`) through every product and inverse.
+`scalar` reads each distinct string once (an LRU memo of 4,096 texts): the
+ints and Fractions it shares are immutable, and a rejected string raises
+again on every read.
 Everything that the rest of the package proves is proved here by exact
 elimination; there is no floating point.
 
@@ -13,8 +16,10 @@ multiplies those (`sparse_mul`) and divides the product's denominator
 back in (`quotient`).  Every exact answer (rank, solve, inverse,
 nullspace) is read off one fraction-free integer echelon form of the
 denominator-cleared rows; `solve` and `inverse` reduce the augmented
-matrices [m | rhs] and [m | I], and `is_positive_definite` reads the
-leading minors off one fraction-free elimination.  Kernels work on sparse integer rows and
+matrices [m | rhs] and [m | I] (for an invertible diagonal m, row i of
+[m | I] reduces to 1/x_i, so `inverse` reads it off the diagonal), and
+`is_positive_definite` reads the leading minors off one fraction-free
+elimination.  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
 `nullspace` hands them back as coordinates.  A kernel is one exact
 route for every size: the columns of the one-term rows are zeroed before
@@ -68,9 +73,13 @@ def scalar(x):
     """An int for an int (not bool) or an integer string, else `rat(x)`."""
     if type(x) is int:
         return x
-    if type(x) is str and "/" not in x and _RAT_STR.match(x):
-        return int(x)
-    return rat(x)
+    return _str_scalar(x) if type(x) is str else rat(x)
+
+
+@functools.lru_cache(maxsize=4096)
+def _str_scalar(s: str):
+    """`scalar` of a string, memoised; an exception is never cached, so a bad text raises again."""
+    return int(s) if "/" not in s and _RAT_STR.match(s) else rat(s)
 
 
 def quotient(x: int, d: int):
@@ -254,9 +263,14 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
 
 
 def inverse(m: Matrix) -> Matrix:
+    """m^{-1}: diag(1/x_i) for an invertible diagonal m, else off the echelon form of [m | I]."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
+    diag = [r[i] for i, r in enumerate(m.data)]
+    if all(diag) and not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(m.data)):
+        return Matrix.diagonal([quotient(x.denominator, x.numerator) if x > 0
+                                else -quotient(x.denominator, -x.numerator) for x in diag])
     aug = Matrix.from_rows([list(m.data[i]) + [1 if j == i else 0 for j in range(n)]
                             for i in range(n)])
     pivots, prows = _int_rref(_int_rows(aug))
@@ -466,8 +480,9 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
     a row that lies wholly inside them is not stored.  Structured
     elimination then drains the rows with one or two nonzeros: a
     singleton a x_c = 0 sets x_c = 0, and a doubleton a x_i + b x_j = 0
-    with i < j substitutes x_i = -b/a x_j into every row holding i, so no
-    row gains a nonzero.  The residual rows split into blocks that share
+    with i < j, negated if need be so that a > 0, substitutes x_i = -b/a x_j
+    into every row holding i, so no row gains a nonzero or is scaled by a
+    negative factor.  The residual rows split into blocks that share
     no column, and each block goes through `_int_rref` in its own columns,
     in their original order; a live column that no residual row holds is
     free, with its unit vector.  The echelon form of a block-diagonal
@@ -526,6 +541,8 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                     queue.append(m)
         else:
             (i, a), (j, b) = sorted(d.items())
+            if a < 0:
+                a, b = -a, -b
             subs.append((i, a, j, b))
             for m in holds[i]:
                 r = work[m]
@@ -575,7 +592,7 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
         for i, a, j, b in reversed(subs):
             y = -b * v[j]
             if y % a:
-                s = abs(a) // math.gcd(a, y)
+                s = a // math.gcd(a, y)
                 v = [x * s for x in v]
                 y *= s
             v[i] = y // a

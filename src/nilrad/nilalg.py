@@ -96,19 +96,6 @@ class TwoStepAlgebra:
         return rank(self.bracket_span_matrix()) == self.dim_z
 
 
-def free_two_step(generators: int, name: Optional[str] = None) -> TwoStepAlgebra:
-    """Free 2-step nilpotent algebra: Z has one direction per generator pair."""
-    pairs = [(i, j) for i in range(generators) for j in range(i + 1, generators)]
-    dim_z = len(pairs)
-    brackets = {}
-    for t, (i, j) in enumerate(pairs):
-        vec = [Fraction(0)] * dim_z
-        vec[t] = Fraction(1)
-        brackets[(i, j)] = vec
-    return TwoStepAlgebra.from_brackets(
-        name or f"free2({generators})", generators, dim_z, brackets)
-
-
 # ---------------------------------------------------------------------------
 # Non-singularity
 # ---------------------------------------------------------------------------

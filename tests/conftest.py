@@ -9,6 +9,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
@@ -115,6 +116,19 @@ def reference_leibniz_rows(alg, k, layers):
                     emit([(off2 + s * nz + a, x) for s, x in az2[b][t]]
                          + [(off2 + s * nz + b, -x) for s, x in az2[a][t]])
     return rows, nv * d1 + nz * d2
+
+
+def free_two_step(generators: int, name: Optional[str] = None) -> TwoStepAlgebra:
+    """Free 2-step nilpotent algebra: Z has one direction per generator pair."""
+    pairs = [(i, j) for i in range(generators) for j in range(i + 1, generators)]
+    dim_z = len(pairs)
+    brackets = {}
+    for t, (i, j) in enumerate(pairs):
+        vec = [Fraction(0)] * dim_z
+        vec[t] = Fraction(1)
+        brackets[(i, j)] = vec
+    return TwoStepAlgebra.from_brackets(
+        name or f"free2({generators})", generators, dim_z, brackets)
 
 
 def rescaled(alg, v_scale, z_scale):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, UNIT_PAIRS, fleet_member,
-                      mix_z, pencil_findings, random_thirds, rebase_v, rebase_z, run_python,
-                      transfer_pairs)
+                      free_two_step, mix_z, pencil_findings, random_thirds, rebase_v, rebase_z,
+                      run_python, transfer_pairs)
 from nilrad import cli, nilalg
 from nilrad.cli import MAX_METRIC_DIM, main
 from nilrad.division import Tag
@@ -168,7 +168,6 @@ def test_prolong_resource_guard_exit_code(tmp_path, capsys):
 
 
 def test_nonsingular_verdict_exit_codes(tmp_path, capsys):
-    from nilrad.nilalg import free_two_step
     path = str(tmp_path / "free3.json")
     nilalg.save(path, free_two_step(3))
     code, out, _ = run(capsys, "nonsingular", path)
@@ -181,7 +180,6 @@ def test_nonsingular_verdict_exit_codes(tmp_path, capsys):
 
 
 def test_nonsingular_json_carries_witness(tmp_path, capsys):
-    from nilrad.nilalg import free_two_step
     path = str(tmp_path / "free3.json")
     nilalg.save(path, free_two_step(3))
     code, out, _ = run(capsys, "nonsingular", path, "--json")
@@ -248,7 +246,7 @@ def test_nonsingular_on_the_two_dimz3_findings(tmp_path, capsys):
 
 def test_nonsingular_takes_no_seed(tmp_path, capsys):
     path = str(tmp_path / "free3.json")
-    nilalg.save(path, nilalg.free_two_step(3))
+    nilalg.save(path, free_two_step(3))
     code, _, err = run(capsys, "nonsingular", path, "--seed", "1")
     assert code == 2 and "--seed" in err
 
@@ -736,8 +734,8 @@ def test_metric_verbs_ignore_a_skew_change_of_v_basis(key, numerators, z_pairs, 
 
 @pytest.mark.parametrize("doc", [
     {"dimV": 2, "dimZ": 0, "brackets": []},
-    nilalg.to_json(nilalg.free_two_step(3), Matrix.identity(3), Matrix.identity(3)),
-    nilalg.to_json(nilalg.free_two_step(3), Matrix.identity(3), Matrix.identity(3).scale(4)),
+    nilalg.to_json(free_two_step(3), Matrix.identity(3), Matrix.identity(3)),
+    nilalg.to_json(free_two_step(3), Matrix.identity(3), Matrix.identity(3).scale(4)),
 ])
 def test_probe_exits_two_on_a_metric_that_is_not_htype(doc, tmp_path, capsys):
     path = tmp_path / "alg.json"

@@ -860,9 +860,69 @@ entry_strings = st.lists(st.sampled_from(
 @example("1" * 5000)
 @example("-" + "9" * 4300)
 def test_from_rows_reads_exactly_the_strings_rat_reads(s):
+    # two reads, the second through the memo: the same outcome, value and type
+    # (int or Fraction) as the reader without its memo; the examples "1" * 5000,
+    # "1_000", "٣٠", "1e3" and "1/0" must be rejected on both reads
     def outcome(read):
         try:
-            return "value", F(read(s))
+            x = read(s)
         except ValueError:
-            return "rejected", None
-    assert outcome(lambda t: Matrix.from_rows([[t]])[0, 0]) == outcome(el.rat)
+            return "rejected", None, None
+        return "value", F(x), type(x)
+    first, second = (outcome(lambda t: Matrix.from_rows([[t]])[0, 0]) for _ in range(2))
+    assert first == second == outcome(el._str_scalar.__wrapped__)
+    assert first[:2] == outcome(el.rat)[:2]
+
+
+def test_a_repeated_string_is_read_once():
+    el._str_scalar.cache_clear()
+    rows = [["1", "-1", "0", "1/2"], ["0", "1", "-1", "1/2"]]
+    assert Matrix.from_rows(rows) == Matrix.from_rows(rows)
+    info = el._str_scalar.cache_info()
+    assert (info.misses, info.hits) == (4, 12)
+    assert type(Matrix.from_rows(rows)[0, 0]) is int
+
+
+def _echelon_inverse(m):
+    """Reference: m^{-1} read off `_int_rref` of [m | I], as `inverse` does for a
+    matrix that is not diagonal."""
+    n = m.rows
+    pivots, prows = el._int_rref(el._int_rows(Matrix.from_rows(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.data)])))
+    assert pivots == list(range(n))
+    return [[el.quotient(x, p[i]) for x in p[n:]] for i, p in enumerate(prows)]
+
+
+diagonal_entries = st.one_of(
+    st.integers(-30, 30), st.sampled_from([1, -1]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(diagonal_entries, min_size=1, max_size=6))
+@example([1, -1, F(1), F(-1, 3), F(5, 2), F(-1, 1), 7])
+def test_diagonal_inverse_matches_the_echelon_route(entries):
+    m = Matrix.diagonal(entries)
+    got, want = el.inverse(m).to_rows(), _echelon_inverse(m)
+    assert got == want
+    assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+def test_diagonal_with_a_zero_is_singular():
+    for entries in ([0], [2, 0, F(1, 3)], [F(0), -1]):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            el.inverse(Matrix.diagonal(entries))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(diagonal_entries, min_size=2, max_size=5), st.data())
+def test_one_off_diagonal_nonzero_takes_the_echelon_route(entries, data):
+    n = len(entries)
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ij: ij[0] != ij[1]))
+    rows = Matrix.diagonal(entries).to_rows()
+    rows[i][j] = data.draw(diagonal_entries)
+    m = Matrix.from_rows(rows)
+    inv = el.inverse(m)
+    assert m * inv == inv * m == Matrix.identity(n)
+    assert inv.to_rows() == _echelon_inverse(m) and inv[i, j] != 0

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     conformal_automorphism_h1H,
     fleet_member,
+    free_two_step,
     left_mult_matrix,
     pair_loop_bracket,
     random_quaternion,
@@ -52,7 +53,7 @@ from nilrad.htype import (
     sigma_automorphism,
     transfer_operator,
 )
-from nilrad.nilalg import TwoStepAlgebra, free_two_step
+from nilrad.nilalg import TwoStepAlgebra
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, fleet_member, mix_z,
-                      pair_loop_bracket, pencil_findings, random_thirds, rebase_v, rebase_z,
-                      split_quaternion_algebra, sturm_pencil)
+from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, fleet_member, free_two_step,
+                      mix_z, pair_loop_bracket, pencil_findings, random_thirds, rebase_v,
+                      rebase_z, split_quaternion_algebra, sturm_pencil)
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
 from nilrad.exactlin import Matrix, inverse, rank
 from nilrad.htype import MetricStructure, make_h, make_h_prime
 from nilrad.nilalg import (
     TwoStepAlgebra,
-    free_two_step,
     is_nonsingular,
 )
 

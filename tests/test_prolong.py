@@ -9,6 +9,7 @@ from conftest import (
     FLEET,
     dense_kernel,
     fleet_member,
+    free_two_step,
     prolong_dims,
     reference_leibniz_rows,
     rescaled,
@@ -18,7 +19,7 @@ from nilrad.cli import main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix, clear_denominators, nullspace_int_rows
 from nilrad.htype import make_h_prime
-from nilrad.nilalg import TwoStepAlgebra, free_two_step
+from nilrad.nilalg import TwoStepAlgebra
 from nilrad.prolong import (
     ProlongationLayer,
     ProlongationResourceError,
