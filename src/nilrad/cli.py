@@ -260,13 +260,13 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    ms = _load_metric(args.file)
-    fid = identify_family(ms)
+    alg = _load_bounded(args.file)[0]
+    fid = identify_family(alg)
     doc = {"command": "identify", "file": args.file, "family": str(fid),
            "kind": fid.kind,
            "field": fid.tag.name if fid.tag else None,
            "params": list(fid.params)}
-    _emit(doc, args.json, f"{ms.algebra.name}: {fid}")
+    _emit(doc, args.json, f"{alg.name}: {fid}")
     return EXIT_OK
 
 
@@ -359,7 +359,8 @@ def _parser() -> argparse.ArgumentParser:
     tr.add_argument("--json", action="store_true")
     tr.set_defaults(func=_cmd_transfer)
 
-    idf = sub.add_parser("identify", help="classify an H-type algebra by invariants")
+    idf = sub.add_parser("identify", help="name an H-type family by the inertia of its Clifford "
+                                          "pencil's volume form: any basis, no metric")
     idf.add_argument("file")
     idf.add_argument("--json", action="store_true")
     idf.set_defaults(func=_cmd_identify)

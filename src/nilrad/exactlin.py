@@ -17,9 +17,9 @@ back in (`quotient`).  Every exact answer (rank, solve, inverse,
 nullspace) is read off one fraction-free integer echelon form of the
 denominator-cleared rows; `solve` and `inverse` reduce the augmented
 matrices [m | rhs] and [m | I] (for an invertible diagonal m, row i of
-[m | I] reduces to 1/x_i, so `inverse` reads it off the diagonal), and
-`is_positive_definite` reads the leading minors off one fraction-free
-elimination.  Kernels work on sparse integer rows and
+[m | I] reduces to 1/x_i, so `inverse` reads it off the diagonal).
+`inertia` counts the pivot signs of one symmetric elimination, and
+`is_positive_definite` asks it for (n, 0).  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
 `nullspace` hands them back as coordinates.  A kernel is one exact
 route for every size: the columns of the one-term rows are zeroed before
@@ -280,27 +280,36 @@ def inverse(m: Matrix) -> Matrix:
                               for i, p in enumerate(prows)))
 
 
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion: m is symmetric and every leading minor is positive.
+def inertia(m: Matrix) -> Tuple[int, int]:
+    """(positive, negative) eigenvalue counts of a symmetric m (unchecked): the pivot signs of
+    one symmetric elimination on rows a_i / d_i in ints, d_i > 0.  Pivot k leaves a row with
+    a_ik = 0 untouched (a diagonal m costs O(n^2)); a zero row is null; a zero pivot with some
+    a_kj != 0 takes row/col k += t row/col j, t = +-1 such that 2 t a_kj + a_jj != 0."""
+    d = [math.lcm(*(x.denominator for x in r)) for r in m.data]
+    a = [[x.numerator * (di // x.denominator) for x in r] for r, di in zip(m.data, d)]
+    signs, n = [0, 0], m.rows
+    for k in range(n):
+        if not a[k][k]:
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is None:
+                continue
+            t = 1 if a[j][j] * d[k] + 2 * a[k][j] * d[j] else -1
+            a[k], d[k] = [d[j] * x + t * d[k] * y for x, y in zip(a[k], a[j])], d[k] * d[j]
+            for i in range(k, n):
+                a[i][k] += t * a[i][j]
+        p = a[k][k]
+        signs[p < 0] += 1
+        for i in range(k + 1, n):
+            if x := a[i][k]:
+                row, di = [p * y - x * z for y, z in zip(a[i], a[k])], d[i] * p
+                g = math.gcd(di, *row) * (1 if di > 0 else -1)     # lowest terms, d_i > 0
+                a[i], d[i] = [y // g for y in row], di // g
+    return signs[0], signs[1]
 
-    The minors are the pivots of one fraction-free (Bareiss) elimination
-    of the denominator-cleared rows, with no row exchanges.  Each row is
-    scaled by a positive integer, which changes no minor's sign.
-    """
-    if not m.is_symmetric():
-        return False
-    a = _int_rows(m)
-    prev = 1
-    for k, pk in enumerate(a):
-        p = pk[k]
-        if p <= 0:
-            return False
-        for r in a[k + 1:]:
-            x = r[k]
-            for j in range(k + 1, len(r)):
-                r[j] = (p * r[j] - x * pk[j]) // prev
-        prev = p
-    return True
+
+def is_positive_definite(m: Matrix) -> bool:
+    """m is symmetric and its inertia is (n, 0)."""
+    return m.is_symmetric() and inertia(m) == (m.rows, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ scaling (s, c) of the metrics supports H-type exactly when s^2 = 4c).
 
 `make_clifford_module_algebra` builds H-type algebras from explicit
 real Clifford module actions for center dimensions 1..8, including the
-examples outside the two families.
+examples outside the two families.  `identify_family` names the family
+from the inertia of the Clifford pencil's volume form: any basis, no metric.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .division import Tag, mul as fmul, conj as fconj, unit as funit
 from .exactlin import (
     Matrix,
     anticommutator_scalar,
+    clear_denominators,
+    inertia,
     inverse,
     is_positive_definite,
     mat_vec,
@@ -52,7 +55,7 @@ from .exactlin import (
     scaled_sparse,
     sparse_mul,
 )
-from .nilalg import TwoStepAlgebra
+from .nilalg import TwoStepAlgebra, _clifford_form
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +359,38 @@ def make_clifford_module_algebra(
 # Family identification
 # ---------------------------------------------------------------------------
 
-def identify_family(ms: MetricStructure) -> HTypeFamilyId:
-    """Classify an H-type algebra by computable invariants.
-
-    Uses layer dimensions, and for center dimension 3 the eigenspace
-    dimensions (4p, 4q) of the Clifford volume element J_{w1} J_{w2} J_{w3}
-    of a gramZ-orthogonal basis w of Z.
-    The (p, q) parameters are recovered up to swap.  Everything that is
-    not one of the six families maps to "other".
-    """
-    if not is_htype(ms):
-        raise ValueError("identify_family expects an H-type metric structure")
-    alg = ms.algebra
-    dv, dz = alg.dim_v, alg.dim_z
+def identify_family(alg: TwoStepAlgebra) -> HTypeFamilyId:
+    """Classify an H-type algebra from its Clifford pencil, in any basis and with no metric:
+    B_0 nondegenerate and A'_b = B_0^{-1} B_b - (tr / n) I anticommuting to -2 q_ab I with q
+    positive definite, as `nilalg.is_nonsingular` certifies (ValueError otherwise).  The layer
+    dimensions decide, and for dimZ = 3 the inertia {4p, 4q} of S = B_0 A'_1 A'' (in ints on
+    B_0 and C_b = n e A'_b), A'' = q_11 A'_2 - q_12 A'_1: for an H-type metric S is gramV times
+    the volume element up to a factor, and a change of V basis is a congruence of S.  Anything
+    outside the six families maps to "other"."""
+    dv, dz, forms = alg.dim_v, alg.dim_z, alg.bracket_forms[1]
+    if not dv or not dz or nullspace_int_rows(forms[0], dv):
+        raise ValueError("identify_family expects an H-type algebra, so a nondegenerate B_0")
+    q, cs = _clifford_form(inverse(Matrix.from_rows(
+        [[r.get(j, 0) for j in range(dv)] for r in map(dict, forms[0])])), forms)
+    if q is None or not is_positive_definite(q):
+        raise ValueError("identify_family expects an H-type algebra, so a positive definite q")
     if dz == 1:
         return HTypeFamilyId("hprime", Tag.C, (dv // 2, 0))
     if dz == 2:
         return HTypeFamilyId("h", Tag.C, (dv // 4,))
     if dz == 3:
-        p4, q4 = _volume_split(ms)
-        p, q = sorted((p4 // 4, q4 // 4), reverse=True)
-        return HTypeFamilyId("hprime", Tag.H, (p, q))
+        w1, w2 = clear_denominators([q[0, 0], q[0, 1]])    # over one positive denominator
+        comb = [[(j, w1 * x) for j, x in c2] + [(j, -w2 * x) for j, x in c1] for c1, c2 in zip(*cs)]
+        rows = map(dict, sparse_mul(forms[0], sparse_mul(cs[0], comb)))
+        s = Matrix(dv, dv, tuple(tuple(r.get(j, 0) for j in range(dv)) for r in rows))
+        # S^t = -A''^t A'_1^t B_0 = -B_0 A'' A'_1 = S: A'_b is B_0-self-adjoint
+        if not s.is_symmetric():
+            raise ArithmeticError("the pencil's volume form S is not symmetric")
+        p4, q4 = inertia(s)
+        # S is a quaternion-Hermitian form, nondegenerate as B_0, A'_1 and A'' are invertible
+        if p4 % 4 or q4 % 4 or p4 + q4 != dv:
+            raise ArithmeticError(f"the pencil's volume form S has inertia ({p4}, {q4})")
+        return HTypeFamilyId("hprime", Tag.H, (max(p4, q4) // 4, min(p4, q4) // 4))
     if dz == 4 and dv % 8 == 0:
         return HTypeFamilyId("h", Tag.H, (dv // 8,))
     if dz == 7 and dv == 8:
@@ -384,32 +398,6 @@ def identify_family(ms: MetricStructure) -> HTypeFamilyId:
     if dz == 8 and dv == 16:
         return HTypeFamilyId("h", Tag.O, (1,))
     return HTypeFamilyId("other")
-
-
-def _volume_split(ms: MetricStructure) -> Tuple[int, int]:
-    """The dimensions of the two eigenspaces of the Clifford volume element (dimZ = 3).
-
-    For a gramZ-orthogonal basis w_1, w_2, w_3 of Z (rational Gram-Schmidt on
-    the Z basis) the J_{w_a} anticommute, so omega = J_{w1} J_{w2} J_{w3} is
-    |w1| |w2| |w3| times the volume element of an orthonormal frame, and
-    omega^2 = c Id with c = |w1|^2 |w2|^2 |w3|^2, which is checked exactly.
-    Its eigenspaces for +-sqrt(c) then have dimensions (n +- t) / 2 with
-    t^2 = tr(omega)^2 / c, in any basis of Z.
-    """
-    ws = []
-    for a in range(3):
-        w = [int(b == a) for b in range(3)]
-        for u in ws:
-            k = ms.ip_z(w, u) / ms.ip_z(u, u)
-            w = [x - k * y for x, y in zip(w, u)]
-        ws.append(w)
-    omega = jz(ms, ws[0]) * jz(ms, ws[1]) * jz(ms, ws[2])
-    n, c = ms.algebra.dim_v, math.prod(ms.ip_z(w, w) for w in ws)
-    t_sq = Fraction(sum(omega[i, i] for i in range(n))) ** 2 / c
-    t = math.isqrt(t_sq.numerator)
-    if omega * omega != Matrix.identity(n).scale(c) or t_sq != t * t:
-        raise ArithmeticError("volume element failed its exact check omega^2 = c Id")
-    return (n + t) // 2, (n - t) // 2
 
 
 # ---------------------------------------------------------------------------

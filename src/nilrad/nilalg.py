@@ -156,7 +156,7 @@ def is_nonsingular(alg: TwoStepAlgebra) -> NonsingularVerdict:
             return _singular(alg, kernel[0], f"B_{a} is degenerate")
         inv = inverse(dense(a))
         if a == 0:
-            q = _clifford_form(inv, forms)
+            q = _clifford_form(inv, forms)[0]
             if q is not None and is_positive_definite(q):
                 return NonsingularVerdict("nonsingular", "Clifford pencil with q positive "
                                           "definite: B_z is invertible for every z != 0")
@@ -183,9 +183,10 @@ def is_nonsingular(alg: TwoStepAlgebra) -> NonsingularVerdict:
                               f"t B_a + B_b of (a, b) = {pencils} has a degenerate member")
 
 
-def _clifford_form(inv0: Matrix, forms) -> Optional[Matrix]:
-    """q_ab, a, b = 1 .. dimZ-1, with {A'_a, A'_b} = -2 q_ab I, or None once one is no scalar;
-    in ints on C_b = n e A'_b = n P_b - tr(P_b) I, B_0^{-1} = rows / e and P_b = rows B_b."""
+def _clifford_form(inv0: Matrix, forms) -> Tuple[Optional[Matrix], list]:
+    """(q, C): {A'_a, A'_b} = -2 q_ab I for a, b = 1 .. dimZ-1 (q is None once one is no
+    scalar), in ints on the sparse rows C[b - 1] of C_b = n e A'_b = n P_b - tr(P_b) I, with
+    B_0^{-1} = rows / e and P_b = rows B_b."""
     n = len(forms[0])
     e, rows = scaled_sparse(inv0)
     cs, q = [], {}
@@ -197,9 +198,9 @@ def _clifford_form(inv0: Matrix, forms) -> Optional[Matrix]:
         for a in range(b + 1):
             s = anticommutator_scalar(cs[a], cs[b])
             if s is None:
-                return None
+                return None, cs
             q[a, b] = q[b, a] = Fraction(-s, 2 * (n * e) ** 2)
-    return Matrix.from_rows([[q[a, b] for b in range(len(cs))] for a in range(len(cs))])
+    return Matrix.from_rows([[q[a, b] for b in range(len(cs))] for a in range(len(cs))]), cs
 
 
 def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> NonsingularVerdict:

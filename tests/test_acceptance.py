@@ -280,14 +280,14 @@ def test_criterion_10_three_way_consistency():
         ms = fleet_member(key)
         dims, _, _ = prolong_dims(key, degree)
         ok &= dims[1] > 0
-        fid = identify_family(ms)
+        fid = identify_family(ms.algebra)
         ok &= fid.kind != "other"
         ok &= any(fid.equivalent(t) for t in in_table_families)
     for key in ("cliff5", "cliff7x2"):
         ms = fleet_member(key)
         dims, _, _ = prolong_dims(key, 1)
         ok &= dims[1] == 0
-        fid = identify_family(ms)
+        fid = identify_family(ms.algebra)
         ok &= fid.kind == "other"
         ok &= not any(fid.equivalent(t) for t in in_table_families
                       if fid.kind == t.kind)

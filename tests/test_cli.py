@@ -331,6 +331,49 @@ def test_identify_cli(tmp_path, capsys):
     assert code == 0 and doc["kind"] == "hprime" and doc["params"] == [1, 1]
 
 
+@pytest.mark.parametrize("p, q", [(2, 0), (1, 1)])
+def test_identify_names_a_rebased_file_without_a_gram_block(tmp_path, capsys, p, q):
+    # identify reads the bracket forms alone, so a file with no metric gets its family
+    ms = make_h_prime(Tag.H, p, q)
+    path = str(tmp_path / "alg.json")
+    nilalg.save(path, rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, 3)).algebra)
+    code, out, _ = run(capsys, "identify", path, "--json")
+    assert (code, json.loads(out)["family"]) == (0, f"h'_{p},{q}(H)")
+
+
+def test_identify_validates_a_gram_block_for_shape_only(tmp_path, capsys):
+    # a gram block that is not H-type (gramV = Id) or not positive definite (gramV = -2 Id)
+    # goes unused, as in nonsingular; one of the wrong shape is still an input error
+    ms = fleet_member("hp11H")
+    path = str(tmp_path / "alg.json")
+    for gram_v, want in ((Matrix.identity(8), 0), (ms.gram_v.scale(-1), 0),
+                         (Matrix.identity(7), 2)):
+        nilalg.save(path, ms.algebra, gram_v, ms.gram_z)
+        code, out, err = run(capsys, "identify", path, "--json")
+        assert code == want and "Traceback" not in err
+        assert want or json.loads(out)["family"] == "h'_1,1(H)"
+
+
+def test_identify_exits_two_off_the_clifford_pencil(tmp_path, capsys):
+    # one bracket coordinate of h_1(H) off by 1/3, with and without its gram block, a
+    # Clifford pencil whose q is indefinite, and an algebra whose B_0 is degenerate
+    ms = fleet_member("h1H")
+    brackets = ms.algebra.bracket_map()
+    key = min(brackets)
+    brackets[key] = [brackets[key][0] + F(1, 3), *brackets[key][1:]]
+    alg = nilalg.TwoStepAlgebra.from_brackets("h_1(H) perturbed", 8, 4, brackets)
+    path = str(tmp_path / "alg.json")
+    for args, reason in (((alg,), "positive definite q"),
+                         ((alg, ms.gram_v, ms.gram_z), "positive definite q"),
+                         ((nilalg.TwoStepAlgebra.from_brackets("q indefinite", 4, 3,
+                                                               INDEFINITE_DIMV4),),
+                          "positive definite q"),
+                         ((free_two_step(3),), "nondegenerate B_0")):
+        nilalg.save(path, *args)
+        code, out, err = run(capsys, "identify", path, "--json")
+        assert (code, out) == (2, "") and reason in err and "Traceback" not in err
+
+
 def test_probe_cli_reducible(tmp_path, capsys):
     from nilrad.htype import make_clifford_module_algebra
     ms = make_clifford_module_algebra(7, 2)

@@ -1,9 +1,10 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dense_det, dense_kernel, dense_mul, run_optimized
 from nilrad import exactlin as el
@@ -479,6 +480,102 @@ def test_positive_definite_edge_cases():
     assert not el.is_positive_definite(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
     assert el.is_positive_definite(Matrix.zeros(0, 0))
     assert el.is_positive_definite(Matrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+
+
+def test_positive_definite_identity_512_is_quadratic():
+    # a diagonal gram leaves every row untouched; the leading-minor loop took about 4 s
+    start = time.perf_counter()
+    assert el.is_positive_definite(Matrix.identity(512))
+    assert time.perf_counter() - start < 1
+
+
+def characteristic_polynomial(m):
+    """det(x I - m), lowest degree first, by the Faddeev-LeVerrier recursion in Fractions."""
+    n = m.rows
+    coeffs, mk = [F(1)], Matrix.zeros(n, n)
+    for k in range(1, n + 1):
+        mk = dense_mul(m, mk) + Matrix.identity(n).scale(coeffs[-1])
+        coeffs.append(-sum((dense_mul(m, mk)[i, i] for i in range(n)), F(0)) / k)
+    return coeffs[::-1]
+
+
+def descartes_inertia(m):
+    """(positive, negative) eigenvalue counts of a symmetric m: its characteristic polynomial
+    has only real roots, so Descartes' rule of signs counts them exactly, on p(x) and p(-x)."""
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    p = characteristic_polynomial(m)
+    return changes(p), changes([c if k % 2 == 0 else -c for k, c in enumerate(p)])
+
+
+@st.composite
+def congruent_pairs(draw):
+    """(m, P^t m P) for a symmetric m and a random invertible rational P."""
+    m = draw(symmetric_matrices())
+    p = draw(shaped(m.rows, m.rows))
+    assume(el.rank(p) == m.rows)
+    return m, dense_mul(dense_mul(p.transpose(), m), p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(congruent_pairs())
+@example((Matrix.from_rows([[0, 1], [1, 0]]), Matrix.from_rows([[2, 1], [1, 0]])))
+def test_inertia_is_invariant_under_congruence(pair):
+    m, moved = pair
+    assert el.inertia(m) == el.inertia(moved) == descartes_inertia(m)
+
+
+@st.composite
+def symmetric_with_sparse_zeros(draw):
+    """Symmetric matrices up to 6x6, mostly zero, zero diagonals among them, with rows
+    over different denominators."""
+    n = draw(st.integers(0, 6))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2), F(1, 3), F(-2, 5)])
+    diag = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or diag:
+                rows[i][j] = rows[j][i] = draw(entries)
+    return Matrix(n, n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_with_sparse_zeros())
+def test_inertia_counts_the_eigenvalue_signs(m):
+    assert el.inertia(m) == descartes_inertia(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_is_jacobis_sign_change_count(m):
+    # with every leading minor D_k nonzero, the negative eigenvalues are the sign changes of
+    # 1, D_1, .., D_n
+    minors = [F(1)] + [dense_det(Matrix.from_rows([list(r[:k]) for r in m.data[:k]]))
+                       for k in range(1, m.rows + 1)]
+    assume(all(minors))
+    negative = sum((a > 0) != (b > 0) for a, b in zip(minors, minors[1:]))
+    assert el.inertia(m) == (m.rows - negative, negative)
+
+
+def test_inertia_of_null_and_zero_pivot_cases():
+    assert el.inertia(Matrix.from_rows([[0, 1], [1, 0]])) == (1, 1)
+    assert el.inertia(Matrix.zeros(0, 0)) == (0, 0)
+    assert el.inertia(Matrix.zeros(4, 4)) == (0, 0)
+    # row 1 is zero only after pivot 0, then row 2 is a null direction
+    assert el.inertia(Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 2]])) == (2, 0)
+    assert el.inertia(Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, -1]])) == (1, 1)
+    # pivot 0 leaves the zero-diagonal block [[0, 1], [1, 0]]
+    assert el.inertia(Matrix.from_rows([[1, 1, 1], [1, 1, 2], [1, 2, 1]])) == (2, 1)
+    # t = +1 would give a_kk = 2 a_kj + a_jj = 0, so the repair takes t = -1
+    assert el.inertia(Matrix.from_rows([[0, 1], [1, -2]])) == (1, 1)
+    assert el.inertia(Matrix.from_rows([[0, "1/2"], ["1/2", -1]])) == (1, 1)
+    assert el.inertia(Matrix.from_rows([[0, 0, 1], [0, 0, 0], [1, 0, "-2/3"]])) == (1, 1)
+    # rows over the denominators 3 and 15: the repair must add d_k row j to d_j row k
+    assert el.inertia(Matrix.from_rows([[0, "1/3"], ["1/3", "-2/5"]])) == (1, 1)
+    assert el.inertia(Matrix.from_rows([[0, 0, 0, "1/3"], [0, 0, 1, 0], [0, 1, 0, -1],
+                                        ["1/3", 0, -1, 0]])) == (2, 2)
 
 
 integer_squares = st.integers(min_value=1, max_value=4).flatmap(

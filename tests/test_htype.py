@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    FLEET,
     conformal_automorphism_h1H,
     fleet_member,
     free_two_step,
     left_mult_matrix,
+    mix_z,
     pair_loop_bracket,
     random_quaternion,
     random_thirds,
@@ -23,6 +25,7 @@ from nilrad import cli, htype, nilalg
 from nilrad.division import Tag, conj as fconj, element, norm_sq
 from nilrad.exactlin import (
     Matrix,
+    inertia,
     inverse,
     mat_vec,
     minimal_polynomial,
@@ -172,12 +175,14 @@ def test_is_htype_rejects_free_algebra():
 
 def test_clifford_data_is_computed_once_per_metric(monkeypatch):
     # the J maps, and so gramV^{-1}, belong to the metric structure: one inverse
-    # serves the verdict, the family id and all eight sigma automorphisms
+    # serves the verdict and all eight sigma automorphisms; the family id reads the
+    # bracket forms alone and never builds the J maps
+    ms = make_h(Tag.O, 1)
+    assert identify_family(ms.algebra).equivalent(HTypeFamilyId("h", Tag.O, (1,)))
+    assert "int_j_maps" not in ms.__dict__
     real_inverse, calls = htype.inverse, []
     monkeypatch.setattr(htype, "inverse", lambda m: calls.append(m) or real_inverse(m))
-    ms = make_h(Tag.O, 1)
     assert is_htype(ms)
-    assert identify_family(ms).equivalent(HTypeFamilyId("h", Tag.O, (1,)))
     for a in range(8):
         sigma_automorphism(ms, unit_z(ms, a))
     assert len(calls) == 1
@@ -318,11 +323,11 @@ def test_identify_constructor_round_trips():
         (make_h_prime(Tag.O, 1, 0), HTypeFamilyId("hprime", Tag.O, (1, 0))),
     ]
     for ms, want in cases:
-        assert identify_family(ms).equivalent(want)
+        assert identify_family(ms.algebra).equivalent(want)
 
 
 def test_identify_signature_up_to_swap():
-    got = identify_family(make_h_prime(Tag.H, 1, 2))
+    got = identify_family(make_h_prime(Tag.H, 1, 2).algebra)
     assert got.equivalent(HTypeFamilyId("hprime", Tag.H, (2, 1)))
 
 
@@ -336,40 +341,70 @@ def test_identify_volume_eigenspace_dimensions():
 
 
 def test_identify_outside_families():
-    assert identify_family(fleet_member("cliff7x2")).kind == "other"
-    assert identify_family(fleet_member("cliff5")).kind == "other"
+    assert identify_family(fleet_member("cliff7x2").algebra).kind == "other"
+    assert identify_family(fleet_member("cliff5").algebra).kind == "other"
     big_o_like = make_clifford_module_algebra(8, 2)     # dims (32, 8): not h_1(O)
-    assert identify_family(big_o_like).kind == "other"
+    assert identify_family(big_o_like.algebra).kind == "other"
 
 
 def test_identify_small_clifford_is_heisenberg():
-    fid = identify_family(make_clifford_module_algebra(1, 1))
+    fid = identify_family(make_clifford_module_algebra(1, 1).algebra)
     assert fid.equivalent(HTypeFamilyId("hprime", Tag.C, (1, 0)))
 
 
 def test_identify_intermediate_center_dims_are_other():
-    assert identify_family(make_clifford_module_algebra(6, 1)).kind == "other"
-    assert identify_family(make_clifford_module_algebra(5, 2)).kind == "other"
+    assert identify_family(make_clifford_module_algebra(6, 1).algebra).kind == "other"
+    assert identify_family(make_clifford_module_algebra(5, 2).algebra).kind == "other"
 
 
 def test_identify_clifford_rebuilds_of_families():
     # module data determines the algebra: these constructions land back
     # in the families even though they never went through make_h/make_h_prime
-    fid = identify_family(make_clifford_module_algebra(4, 2))
+    fid = identify_family(make_clifford_module_algebra(4, 2).algebra)
     assert fid.equivalent(HTypeFamilyId("h", Tag.H, (2,)))
-    fid = identify_family(make_clifford_module_algebra(2, 2))
+    fid = identify_family(make_clifford_module_algebra(2, 2).algebra)
     assert fid.equivalent(HTypeFamilyId("h", Tag.C, (2,)))
-    fid = identify_family(make_clifford_module_algebra(7, (1, 0)))
+    fid = identify_family(make_clifford_module_algebra(7, (1, 0)).algebra)
     assert fid.equivalent(HTypeFamilyId("hprime", Tag.O, (1, 0)))
-    fid = identify_family(make_clifford_module_algebra(3, (2, 1)))
+    fid = identify_family(make_clifford_module_algebra(3, (2, 1)).algebra)
     assert fid.equivalent(HTypeFamilyId("hprime", Tag.H, (2, 1)))
 
 
 def test_identify_rejects_non_htype():
-    alg = free_two_step(3)
-    ms = MetricStructure(alg, Matrix.identity(3), Matrix.identity(3))
     with pytest.raises(ValueError):
-        identify_family(ms)
+        identify_family(free_two_step(3))
+
+
+CANONICAL_NAMES = {"h1C": "h_1(C)", "h1H": "h_1(H)", "h1O": "h_1(O)", "hp10C": "h'_1,0(C)",
+                   "hp10H": "h'_1,0(H)", "hp11H": "h'_1,1(H)", "hp21H": "h'_2,1(H)",
+                   "hp10O": "h'_1,0(O)", "cliff5": "other", "cliff7x2": "other"}
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_identify_names_the_fleet_in_random_rational_bases_without_a_metric(key):
+    # V rebased by rebase_v and Z mixed by mix_z: neither change is orthogonal, and the
+    # algebra alone goes in
+    ms = fleet_member(key)
+    assert str(identify_family(ms.algebra)) == CANONICAL_NAMES[key]
+    for seed in (1, 2):
+        alg = mix_z(rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed)).algebra, seed)
+        assert str(identify_family(alg)) == CANONICAL_NAMES[key]
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(4) for q in range(4 - p) if p + q])
+def test_pencil_inertia_is_the_split_of_the_volume_element(monkeypatch, p, q):
+    # the metric route as the oracle: the +1 and -1 eigenspaces of J_1 J_2 J_3 on the
+    # gramZ-orthonormal Z basis, in the canonical V basis and a skew one
+    seen = []
+    monkeypatch.setattr(htype, "inertia", lambda s: seen.append(inertia(s)) or seen[-1])
+    ms = make_h_prime(Tag.H, p, q)
+    n = ms.algebra.dim_v
+    for moved in (ms, rebase_v(ms, random_thirds(n - 1, 3))):
+        assert identify_family(moved.algebra).equivalent(HTypeFamilyId("hprime", Tag.H, (p, q)))
+        js = j_basis(moved)
+        omega = js[0] * js[1] * js[2]
+        split = [len(nullspace(omega - Matrix.identity(n).scale(s))) for s in (1, -1)]
+        assert sum(split) == n and sorted(seen.pop()) == sorted(split) == sorted([4 * p, 4 * q])
 
 
 def test_family_id_constraints():

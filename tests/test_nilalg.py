@@ -39,7 +39,8 @@ def dense_form(alg, c):
 
 def clifford_form(alg):
     """The form q of the Clifford pencil of alg, or None when it is no Clifford pencil."""
-    return nilalg._clifford_form(inverse(dense_form(alg, 0)), alg.bracket_forms[1])
+    q, _ = nilalg._clifford_form(inverse(dense_form(alg, 0)), alg.bracket_forms[1])
+    return q
 
 
 def reference_ad_rank(alg, x):
