@@ -271,9 +271,9 @@ def inverse(m: Matrix) -> Matrix:
     if all(diag) and not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(m.data)):
         return Matrix.diagonal([quotient(x.denominator, x.numerator) if x > 0
                                 else -quotient(x.denominator, -x.numerator) for x in diag])
-    aug = Matrix.from_rows([list(m.data[i]) + [1 if j == i else 0 for j in range(n)]
-                            for i in range(n)])
-    pivots, prows = _int_rref(_int_rows(aug))
+    aug = [clear_denominators([*r] + [0] * i + [1] + [0] * (n - 1 - i))
+           for i, r in enumerate(m.data)]
+    pivots, prows = _int_rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix(n, n, tuple(tuple(quotient(x, p[i]) for x in p[n:])

@@ -7,13 +7,16 @@ E7 and E8 have half-integer ones), so their Gram form 4 (a_k, a_i) is
 integral.  It gives the integer Cartan matrix
 <a_k, a_i^vee> = 2 (a_k, a_i) / (a_i, a_i), and the simple roots are
 closed under the reflections s_i b = b - <b, a_i^vee> a_i acting on
-expansion tuples (Humphreys, Introduction to Lie Algebras and
-Representation Theory, section 10; Bourbaki, Lie Groups ch. VI).
-Squared lengths, kept as four times their value, are read off the
-diagonal of the Gram form and carried along the closure, because
-reflections preserve them; BC adds the doubled short roots afterwards.
-The ambient coordinates of the roots are a lazy view for callers that
-want them; the scan never reads them.
+expansion tuples, among the positive roots only: s_i permutes the
+positive roots other than a_i (Humphreys, Introduction to Lie Algebras
+and Representation Theory, section 10.2, Lemma B; Bourbaki, Lie Groups
+ch. VI), so the closure skips s_i on a_i and raises on any image that is
+not positive.  Squared lengths, kept as four times their value, are read
+off the diagonal of the Gram form and carried along the closure, because
+reflections preserve them; BC adds the doubled short roots afterwards,
+and the negative roots are the negated positive ones.  The ambient
+coordinates of the roots are a lazy view for callers that want them;
+the scan never reads them.
 
 A parabolic choice is a subset Phi of simple roots, and two exact
 combinatorial predicates on the highest root gamma drive the scan:
@@ -27,13 +30,15 @@ their orbits under diagram automorphisms.  The curated table of real
 forms records restricted root data (type, rank, multiplicities by
 squared root length) for named real forms; `nilradical_profile`
 recomputes the graded layer dimensions from that data and cross-checks
-them against the declared H-type family, so an inconsistent row cannot
-load silently.
+them against the declared H-type family, and `load_table` requires the
+`phi` of every row that is not abelian-only to pass the scan, so an
+inconsistent row cannot load silently.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -156,7 +161,7 @@ class RootSystem:
         """For each positive root alpha, the index of gamma - alpha, or None."""
         index = {e: i for i, e in enumerate(self.expansions)}
         gamma = self.expansions[self.highest]
-        return {i: index.get(tuple(g - a for g, a in zip(gamma, self.expansions[i])))
+        return {i: index.get(tuple(map(operator.sub, gamma, self.expansions[i])))
                 for i in self.positives}
 
     def length_sq(self, idx: int) -> Fraction:
@@ -172,12 +177,18 @@ def _check_root_count(type_tag: str, rank: int) -> None:
 
 @lru_cache(maxsize=None)
 def build(type_tag: str, rank: int) -> RootSystem:
-    """Construct a root system by reflection closure of the simple roots.
+    """Construct a root system by a reflection closure of its positive roots.
 
     Roots are integer expansion tuples on the simple roots, and s_i moves
     beta to beta - c a_i with the integer Cartan number
-    c = <beta, a_i^vee> = sum_k beta_k <a_k, a_i^vee>.  A reflection keeps
-    the length, so each new root inherits it.  The root count is checked
+    c = <beta, a_i^vee> = sum_k beta_k <a_k, a_i^vee>.  Since s_i permutes
+    the positive roots other than a_i (Humphreys, section 10.2, Lemma B),
+    and every positive root is reached from a simple root through positive
+    roots, the closure never leaves the positive roots: s_i is skipped on
+    a_i itself, and an image that is zero or has a negative coefficient
+    raises ArithmeticError.  A reflection keeps the length, so each new
+    root inherits it.  BC adds the doubled short roots, and the negative
+    roots are the negated positive ones.  The root count is checked
     against MAX_ROOTS before anything is allocated.  The result is frozen
     and cached per (type, rank), so every caller shares one object.
     """
@@ -188,8 +199,9 @@ def build(type_tag: str, rank: int) -> RootSystem:
     _check_root_count(type_tag, rank)
     doubled = _doubled_simple_roots(type_tag, rank)
     # gram4[k][i] = 4 (a_k, a_i), and <a_k, a_i^vee> = 2 gram4[k][i] / gram4[i][i]
-    gram4 = [[sum(x * y for x, y in zip(s, t)) for t in doubled] for s in doubled]
-    cartan = []
+    nonzeros = [[(d, x) for d, x in enumerate(s) if x] for s in doubled]
+    gram4 = [[sum([x * t[d] for d, x in nz]) for t in doubled] for nz in nonzeros]
+    sparse_rows = []
     for k in range(rank):
         row = []
         for i in range(rank):
@@ -197,9 +209,9 @@ def build(type_tag: str, rank: int) -> RootSystem:
             if r:
                 raise ArithmeticError(f"{type_tag}{rank}: non-integral Cartan number "
                                       f"{Fraction(2 * gram4[k][i], gram4[i][i])}")
-            row.append(c)
-        cartan.append(row)
-    sparse_rows = [[(i, c) for i, c in enumerate(row) if c] for row in cartan]
+            if c:
+                row.append((i, c))
+        sparse_rows.append(row)
     units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     length4: Dict[Expansion, int] = {e: gram4[i][i] for i, e in enumerate(units)}
     frontier = list(units)
@@ -211,20 +223,26 @@ def build(type_tag: str, rank: int) -> RootSystem:
                 for i, a in sparse_rows[k]:
                     pairing[i] += b * a
         for i, c in enumerate(pairing):
-            if c:
+            if c and beta != units[i]:
                 img = list(beta)
                 img[i] -= c
                 img = tuple(img)
                 if img not in length4:
+                    # only coefficient i moved, and beta has no negative one
+                    if img[i] < 0 or not any(img):
+                        raise ArithmeticError(
+                            f"{type_tag}{rank}: s_{i + 1} sends the positive root {beta} "
+                            f"to {img}, which is not positive")
                     length4[img] = length4[beta]
                     frontier.append(img)
-    for e, n in list(length4.items()):
-        length4.setdefault(tuple(-x for x in e), n)
     if type_tag == "BC":
         shortest = min(length4.values())
         for e, n in list(length4.items()):
             if n == shortest:
                 length4[tuple(2 * x for x in e)] = 4 * n
+    positive = list(length4)
+    for e in positive:
+        length4[tuple(map(operator.neg, e))] = length4[e]
     expansions = sorted(length4)
     expected = _ROOT_COUNTS[type_tag](rank)
     if len(expansions) != expected:
@@ -232,10 +250,7 @@ def build(type_tag: str, rank: int) -> RootSystem:
             f"{type_tag}{rank}: generated {len(expansions)} roots, expected {expected}")
     index = {e: i for i, e in enumerate(expansions)}
     simple_idx = tuple(index[u] for u in units)
-    positives = tuple(i for i, e in enumerate(expansions)
-                      if any(e) and min(e) >= 0)
-    if 2 * len(positives) != len(expansions):
-        raise ArithmeticError(f"{type_tag}{rank}: positive roots are not half of all roots")
+    positives = tuple(sorted(index[e] for e in positive))
     highest = _highest_root(expansions, positives)
     return RootSystem(type_tag, rank, tuple(expansions),
                       tuple(length4[e] for e in expansions),
@@ -246,7 +261,7 @@ def _highest_root(expansions, positives) -> int:
     best = max(positives, key=lambda i: sum(expansions[i]))
     be = expansions[best]
     for i in positives:
-        if any(b < e for b, e in zip(be, expansions[i])):
+        if any(map(operator.lt, be, expansions[i])):
             raise ArithmeticError("no dominant highest root; system not irreducible?")
     return best
 
@@ -278,8 +293,10 @@ def is_two_step(pc: ParabolicChoice) -> bool:
 
 def is_nonsingular_combinatorial(pc: ParabolicChoice) -> bool:
     """For every height-1 positive root a, gamma - a is a height-1 root."""
+    expansions, phi = pc.system.expansions, list(pc.phi)
     for i, j in pc.system.gamma_minus.items():
-        if phi_height(pc, i) == 1 and (j is None or phi_height(pc, j) != 1):
+        if sum([expansions[i][k] for k in phi]) == 1 and (
+                j is None or sum([expansions[j][k] for k in phi]) != 1):
             return False
     return True
 
@@ -497,7 +514,8 @@ def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
     """The curated table, from a file or the packaged data.
 
     The document must be a non-empty JSON list of objects; every row is
-    validated through its `profile` on load.
+    validated through its `profile` on load, and the `phi` of every row
+    that is not abelian-only must be one that `scan` passes.
     """
     if path is None:
         path = resources.files("nilrad").joinpath("data/real_forms.json")
@@ -507,6 +525,10 @@ def load_table(path: Optional[str] = None) -> List[RealFormEntry]:
     entries = [entry_from_json(d) for d in docs]
     for e in entries:
         e.profile       # raises on a data error
+        if not e.abelian_only and tuple(sorted(e.phi)) not in scan(
+                e.restricted_type, e.restricted_rank).passing:
+            raise ValueError(f"{e.name}: phi {list(e.phi)} is not a two-step non-singular "
+                             f"choice on {e.system().label}")
     return entries
 
 

@@ -449,6 +449,21 @@ def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_table_rejects_a_row_whose_phi_the_scan_does_not_pass(tmp_path, capsys):
+    # C3 with phi = {a2} is two-step with (dimV, dimZ) = (4, 3), the dims of h'_1,0(H),
+    # so the profile check passes; the non-singular predicate does not
+    doc = _packaged_table()
+    row = next(r for r in doc if r["name"] == "sp(6,R)")
+    row["phi"] = [1]
+    row["nilradical"] = {"kind": "hprime", "field": "H", "p": 1, "q": 0}
+    path = str(tmp_path / "table.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "table", "--file", path)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "error: sp(6,R): phi [1] is not a two-step non-singular choice on C3\n"
+
+
 @pytest.mark.parametrize("verb", ["verify-htype", "nonsingular", "prolong"])
 @pytest.mark.parametrize("name", [5, None, ["h"], {"h": 1}], ids=["int", "null", "list", "object"])
 def test_algebra_name_must_be_a_json_string(tmp_path, capsys, verb, name):

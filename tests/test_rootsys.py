@@ -114,6 +114,88 @@ def test_root_count_guard_trips_before_building():
     assert build.cache_info() == built
 
 
+def _all_roots_closure(type_tag, rank):
+    """Reference construction: every reflection on every root, then the roots sorted.
+
+    The simple roots are closed under all s_i over all roots, negative ones
+    included; the positive roots are read off the signs and the highest
+    root off the heights.
+    """
+    doubled = rootsys._doubled_simple_roots(type_tag, rank)
+    gram4 = [[sum(x * y for x, y in zip(s, t)) for t in doubled] for s in doubled]
+    cartan = [[F(2 * gram4[k][i], gram4[i][i]) for i in range(rank)] for k in range(rank)]
+    units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    length4 = {e: gram4[i][i] for i, e in enumerate(units)}
+    frontier = list(units)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(rank):
+            c = sum(b * cartan[k][i] for k, b in enumerate(beta))
+            img = tuple(b - c * (k == i) for k, b in enumerate(beta))
+            if img not in length4:
+                length4[img] = length4[beta]
+                frontier.append(img)
+    if type_tag == "BC":
+        shortest = min(length4.values())
+        for e, n in list(length4.items()):
+            if n == shortest:
+                length4[tuple(2 * x for x in e)] = 4 * n
+    expansions = sorted(tuple(int(x) for x in e) for e in length4)
+    positives = tuple(i for i, e in enumerate(expansions) if min(e) >= 0)
+    highest = max(positives, key=lambda i: sum(expansions[i]))
+    gamma = expansions[highest]
+    index = {e: i for i, e in enumerate(expansions)}
+    gamma_minus = {i: index.get(tuple(g - a for g, a in zip(gamma, expansions[i])))
+                   for i in positives}
+    return {"expansions": tuple(expansions),
+            "length4": tuple(length4[e] for e in expansions),
+            "simples": tuple(index[u] for u in units),
+            "positives": positives, "highest": highest, "gamma_minus": gamma_minus}
+
+
+def _systems_to_rank(max_rank):
+    systems = [("A", n) for n in range(1, max_rank + 1)]
+    systems += [(t, n) for n in range(2, max_rank + 1) for t in ("B", "C")]
+    systems += [("D", n) for n in range(4, max_rank + 1)]
+    systems += [("BC", n) for n in range(1, max_rank + 1)]
+    return systems + [(name, int(name[1])) for name in ("G2", "F4", "E6", "E7", "E8")]
+
+
+@pytest.mark.parametrize("tag, rank", _systems_to_rank(12), ids=lambda x: str(x))
+def test_positive_closure_matches_the_all_roots_closure(tag, rank):
+    rs = build(tag, rank)
+    want = _all_roots_closure(tag, rank)
+    got = {field: getattr(rs, field) for field in want}
+    assert got == want
+    assert len(rs.positives) * 2 == len(rs.expansions) == _ROOT_COUNTS[tag](rank)
+
+
+@pytest.fixture
+def a2_on_a_non_base(monkeypatch):
+    """A2 built on {a_1, a_1 + a_2}: integral Cartan numbers, but not a base."""
+    real = rootsys._doubled_simple_roots
+
+    def doubled(type_tag, rank):
+        if (type_tag, rank) != ("A", 2):
+            return real(type_tag, rank)
+        a1, a2 = real(type_tag, rank)
+        return [a1, tuple(x + y for x, y in zip(a1, a2))]
+
+    monkeypatch.setattr(rootsys, "_doubled_simple_roots", doubled)
+    build.cache_clear()
+    yield
+    build.cache_clear()
+
+
+def test_a_reflection_off_the_positive_roots_raises(a2_on_a_non_base, capsys):
+    with pytest.raises(ArithmeticError, match=r"A2: s_1 sends the positive root \(0, 1\) "
+                                              r"to \(-1, 1\), which is not positive"):
+        build("A", 2)
+    assert main(["classify", "--type", "A", "--rank", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "not positive" in out.err and "Traceback" not in out.err
+
+
 # ---------------------------------------------------------------------------
 # heights and the two predicates
 # ---------------------------------------------------------------------------
