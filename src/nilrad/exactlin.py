@@ -13,7 +13,9 @@ elimination; there is no floating point.
 Arithmetic runs in Python ints.  A product clears each operand to one
 common denominator and sparse integer rows (`scaled_sparse`),
 multiplies those (`sparse_mul`) and divides the product's denominator
-back in (`quotient`).  Every exact answer (rank, solve, inverse,
+back in (`quotient`).  The Clifford test `anticommutator_scalar` forms no
+product: it sums each row of A B + B A from the rows of A and B and stops
+at the first row that is not s e_i.  Every exact answer (rank, solve, inverse,
 nullspace) is read off one fraction-free integer echelon form of the
 denominator-cleared rows; `solve` and `inverse` reduce the augmented
 matrices [m | rhs] and [m | I] (for an invertible diagonal m, row i of
@@ -347,12 +349,23 @@ def sparse_mul(a: Sequence[SparseRow], b: Sequence[SparseRow]
 
 
 def anticommutator_scalar(a: List[SparseRow], b: List[SparseRow]) -> Optional[int]:
-    """s with A B + B A = s I for square matrices in sparse integer rows, else None;
-    A B + B A is the block row [A B] times the block column [B; A]."""
-    n = len(a)
-    prod = sparse_mul([ra + [(k + n, x) for k, x in rb] for ra, rb in zip(a, b)], b + a)
-    s = dict(prod[0]).get(0, 0) if n else 0
-    return s if prod == [[(i, s)] if s else [] for i in range(n)] else None
+    """s with A B + B A = s I for square matrices in sparse integer rows, else None (0
+    for n = 0; a column repeated in a row adds up).  Row i of A B + B A is summed in one
+    dict from a[i] against the rows of B and b[i] against the rows of A; it must hold
+    row 0's diagonal s at i and nothing else, and the first row that does not gives None."""
+    s = 0
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        acc: dict = {}
+        for row, other in ((ra, b), (rb, a)):
+            for k, x in row:
+                for j, y in other[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+        d = acc.pop(i, 0)
+        if i == 0:
+            s = d
+        if d != s or any(acc.values()):
+            return None
+    return s
 
 
 def _int_rows(m: Matrix) -> List[List[int]]:

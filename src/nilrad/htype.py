@@ -721,10 +721,10 @@ def _bracket_defects(alg: TwoStepAlgebra, gm: GradedMap
 
     A = map_v = GV / dV and C = map_z = GZ / dZ; for every bracket form B_c
     (over the forms' denominator d) the skew defect
-    D_c = GV^t B_c GV dZ - dV^2 sum_e GZ[c, e] B_e is formed in ints as sparse
-    rows, and s = d dV^2 dZ.
+    D_c = GV^t B_c GV dZ - dV^2 sum_e GZ[c, e] B_e is formed in ints, row k in one
+    dict: row k of GV^t against the rows of B_c GV dZ, and -dV^2 GZ[c, e] against
+    row k of each B_e.  Rows are sorted and hold no zeros, and s = d dV^2 dZ.
     """
-    n = alg.dim_v
     dv, a = scaled_sparse(gm.map_v)
     _, at = scaled_sparse(gm.map_v.transpose())
     dz, c_rows = scaled_sparse(gm.map_z)
@@ -732,12 +732,19 @@ def _bracket_defects(alg: TwoStepAlgebra, gm: GradedMap
     a = [[(k, x * dz) for k, x in r] for r in a]
     defects = []
     for form, c_row in zip(forms, c_rows):
-        # row k of D_c: (row k of GV^t, -dV^2 GZ[c, :]) times the stacked
-        # rows of B_c GV dZ and the rows k of every B_e
-        stacked = sparse_mul(form, a)
-        mix = [(n + e, -x * dv * dv) for e, x in c_row]
-        defects.append([sparse_mul([at[k] + mix], stacked + [f[k] for f in forms])[0]
-                        for k in range(n)])
+        ba = sparse_mul(form, a)
+        mix = [(forms[e], -x * dv * dv) for e, x in c_row]
+        dc = []
+        for k, rk in enumerate(at):
+            acc: dict = {}
+            for j, x in rk:
+                for col, y in ba[j]:
+                    acc[col] = acc.get(col, 0) + x * y
+            for f, x in mix:
+                for col, y in f[k]:
+                    acc[col] = acc.get(col, 0) + x * y
+            dc.append(sorted((col, v) for col, v in acc.items() if v))
+        defects.append(dc)
     return d * dv * dv * dz, defects
 
 

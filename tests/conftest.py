@@ -14,7 +14,7 @@ from typing import Optional
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
 from nilrad.exactlin import (Matrix, _int_rref, _nullspace_from_rref, clear_denominators,
-                              inverse, mat_vec)
+                              inverse, mat_vec, scaled_sparse, sparse_mul)
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -169,6 +169,34 @@ def dense_det(m: Matrix) -> Fraction:
             f = Fraction(a[i][c], a[c][c])
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return d
+
+
+def reference_anticommutator_scalar(a, b):
+    """Reference for `exactlin.anticommutator_scalar`: A B + B A as the block row
+    [A B] times the block column [B; A], compared whole with s I."""
+    n = len(a)
+    prod = sparse_mul([ra + [(k + n, x) for k, x in rb] for ra, rb in zip(a, b)], b + a)
+    s = dict(prod[0]).get(0, 0) if n else 0
+    return s if prod == [[(i, s)] if s else [] for i in range(n)] else None
+
+
+def reference_bracket_defects(alg, gm):
+    """Reference for `htype._bracket_defects`: row k of D_c is one `sparse_mul` of
+    (row k of GV^t, -dV^2 GZ[c, :]) against the stacked rows of B_c GV dZ and the
+    rows k of every B_e."""
+    n = alg.dim_v
+    dv, a = scaled_sparse(gm.map_v)
+    _, at = scaled_sparse(gm.map_v.transpose())
+    dz, c_rows = scaled_sparse(gm.map_z)
+    d, forms = alg.bracket_forms
+    a = [[(k, x * dz) for k, x in r] for r in a]
+    defects = []
+    for form, c_row in zip(forms, c_rows):
+        stacked = sparse_mul(form, a)
+        mix = [(n + e, -x * dv * dv) for e, x in c_row]
+        defects.append([sparse_mul([at[k] + mix], stacked + [f[k] for f in forms])[0]
+                        for k in range(n)])
+    return d * dv * dv * dz, defects
 
 
 _BUILDERS = {

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import dense_det, dense_kernel, dense_mul, run_optimized
+from conftest import dense_det, dense_kernel, dense_mul, reference_anticommutator_scalar, run_optimized
 from nilrad import exactlin as el
 from nilrad.exactlin import Matrix
 
@@ -437,6 +437,70 @@ def test_anticommutator_scalar_refuses_a_change_of_one_third():
     xm, ym = (Matrix.from_rows([[F(dict(r).get(j, 0), 3) for j in range(2)] for r in m])
               for m in (x, y3))
     assert xm * ym + ym * xm == xm.scale(F(1, 3))
+
+
+def _sparse_rows(n):
+    """n sparse integer rows in n columns, repeated columns and zero terms included."""
+    entry = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(-3, 3))
+    return st.lists(st.lists(entry, max_size=4), min_size=n, max_size=n)
+
+
+def _scalar_rows(n):
+    """c Id in n sparse rows, each diagonal entry split in two terms of its column
+    around a zero term."""
+    return st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, max(n - 1, 0))).map(
+        lambda t: [[(i, t[1]), (t[2], 0), (i, t[0] - t[1])] for i in range(n)])
+
+
+def _dense(rows):
+    """The matrix of sparse rows, a repeated column adding up."""
+    n = len(rows)
+    m = [[0] * n for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j, x in r:
+            m[i][j] += x
+    return Matrix(n, n, tuple(map(tuple, m)))
+
+
+square_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    *(st.one_of(_sparse_rows(n), _scalar_rows(n)) for _ in range(2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_pairs)
+def test_anticommutator_scalar_matches_the_block_product(pair):
+    a, b = pair
+    got = el.anticommutator_scalar(a, b)
+    assert got == reference_anticommutator_scalar(a, b)
+    am, bm = _dense(a), _dense(b)
+    ab = am * bm + bm * am
+    s = ab[0, 0] if a else 0
+    assert got == (s if ab == Matrix.identity(len(a)).scale(s) else None)
+
+
+def _ident(n, c):
+    return [[(i, c)] for i in range(n)]
+
+
+def test_anticommutator_scalar_cases():
+    x, y = [[(1, -1)], [(0, 1)]], [[(0, 1)], [(1, -1)]]
+    cases = [
+        (x, x, -2), (x, y, 0), ([], [], 0),
+        (_ident(3, 2), _ident(3, 5), 20),
+        # the zero matrix: two cancelling terms in row 0 and a zero term in row 1
+        ([[(0, 2), (0, -2)], [(1, 0)]], _ident(2, 1), 0),
+        # diag(1, 2) against Id: the non-scalar diagonal diag(2, 4)
+        ([[(0, 1)], [(1, 2)]], _ident(2, 1), None),
+        # Id against Id + E_30: 2 Id plus one off-diagonal residue in the last row
+        (_ident(4, 1), _ident(3, 1) + [[(3, 1), (0, 1)]], None),
+        # Id against Id + E_33 as a repeated column: the last diagonal entry is 4, not 2
+        (_ident(4, 1), _ident(3, 1) + [[(3, 1), (3, 1)]], None),
+        (_ident(4, 1), _ident(3, 1) + [[(3, 1), (0, 0)]], 2),
+    ]
+    for a, b, want in cases:
+        assert el.anticommutator_scalar(a, b) == want
+        assert el.anticommutator_scalar(b, a) == want
+        assert reference_anticommutator_scalar(a, b) == want
 
 
 def test_product_rejects_a_shape_mismatch():

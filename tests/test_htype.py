@@ -16,6 +16,7 @@ from conftest import (
     random_thirds,
     rebase_v,
     rebase_z,
+    reference_bracket_defects,
     right_mult_matrix,
     run_optimized,
     transfer_pairs,
@@ -501,22 +502,61 @@ def _pair_loop_violation(alg, gm):
     return None
 
 
-@pytest.mark.parametrize("key", ["h1O", "hp11H", "cliff7x2"])
-def test_first_bracket_violation_matches_pair_loop(key):
-    ms = fleet_member(key)
-    alg, rng = ms.algebra, random.Random(key)
-    for a in range(alg.dim_z):
+def _bent_sigma_maps(ms, key):
+    """(sigma, bent) for the sigma map of each Z basis vector: bent holds its copies with
+    one entry of the V block, then one of the Z block, moved by 1/3 at positions drawn
+    from random.Random(key)."""
+    rng, out = random.Random(key), []
+    for a in range(ms.algebra.dim_z):
         sigma = sigma_automorphism(ms, unit_z(ms, a))
-        assert htype._first_bracket_violation(alg, sigma) is None
+        bent = []
         for on_v in (True, False):
             rows = (sigma.map_v if on_v else sigma.map_z).to_rows()
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
             rows[i][j] += F(1, 3)
-            bent = Matrix.from_rows(rows)
-            gm = GradedMap(bent, sigma.map_z) if on_v else GradedMap(sigma.map_v, bent)
+            moved = Matrix.from_rows(rows)
+            bent.append(GradedMap(moved, sigma.map_z) if on_v else GradedMap(sigma.map_v, moved))
+        out.append((sigma, bent))
+    return out
+
+
+@pytest.mark.parametrize("key", ["h1O", "hp11H", "cliff7x2"])
+def test_first_bracket_violation_matches_pair_loop(key):
+    ms = fleet_member(key)
+    alg = ms.algebra
+    for sigma, bent in _bent_sigma_maps(ms, key):
+        assert htype._first_bracket_violation(alg, sigma) is None
+        for gm in bent:
             want = _pair_loop_violation(alg, gm)
             assert want is not None
             assert htype._first_bracket_violation(alg, gm) == want
+
+
+@pytest.mark.parametrize("key", ["h1O", "hp11H", "cliff7x2", "hp11H.vbasis"])
+def test_bracket_defects_match_the_reference(monkeypatch, key):
+    # the sigma maps, their 1/3-bent copies and the dilation by 2/3 (Fraction entries);
+    # "hp11H.vbasis" is h'_{1,1}(H) in a V basis whose gramV is not diagonal
+    ms = (rebase_v(fleet_member("hp11H"), random_thirds(7, 3)) if key == "hp11H.vbasis"
+          else fleet_member(key))
+    alg, dil = ms.algebra, dilation(ms.algebra, F(2, 3))
+    pairs = _bent_sigma_maps(ms, key)
+    sigmas = [sigma for sigma, _ in pairs]
+    maps = [dil] + [gm for sigma, bent in pairs for gm in [sigma] + bent]
+    got = [htype._bracket_defects(alg, gm) for gm in maps]
+    assert got == [reference_bracket_defects(alg, gm) for gm in maps]
+    assert all(r == sorted(r) and all(x for _, x in r) for _, dcs in got for dc in dcs for r in dc)
+    # transfer's report on each map, and transfers to the pullbacks by the dilation and the
+    # sigma maps, read the same fields from the reference
+    targets = [pullback_metric(ms, gm) for gm in [dil] + sigmas]
+
+    def reports():
+        return ([htype._report(alg, ms, ms, gm, True, F(1), F(1), 128) for gm in maps],
+                [transfer_operator(ms, t) for t in targets])
+
+    want = reports()
+    assert all(rep.ok for _, rep in want[1])
+    monkeypatch.setattr(htype, "_bracket_defects", reference_bracket_defects)
+    assert reports() == want
 
 
 def _pair_loop_residual(alg, pv, pz):

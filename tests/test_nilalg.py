@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import random
 from pathlib import Path
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, fleet_member, free_two_step,
                       mix_z, pair_loop_bracket, pencil_findings, random_thirds, rebase_v,
-                      rebase_z, split_quaternion_algebra, sturm_pencil)
+                      rebase_z, reference_anticommutator_scalar, split_quaternion_algebra,
+                      sturm_pencil)
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
-from nilrad.exactlin import Matrix, inverse, rank
+from nilrad.exactlin import Matrix, anticommutator_scalar, inverse, rank
 from nilrad.htype import MetricStructure, make_h, make_h_prime
 from nilrad.nilalg import (
     TwoStepAlgebra,
@@ -41,6 +43,22 @@ def clifford_form(alg):
     """The form q of the Clifford pencil of alg, or None when it is no Clifford pencil."""
     q, _ = nilalg._clifford_form(inverse(dense_form(alg, 0)), alg.bracket_forms[1])
     return q
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_anticommutator_scalar_on_the_fleet_maps_and_pencils(key):
+    # every pair of the integer J maps M_a, and of the pencil rows C_b of `_clifford_form`,
+    # whose rows carry their trace term as a repeated column
+    ms = fleet_member(key)
+    (d, maps), gz, alg = ms.int_j_maps, ms.gram_z, ms.algebra
+    q, cs = nilalg._clifford_form(inverse(dense_form(alg, 0)), alg.bracket_forms[1])
+    assert q is not None
+    for group in (maps, cs):
+        for x, y in itertools.product(group, repeat=2):
+            got = anticommutator_scalar(x, y)
+            assert got is not None and got == reference_anticommutator_scalar(x, y)
+    assert all(anticommutator_scalar(maps[a], maps[b]) == -2 * gz[a, b] * d * d
+               for a in range(len(maps)) for b in range(len(maps)))
 
 
 def reference_ad_rank(alg, x):
