@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -110,9 +110,9 @@ class MetricStructure:
 
     @cached_property
     def j_maps(self) -> Tuple[Matrix, ...]:
-        """J maps of the Z basis vectors as rational matrices."""
-        m = self.algebra.dim_z
-        return tuple(jz(self, [int(a == b) for b in range(m)]) for a in range(m))
+        """J maps of the Z basis vectors as rational matrices, J_a = maps[a] / d."""
+        d, maps = self.int_j_maps
+        return tuple(_dense(m, self.algebra.dim_v, d) for m in maps)
 
     @cached_property
     def clifford(self) -> bool:
@@ -138,8 +138,13 @@ def jz(ms: MetricStructure, z: Sequence) -> Matrix:
     # sum_a z_a M_a is the block row [z_0 Id .. z_m Id] times the block column [M_0; ..; M_m]
     prod = sparse_mul([[(a * n + i, c) for a, c in zrow] for i in range(n)],
                       [r for m in maps for r in m])
-    rows = [{j: quotient(x, d * dz) for j, x in r} for r in prod]
-    return Matrix(n, n, tuple(tuple(r.get(j, 0) for j in range(n)) for r in rows))
+    return _dense(prod, n, d * dz)
+
+
+def _dense(rows: Sequence[Sequence[Tuple[int, int]]], n: int, d: int) -> Matrix:
+    """The n x n matrix rows / d of sparse integer rows that repeat no column."""
+    return Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d) for j in range(n))
+                              for r in map(dict, rows)))
 
 
 def j_basis(ms: MetricStructure) -> List[Matrix]:
@@ -531,15 +536,12 @@ def irreducibility_probe(ms: MetricStructure,
     if len(sym_comm) == 1:
         return ProbeVerdict("irreducible", "the exact gramV-self-adjoint commutant "
                             "is the scalars")
-    ident = Matrix.identity(n)
     for s in sym_comm:
-        trace = sum(s[i, i] for i in range(n))
-        if s == ident.scale(Fraction(trace, n)):
-            continue
-        roots = rational_roots(minimal_polynomial(s))
+        poly = minimal_polynomial(s)
+        roots = rational_roots(poly) if len(poly) > 2 else []  # degree 1: s is a scalar
         if not roots:
             continue
-        k = s - ident.scale(roots[0])
+        k = s - Matrix.identity(n).scale(roots[0])
         w_basis = nullspace(k)
         # W takes one common denominator: clearing row by row would change its span
         _, krows = scaled_sparse(k)
@@ -806,7 +808,7 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
     an exact check on M.  A rational P is returned as a `GradedMap` and its own
     residuals are checked; otherwise the operator is None and the residuals are M's.
     The first metric is checked exactly before any computation, the second only
-    when the report is not `ok`: an `ok` report certifies a graded automorphism P
+    when a residual is nonzero: an `ok` report certifies a graded automorphism P
     with P^t gram1 P = gram2, which makes gram2 H-type (J'_z = P^{-1} J_{P z} P);
     lambda is expanded after that check, as M|_Z may then have a negative entry.
     """
@@ -827,13 +829,13 @@ def transfer_operator(ms1: MetricStructure, ms2: MetricStructure,
         lam_sq = lam * lam
     else:
         op, gm, lam_sq, lam = None, GradedMap(mv, mz), mz[0, 0], None
-    rep = _report(ms1.algebra, ms1, ms2, gm, op is not None, lam, lam_sq, precision)
-    if not rep.ok and not is_htype(ms2):
+    residuals = _residuals(ms1, ms2, gm, lam_sq)
+    ok = not any(residuals)
+    if not ok and not is_htype(ms2):
         raise ValueError("second metric is not H-type; the transfer operator is undefined")
-    if lam is None:
-        lam = rational_sqrt(lam_sq)
-        rep = replace(rep, lam=_decimal_sqrt(lam_sq, precision) if lam is None else lam)
-    return op, rep
+    if lam is None and (lam := rational_sqrt(lam_sq)) is None:
+        lam = _decimal_sqrt(lam_sq, precision)
+    return op, TransferReport(precision, op is not None, lam, lam_sq, *map(float, residuals), ok)
 
 
 def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
@@ -868,19 +870,16 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     return p
 
 
-def _report(alg, ms1, ms2, gm: GradedMap, exact: bool, lam, lam_sq: Fraction,
-            precision: int) -> TransferReport:
-    """The report on gm = P or M: its bracket defect and the distance of its Z
-    block from a scalar, with gramZ_2 - lambda^2 gramZ_1."""
-    scalar = gm.map_z[0, 0]
-    res_center = (gm.map_z - Matrix.identity(alg.dim_z).scale(scalar)).max_abs()
+def _residuals(ms1: MetricStructure, ms2: MetricStructure, gm: GradedMap,
+               lam_sq: Fraction) -> Tuple[Fraction, Fraction, int, Fraction]:
+    """The exact residuals of gm = P or M in `TransferReport` order: its bracket defect, its Z
+    block's distance from a scalar, 0 for the metric and max |lambda^2 gramZ_1 - gramZ_2|."""
+    alg = ms1.algebra
+    res_center = (gm.map_z - Matrix.identity(alg.dim_z).scale(gm.map_z[0, 0])).max_abs()
     scale, defects = _bracket_defects(alg, gm)
     res_auto = Fraction(max((abs(x) for dc in defects for r in dc for _, x in r),
                             default=0), scale)
-    res_l2 = (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
-    residuals = (res_auto, res_center, 0, res_l2)
-    return TransferReport(precision, exact, lam, lam_sq,
-                          *map(float, residuals), not any(residuals))
+    return res_auto, res_center, 0, (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
 
 
 def _decimal_sqrt(q: Fraction, precision: int) -> str:

@@ -82,18 +82,21 @@ class TwoStepAlgebra:
                     form[j].append((i, -int(s * d)))
         return d, forms
 
-    def bracket_span_matrix(self) -> Matrix:
-        """Rows are all bracket values [e_i, e_j]; row space is [V, V]."""
-        rows = [list(vec) for _, vec in self.brackets]
-        if not rows:
-            return Matrix.zeros(1, self.dim_z) if self.dim_z else Matrix.zeros(0, 0)
-        return Matrix.from_rows(rows)
+    @cached_property
+    def pairs(self) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+        """Each nonzero bracket [e_i, e_j], i < j, as its bracket form entries [(c, x), ...]:
+        x / d is its z_c coordinate, for the forms' denominator d."""
+        pairs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for c, form in enumerate(self.bracket_forms[1]):
+            for i, r in enumerate(form):
+                for j, x in r:
+                    if i < j:
+                        pairs.setdefault((i, j), []).append((c, x))
+        return pairs
 
     def is_fundamental(self) -> bool:
-        """True when the brackets span the whole Z layer."""
-        if self.dim_z == 0:
-            return True
-        return rank(self.bracket_span_matrix()) == self.dim_z
+        """True when the brackets span Z: the pair rows have no kernel over the dimZ columns."""
+        return not nullspace_int_rows(list(self.pairs.values()), self.dim_z)
 
 
 # ---------------------------------------------------------------------------

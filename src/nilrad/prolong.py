@@ -7,9 +7,9 @@ all pairs of negative-degree basis elements, where the bracket of a
 previously computed layer element with a negative element is its stored
 action.  Each degree is therefore one exact integer kernel computation.
 Its equations are sparse integer rows: the bracket constants come from
-the algebra's integer bracket forms over their denominator d, the action
-of each earlier layer from integer tables built once per layer (scaled
-by the lcm of that layer's denominators), and every equation is
+the algebra's cached bracket pairs over the forms' denominator d, the
+action of each earlier layer from integer tables built once per layer
+(scaled by the lcm of that layer's denominators), and every equation is
 multiplied through by the scales it meets.  One assembly serves both
 directions: `compute_layer` takes the kernel of the rows, whose basis
 elements come back as primitive integer matrices certified against every
@@ -21,10 +21,11 @@ giving the full graded derivation algebra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exactlin import Matrix, clear_denominators, nullspace_int_rows, verify_kernel
 from .nilalg import TwoStepAlgebra
@@ -88,9 +89,11 @@ class ProlongationResult:
         return [layer.dim for layer in self.layers]
 
 
-def _layer_dim(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
-               j: int) -> int:
-    return layers[j].dim if j >= 0 else {-1: alg.dim_v, -2: alg.dim_z}.get(j, 0)
+def _layer_dims(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
+                k: int) -> Tuple[int, int, int, int]:
+    """(d1, d2, d3, d4): the dimensions of g_{k-1} .. g_{k-4}, with g_{-1} = V and g_{-2} = Z."""
+    return tuple(layers[j].dim if j >= 0 else {-1: alg.dim_v, -2: alg.dim_z}.get(j, 0)
+                 for j in range(k - 1, k - 5, -1))
 
 
 def _actions(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
@@ -106,19 +109,6 @@ def _actions(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
     return 1, None, None           # Z brackets to zero against everything
 
 
-def _pairs(alg: TwoStepAlgebra) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
-    """(i, j, [(a, x), ...]) for every i < j, with x / d the z_a coordinate of
-    [e_i, e_j] in the bracket forms over their denominator d."""
-    cij: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for a, form in enumerate(alg.bracket_forms[1]):
-        for i, r in enumerate(form):
-            for j, x in r:
-                if i < j:
-                    cij.setdefault((i, j), []).append((a, x))
-    nv = alg.dim_v
-    return [(i, j, cij.get((i, j), [])) for i in range(nv) for j in range(i + 1, nv)]
-
-
 def _block(vec: Sequence[int], start: int, rows: int, cols: int) -> Matrix:
     """The rows x cols block of vec at start, row-major, with its int entries."""
     return Matrix(rows, cols, tuple(tuple(vec[start + r * cols:start + (r + 1) * cols])
@@ -126,24 +116,23 @@ def _block(vec: Sequence[int], start: int, rows: int, cols: int) -> Matrix:
 
 
 def _leibniz_rows(alg: TwoStepAlgebra, k: int, layers: Sequence[ProlongationLayer],
-                  d1: int, d2: int) -> List[List[Tuple[int, int]]]:
-    """The degree-k Leibniz equations as sparse integer rows (d1 = dim g_{k-1},
-    d2 = dim g_{k-2}); unknown b * dimV + i is coordinate b of u1(e_i), and
+                  dims: Tuple[int, int, int, int]) -> List[List[Tuple[int, int]]]:
+    """The degree-k Leibniz equations as sparse integer rows, for the dims (d1, .., d4)
+    of g_{k-1} .. g_{k-4}; unknown b * dimV + i is coordinate b of u1(e_i), and
     dimV * d1 + t * dimZ + a is coordinate t of u2(z_a).  No row repeats a
     column, so each equation is a plain list of its terms."""
     nv, nz = alg.dim_v, alg.dim_z
-    d3 = _layer_dim(alg, layers, k - 3)
-    d4 = _layer_dim(alg, layers, k - 4)
-    d = alg.bracket_forms[0]
+    d1, d2, d3, d4 = dims
+    d, pairs = alg.bracket_forms[0], alg.pairs
     s1, av1, az1 = _actions(alg, layers, k - 1)
     s2, av2, az2 = _actions(alg, layers, k - 2)
     off2 = nv * d1       # U2 coordinates start here
     rows: List[List[Tuple[int, int]]] = []
 
     # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i], times d s1
-    for i, j, cij in _pairs(alg):
+    for i, j in itertools.combinations(range(nv), 2):
         for t in range(d2):
-            row = [(off2 + t * nz + a, c * s1) for a, c in cij]
+            row = [(off2 + t * nz + a, c * s1) for a, c in pairs.get((i, j), ())]
             if av1 is not None:
                 row += [(b * nv + i, -x * d) for b, x in av1[j][t]]
                 row += [(b * nv + j, x * d) for b, x in av1[i][t]]
@@ -177,16 +166,14 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
                   layers: Sequence[ProlongationLayer],
                   max_unknowns: int = 20000,
                   max_entries: int = 10**8) -> ProlongationLayer:
-    """g_k as one exact kernel computation (k >= 0, layers = g_0..g_{k-1})."""
+    """g_k as one exact kernel computation (k >= 0, layers = g_0..g_{k-1}); g_0 needs a
+    fundamental algebra."""
     if k < 0:
         raise ValueError("layers are computed for degree >= 0")
     if len(layers) != k:
         raise ValueError(f"need previous layers g_0..g_{k-1}, got {len(layers)}")
     nv, nz = alg.dim_v, alg.dim_z
-    d1 = _layer_dim(alg, layers, k - 1)
-    d2 = _layer_dim(alg, layers, k - 2)
-    d3 = _layer_dim(alg, layers, k - 3)
-    d4 = _layer_dim(alg, layers, k - 4)
+    dims = d1, d2, d3, d4 = _layer_dims(alg, layers, k)
     unknowns = nv * d1 + nz * d2
     if unknowns == 0:
         return ProlongationLayer(k, d1, d2, ())
@@ -195,15 +182,16 @@ def compute_layer(alg: TwoStepAlgebra, k: int,
         raise ProlongationResourceError(
             f"degree {k}: {unknowns} unknowns x {equations} equations "
             f"exceeds the resource guard")
-    kernel = nullspace_int_rows(_leibniz_rows(alg, k, layers, d1, d2), unknowns)
+    # after the guard: the check takes a kernel over dimZ columns
+    if k == 0 and not alg.is_fundamental():
+        raise ValueError("prolongation requires a fundamental algebra")
+    kernel = nullspace_int_rows(_leibniz_rows(alg, k, layers, dims), unknowns)
     return ProlongationLayer(k, d1, d2, tuple(
         (_block(vec, 0, d1, nv), _block(vec, nv * d1, d2, nz)) for vec in kernel))
 
 
 def g0(alg: TwoStepAlgebra, **guard) -> ProlongationLayer:
-    """Graded derivations (A, B) with B[x, y] = [Ax, y] + [x, Ay]."""
-    if not alg.is_fundamental():
-        raise ValueError("prolongation requires a fundamental algebra")
+    """Graded derivations (A, B) with B[x, y] = [Ax, y] + [x, Ay] of a fundamental algebra."""
     return compute_layer(alg, 0, [], **guard)
 
 
@@ -219,13 +207,12 @@ def verify_layer(alg: TwoStepAlgebra, layers: Sequence[ProlongationLayer],
     not those of g_{k-1} and g_{k-2} is rejected.
     """
     layer = layers[k]
-    d1 = _layer_dim(alg, layers, k - 1)
-    d2 = _layer_dim(alg, layers, k - 2)
+    dims = d1, d2, _, _ = _layer_dims(alg, layers, k)
     shapes = ((d1, alg.dim_v), (d2, alg.dim_z))
     if (layer.dim_prev1, layer.dim_prev2) != (d1, d2) or any(
             (m1.shape, m2.shape) != shapes for m1, m2 in layer.basis):
         return False
-    return verify_kernel(_leibniz_rows(alg, k, layers, d1, d2), [
+    return verify_kernel(_leibniz_rows(alg, k, layers, dims), [
         clear_denominators([x for m in pair for r in m.data for x in r])
         for pair in layer.basis])
 

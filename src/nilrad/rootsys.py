@@ -549,7 +549,7 @@ def a1_exception_report(table: Sequence[RealFormEntry]) -> A1ExceptionReport:
     a1 = tuple(e.name for e in table
                if e.restricted_type == "A" and e.restricted_rank == 1)
     non_a1 = tuple(e.name for e in table if e.name not in a1)
-    is_so = lambda name: name.replace(" ", "").startswith("so(") and name.endswith(",1)")
+    is_so = lambda name: (bare := name.replace(" ", "")).startswith("so(") and bare.endswith(",1)")
     a1_sys = build("A", 1)
     pc = ParabolicChoice(a1_sys, frozenset({0}))
     max_height = max(phi_height(pc, i) for i in a1_sys.positives)

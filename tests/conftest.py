@@ -118,6 +118,14 @@ def reference_leibniz_rows(alg, k, layers):
     return rows, nv * d1 + nz * d2
 
 
+def reference_bracket_span(alg: TwoStepAlgebra) -> Matrix:
+    """Rows are all bracket values [e_i, e_j] as stored; row space is [V, V]."""
+    rows = [list(vec) for _, vec in alg.brackets]
+    if not rows:
+        return Matrix.zeros(1, alg.dim_z) if alg.dim_z else Matrix.zeros(0, 0)
+    return Matrix.from_rows(rows)
+
+
 def free_two_step(generators: int, name: Optional[str] = None) -> TwoStepAlgebra:
     """Free 2-step nilpotent algebra: Z has one direction per generator pair."""
     pairs = [(i, j) for i in range(generators) for j in range(i + 1, generators)]

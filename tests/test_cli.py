@@ -165,6 +165,15 @@ def test_prolong_resource_guard_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "prolong", path, "--max-degree", "2",
                        "--max-entries", "4")
     assert code == 3 and "resource guard" in err
+    # a bracket-free algebra is not fundamental; at dimZ = 100000 the degree-0 guard trips
+    # before that check reads dimZ-sized data, and at dimZ = 2 the check refuses the input
+    for dim_z, want in ((100000, 3), (2, 2)):
+        path = tmp_path / f"bare{dim_z}.json"
+        path.write_text(f'{{"dimV": 3, "dimZ": {dim_z}, "brackets": []}}')
+        code, out, err = run(capsys, "prolong", str(path), "--max-degree", "1")
+        assert (code, out) == (want, "")
+        assert err.startswith("resource guard: degree 0" if want == 3 else
+                              "error: prolongation requires a fundamental algebra")
 
 
 def test_nonsingular_verdict_exit_codes(tmp_path, capsys):

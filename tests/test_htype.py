@@ -40,6 +40,7 @@ from nilrad.htype import (
     GradedMap,
     HTypeFamilyId,
     MetricStructure,
+    TransferReport,
     build_swap_automorphism,
     clifford_generators,
     dilation,
@@ -550,7 +551,7 @@ def test_bracket_defects_match_the_reference(monkeypatch, key):
     targets = [pullback_metric(ms, gm) for gm in [dil] + sigmas]
 
     def reports():
-        return ([htype._report(alg, ms, ms, gm, True, F(1), F(1), 128) for gm in maps],
+        return ([htype._residuals(ms, ms, gm, F(1)) for gm in maps],
                 [transfer_operator(ms, t) for t in targets])
 
     want = reports()
@@ -574,15 +575,14 @@ def test_exact_transfer_residual_matches_pair_loop(key):
     dil = dilation(alg, F(3, 2))
     pv, pz = dil.map_v, dil.map_z
     lam = pz[0, 0]
-    rep = htype._report(alg, ms, ms, GradedMap(pv, pz), True, lam, lam * lam, 128)
-    assert rep.residual_automorphism == 0
+    assert htype._residuals(ms, ms, GradedMap(pv, pz), lam * lam)[0] == 0
     for _ in range(4):
         rows = pv.to_rows()
         rows[rng.randrange(alg.dim_v)][rng.randrange(alg.dim_v)] += F(rng.randint(1, 5), 7)
         bent = Matrix.from_rows(rows)
-        rep = htype._report(alg, ms, ms, GradedMap(bent, pz), True, lam, lam * lam, 128)
+        residual = htype._residuals(ms, ms, GradedMap(bent, pz), lam * lam)[0]
         want = _pair_loop_residual(alg, bent, pz)
-        assert want > 0 and rep.residual_automorphism == float(want)
+        assert want > 0 and residual == want
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +706,23 @@ def test_swap_searches_sigma_words(u, word, tried, pair):
 # irreducibility probe
 # ---------------------------------------------------------------------------
 
+def _dense_scalar_probe(ms, gens=None):
+    """Reference (kind, invariant subspace) of the probe, with the dense scalar test
+    S == (tr S / n) I in place of the degree of S's minimal polynomial."""
+    maps = ([(ms.int_j_maps[0], m) for m in ms.int_j_maps[1]] if gens is None
+            else [scaled_sparse(g.map_v) for g in gens])
+    sym_comm, n = htype._symmetric_commutant(maps, ms), ms.algebra.dim_v
+    if len(sym_comm) == 1:
+        return "irreducible", None
+    for s in sym_comm:
+        if s == Matrix.identity(n).scale(F(sum(s[i, i] for i in range(n)), n)):
+            continue
+        roots = rational_roots(minimal_polynomial(s))
+        if roots:
+            return "reducible", tuple(nullspace(s - Matrix.identity(n).scale(roots[0])))
+    return "reducible", None
+
+
 def test_probe_complex_heisenberg_irreducible():
     ms = make_h_prime(Tag.C, 1, 0)
     gens = [sigma_automorphism(ms, [F(1)])]
@@ -734,6 +751,8 @@ def test_probe_with_swap_never_blames_module_blocks():
     res = build_swap_automorphism(ms, v1, v2, GradedMap(ident_pair, Matrix.identity(7)))
     assert res
     verdict = irreducibility_probe(ms, gens + [res.automorphism])
+    assert (verdict.kind, verdict.invariant_subspace) == _dense_scalar_probe(
+        ms, gens + [res.automorphism])
     if verdict.kind == "reducible":
         for block in (v1, v2):
             got = sorted(tuple(v) for v in verdict.invariant_subspace)
@@ -755,6 +774,7 @@ def test_probe_sigma_only_splits_signature_blocks():
     assert res
     verdict2 = irreducibility_probe(ms, gens + [res.automorphism])
     assert verdict2.kind == "irreducible"
+    assert _dense_scalar_probe(ms, gens + [res.automorphism]) == ("irreducible", None)
 
 
 def _full_symmetric_commutant(maps, gram):
@@ -835,14 +855,17 @@ def test_symmetric_commutant_emits_one_row_per_pair_for_skew_maps(monkeypatch, r
 def test_probe_splits_reducible_members_in_a_skew_basis(key, dim):
     # T = I + N with random thirds on the superdiagonal is not orthogonal for
     # gramV; the reflections are gramV-isometries, not orthogonal matrices
+    # the canonical basis first; every verdict matches the dense scalar test's
     ms = fleet_member(key)
-    for seed in range(4):
-        rebased = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed))
+    for seed in [None] + list(range(4)):
+        rebased = ms if seed is None else rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, seed))
         gens = [sigma_automorphism(rebased, unit_z(rebased, a))
                 for a in range(rebased.algebra.dim_z)]
         verdict = irreducibility_probe(rebased, gens)
         assert verdict.kind == "reducible" and len(verdict.invariant_subspace) == dim
         assert irreducibility_probe(rebased) == verdict
+        assert (verdict.kind, verdict.invariant_subspace) == _dense_scalar_probe(rebased, gens)
+        assert _dense_scalar_probe(rebased) == _dense_scalar_probe(rebased, gens)
 
 
 def test_probe_ignores_seed_and_trials():
@@ -1012,8 +1035,8 @@ def test_transfer_dilation_is_exact():
     ms = fleet_member("h1H")
     ms2 = pullback_metric(ms, dilation(ms.algebra, 2))
     op, rep = transfer_operator(ms, ms2, 128)
-    assert rep.exact and rep.ok
-    assert rep.lam == 4
+    assert rep == TransferReport(128, True, F(4), F(16), 0.0, 0.0, 0.0, 0.0, True)
+    assert type(rep.lam) is type(rep.lam_sq) is F
     assert op.map_v == Matrix.identity(8).scale(2)
     assert op.map_z == Matrix.identity(4).scale(4)
 
@@ -1040,9 +1063,9 @@ def test_transfer_float_path_certifies():
     ms2 = pullback_metric(ms, gm)
     assert is_htype(ms2)
     op, rep = transfer_operator(ms, ms2, 128)
-    assert op is None and not rep.exact and rep.ok
-    assert (rep.residual_automorphism, rep.residual_center,
-            rep.residual_metric, rep.residual_lambda_sq) == (0, 0, 0, 0)
+    assert op is None and rep == TransferReport(
+        128, False, "155.942823055439136807618591430867419576031", F(3112725, 128),
+        0.0, 0.0, 0.0, 0.0, True)
 
 
 def test_transfer_float_path_on_doubled_base_gram():
@@ -1251,22 +1274,21 @@ def test_transfer_square_check_matches_pair_loop():
     mv = inverse(ms1.gram_v) * ms2.gram_v
     mz = inverse(ms1.gram_z) * ms2.gram_z
     op, rep = htype.transfer_operator(ms1, ms2, 128)
-    lam, lam_sq = rep.lam, rep.lam_sq
-    rep = htype._report(alg, ms1, ms2, GradedMap(mv, mz), False, lam, lam_sq, 128)
-    assert op is None and rep.ok and rep.residual_automorphism == rep.residual_center == 0
+    lam_sq = rep.lam_sq
+    residuals = htype._residuals(ms1, ms2, GradedMap(mv, mz), lam_sq)
+    assert op is None and rep.ok and residuals == (0, 0, 0, 0)
     for _ in range(4):
         rows = mv.to_rows()
         rows[rng.randrange(8)][rng.randrange(8)] += F(rng.randint(1, 5), 7)
         bent = Matrix.from_rows(rows)
-        rep = htype._report(alg, ms1, ms2, GradedMap(bent, mz), False, lam, lam_sq, 128)
+        residuals = htype._residuals(ms1, ms2, GradedMap(bent, mz), lam_sq)
         want = _pair_loop_residual(alg, bent, mz)
-        assert want > 0 and rep.residual_automorphism == float(want) and not rep.ok
+        assert want > 0 and residuals[0] == want
     rows = mz.to_rows()
     rows[1][2] += F(1, 7)
     rows[2][1] += F(1, 7)
-    rep = htype._report(alg, ms1, ms2, GradedMap(mv, Matrix.from_rows(rows)), False, lam,
-                        lam_sq, 128)
-    assert rep.residual_center == float(F(1, 7)) and not rep.ok
+    residuals = htype._residuals(ms1, ms2, GradedMap(mv, Matrix.from_rows(rows)), lam_sq)
+    assert residuals[1] == F(1, 7)
 
 
 def _rational_transfer_pairs(seed=7, count=12):

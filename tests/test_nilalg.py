@@ -1,17 +1,18 @@
 import ast
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, fleet_member, free_two_step,
                       mix_z, pair_loop_bracket, pencil_findings, random_thirds, rebase_v,
-                      rebase_z, reference_anticommutator_scalar, split_quaternion_algebra,
-                      sturm_pencil)
+                      rebase_z, reference_anticommutator_scalar, reference_bracket_span,
+                      split_quaternion_algebra, sturm_pencil)
 from nilrad import nilalg
 from nilrad.division import Tag, conj as fconj, mul as fmul, unit as funit
 from nilrad.exactlin import Matrix, anticommutator_scalar, inverse, rank
@@ -151,11 +152,41 @@ def test_center_of_quaternionic_instance():
     assert verdict.kind == "nonsingular" and "Clifford pencil" in verdict.certificate
 
 
+def pairs_from_bracket_basis(alg):
+    """Reference for `pairs`: each nonzero [e_i, e_j], i < j, read through `bracket_basis`
+    and scaled by the lcm d of its denominators, as [(c, d x_c), ...]."""
+    vecs = {(i, j): alg.bracket_basis(i, j)
+            for i, j in itertools.combinations(range(alg.dim_v), 2)}
+    d = math.lcm(*(x.denominator for vec in vecs.values() for x in vec))
+    return {ij: [(c, int(x * d)) for c, x in enumerate(vec) if x]
+            for ij, vec in vecs.items() if any(vec)}
+
+
 def test_fundamentality_of_constructors():
-    for ms in (make_h(Tag.C, 2), make_h_prime(Tag.H, 2, 1), make_h(Tag.O, 1)):
+    for ms in [make_h(Tag.C, 2)] + [fleet_member(key) for key in FLEET]:
         alg = ms.algebra
         assert alg.is_fundamental()
-        assert rank(alg.bracket_span_matrix()) == alg.dim_z
+        assert rank(reference_bracket_span(alg)) == alg.dim_z
+        assert alg.pairs == pairs_from_bracket_basis(alg)
+
+
+@st.composite
+def small_algebras(draw):
+    """dimV <= 5 and dimZ <= 4, each pair bracketed or not, with Fraction and zero coordinates."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    coords = st.lists(st.fractions(-3, 3, max_denominator=4) | st.just(F(0)),
+                      min_size=m, max_size=m)
+    return TwoStepAlgebra.from_brackets("drawn", n, m, {
+        ij: draw(coords) for ij in itertools.combinations(range(n), 2) if draw(st.booleans())})
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras())
+@example(TwoStepAlgebra.from_brackets("z_1 unreached", 3, 2, {(0, 1): [F(1), F(0)],
+                                                                (1, 2): [F(-2, 3), F(0)]}))
+def test_fundamentality_and_pairs_match_the_bracket_span(alg):
+    assert alg.is_fundamental() == (rank(reference_bracket_span(alg)) == alg.dim_z)
+    assert alg.pairs == pairs_from_bracket_basis(alg)
 
 
 def test_free_two_step_is_singular_with_witness():

@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction as F
+from importlib.resources import files
 
 import pytest
 
@@ -381,9 +383,17 @@ def test_inconsistent_row_fails_loudly():
         nilradical_profile(bad)
 
 
-def test_a1_exception_report():
+def test_a1_exception_report(tmp_path):
     rep = a1_exception_report(load_table())
     assert rep.a1_rows == ("so(2,1)", "so(3,1)", "so(5,1)")
+    assert rep.a1_rows_all_so_n1 and rep.so_rows_all_a1 and rep.a1_max_height_one
+    # a row name spaced as "so(5, 1)" is still an so(n,1) row
+    rows = json.loads(files("nilrad").joinpath("data/real_forms.json").read_text())
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps([dict(r, name="so(5, 1)") if r["name"] == "so(5,1)" else r
+                                for r in rows]))
+    rep = a1_exception_report(load_table(str(path)))
+    assert rep.a1_rows == ("so(2,1)", "so(3,1)", "so(5, 1)")
     assert rep.a1_rows_all_so_n1 and rep.so_rows_all_a1 and rep.a1_max_height_one
 
 
