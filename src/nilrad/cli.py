@@ -20,6 +20,7 @@ from .division import Tag
 from .exactlin import Matrix, rat_str
 from .htype import (
     DEFAULT_PRECISION,
+    HTypeFamilyId,
     MAX_PRECISION,
     MIN_PRECISION,
     MetricStructure,
@@ -50,14 +51,14 @@ EXIT_GUARD = 3
 VERDICT_EXIT = {"nonsingular": EXIT_OK, "irreducible": EXIT_OK,
                 "singular": EXIT_FALSE, "reducible": EXIT_FALSE}
 
-# largest dimV or dimZ that the metric verbs (verify-htype, nonsingular,
-# transfer, identify, probe-irreducible) accept; a dense metric block
-# holds dim^2 rationals
+# largest dimV or dimZ that construct and the metric verbs (verify-htype,
+# nonsingular, transfer, identify, probe-irreducible) accept; a dense metric
+# block holds dim^2 rationals
 MAX_METRIC_DIM = 512
 
 
 class MetricResourceError(RuntimeError):
-    """Raised when a metric verb's input exceeds MAX_METRIC_DIM in either layer."""
+    """Raised when a metric verb's input or a constructed family exceeds MAX_METRIC_DIM."""
 
 
 def _emit(doc: dict, as_json: bool, text: str) -> None:
@@ -105,13 +106,17 @@ def _prolong_basis_json(doc: dict, layers) -> str:
     return json.dumps(doc, indent=1, default=str)[:-2] + ',\n "layers": ' + text + "\n}\n"
 
 
+def _check_dims(dim_v: int, dim_z: int) -> None:
+    """Refuse layers above MAX_METRIC_DIM, before anything of that size is built."""
+    if max(dim_v, dim_z) > MAX_METRIC_DIM:
+        raise MetricResourceError(f"dimV = {dim_v}, dimZ = {dim_z} exceeds the ceiling "
+                                  f"of {MAX_METRIC_DIM} per layer")
+
+
 def _load_bounded(path: str):
     """nilalg.load, refusing layers above MAX_METRIC_DIM before any metric exists."""
     alg, gv, gz = nilalg.load(path)
-    if max(alg.dim_v, alg.dim_z) > MAX_METRIC_DIM:
-        raise MetricResourceError(
-            f"dimV = {alg.dim_v}, dimZ = {alg.dim_z} exceeds the ceiling "
-            f"of {MAX_METRIC_DIM} per layer")
+    _check_dims(alg.dim_v, alg.dim_z)
     return alg, gv, gz
 
 
@@ -125,15 +130,14 @@ def _load_metric(path: str) -> MetricStructure:
 
 
 def _cmd_construct(args) -> int:
-    tag = Tag.parse(args.field)
-    if args.family == "h":
-        if args.n is None:
-            raise ValueError("--family h requires --n")
-        ms = make_h(tag, args.n)
-    else:
-        if args.p is None:
-            raise ValueError("--family hprime requires --p (and optionally --q)")
-        ms = make_h_prime(tag, args.p, args.q or 0)
+    if args.family == "h" and args.n is None:
+        raise ValueError("--family h requires --n")
+    if args.family == "hprime" and args.p is None:
+        raise ValueError("--family hprime requires --p (and optionally --q)")
+    params = (args.n,) if args.family == "h" else (args.p, args.q or 0)
+    fid = HTypeFamilyId(args.family, Tag.parse(args.field), params)   # validates the parameters
+    _check_dims(*fid.dims())
+    ms = (make_h if args.family == "h" else make_h_prime)(fid.tag, *params)
     alg = ms.algebra
     if args.name:
         alg = nilalg.TwoStepAlgebra(args.name, alg.dim_v, alg.dim_z, alg.brackets)

@@ -102,10 +102,6 @@ class DivisionElement:
     def __neg__(self) -> "DivisionElement":
         return DivisionElement(self.tag, tuple(-a for a in self.coords))
 
-    def scale(self, c) -> "DivisionElement":
-        c = rat(c)
-        return DivisionElement(self.tag, tuple(c * a for a in self.coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 

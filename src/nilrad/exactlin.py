@@ -12,14 +12,15 @@ elimination; there is no floating point.
 
 Arithmetic runs in Python ints.  A product clears each operand to one
 common denominator and sparse integer rows (`scaled_sparse`),
-multiplies those (`sparse_mul`) and divides the product's denominator
-back in (`quotient`).  The Clifford test `anticommutator_scalar` forms no
-product: it sums each row of A B + B A from the rows of A and B and stops
-at the first row that is not s e_i.  Every exact answer (rank, solve, inverse,
-nullspace) is read off one fraction-free integer echelon form of the
-denominator-cleared rows; `solve` and `inverse` reduce the augmented
-matrices [m | rhs] and [m | I] (for an invertible diagonal m, row i of
-[m | I] reduces to 1/x_i, so `inverse` reads it off the diagonal).
+multiplies those (`sparse_mul`) and reads the product back through
+`Matrix.from_sparse`, which divides only its nonzero entries (`quotient`).
+The Clifford test `anticommutator_scalar` forms no product: it sums each row
+of A B + B A from the rows of A and B and stops at the first row that is
+not s e_i.  Every exact answer (rank, solve, inverse, nullspace) is read
+off one fraction-free integer echelon form of the denominator-cleared rows;
+`solve` and `inverse` reduce the augmented matrices [m | rhs] and [m | I]
+(for an invertible diagonal m, row i of [m | I] reduces to 1/x_i, so
+`inverse` reads it off the diagonal).
 `inertia` counts the pivot signs of one symmetric elimination, and
 `is_positive_definite` asks it for (n, 0).  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
@@ -128,6 +129,17 @@ class Matrix:
         return cls(r, c, tuple(tuple(0 for _ in range(c)) for _ in range(r)))
 
     @classmethod
+    def from_sparse(cls, rows: Sequence[Sequence[Tuple[int, int]]], ncols: int,
+                    d: int = 1) -> "Matrix":
+        """The matrix rows / d of sparse integer rows that repeat no column, d > 0; only
+        the nonzero entries are divided, each by `quotient`."""
+        data = [[0] * ncols for _ in rows]
+        for row, r in zip(data, rows):
+            for j, x in r:
+                row[j] = quotient(x, d)
+        return cls(len(data), ncols, tuple(map(tuple, data)))
+
+    @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
         es = [scalar(e) for e in entries]
         n = len(es)
@@ -174,18 +186,12 @@ class Matrix:
             tuple(c * a for a in r) for r in self.data))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            (da, a), (db, b) = scaled_sparse(self), scaled_sparse(other)
-            d = da * db
-            prod = [{j: quotient(x, d) for j, x in r} for r in sparse_mul(a, b)]
-            return Matrix(self.rows, other.cols, tuple(
-                tuple(r.get(j, 0) for j in range(other.cols)) for r in prod))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
+        (da, a), (db, b) = scaled_sparse(self), scaled_sparse(other)
+        return Matrix.from_sparse(sparse_mul(a, b), other.cols, da * db)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(
@@ -204,15 +210,6 @@ class Matrix:
         return self.rows == self.cols and all(
             self.data[i][j] == (1 if i == j else 0)
             for i in range(self.rows) for j in range(self.cols))
-
-    def max_abs(self) -> Fraction:
-        m = Fraction(0)
-        for r in self.data:
-            for x in r:
-                a = -x if x < 0 else x
-                if a > m:
-                    m = a
-        return m
 
     def _expect_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,7 +46,6 @@ from .exactlin import (
     minimal_polynomial,
     nullspace,
     nullspace_int_rows,
-    quotient,
     rank,
     rat,
     rational_roots,
@@ -109,12 +108,6 @@ class MetricStructure:
         return dg * dz * db, tuple(sparse_mul(ginv, block) for block in blocks)
 
     @cached_property
-    def j_maps(self) -> Tuple[Matrix, ...]:
-        """J maps of the Z basis vectors as rational matrices, J_a = maps[a] / d."""
-        d, maps = self.int_j_maps
-        return tuple(_dense(m, self.algebra.dim_v, d) for m in maps)
-
-    @cached_property
     def clifford(self) -> bool:
         """The H-type verdict: J_a J_b + J_b J_a = -2 gramZ[a, b] Id for all a <= b,
         checked as M_a M_b + M_b M_a == -2 gramZ[a, b] d^2 Id on J_a = M_a / d in ints."""
@@ -138,18 +131,14 @@ def jz(ms: MetricStructure, z: Sequence) -> Matrix:
     # sum_a z_a M_a is the block row [z_0 Id .. z_m Id] times the block column [M_0; ..; M_m]
     prod = sparse_mul([[(a * n + i, c) for a, c in zrow] for i in range(n)],
                       [r for m in maps for r in m])
-    return _dense(prod, n, d * dz)
-
-
-def _dense(rows: Sequence[Sequence[Tuple[int, int]]], n: int, d: int) -> Matrix:
-    """The n x n matrix rows / d of sparse integer rows that repeat no column."""
-    return Matrix(n, n, tuple(tuple(quotient(r.get(j, 0), d) for j in range(n))
-                              for r in map(dict, rows)))
+    return Matrix.from_sparse(prod, n, d * dz)
 
 
 def j_basis(ms: MetricStructure) -> List[Matrix]:
-    """J maps of the Z basis vectors."""
-    return list(ms.j_maps)
+    """J maps of the Z basis vectors as rational matrices: the dense view
+    J_a = maps[a] / d of `int_j_maps`."""
+    d, maps = ms.int_j_maps
+    return [Matrix.from_sparse(m, ms.algebra.dim_v, d) for m in maps]
 
 
 def is_htype(ms: MetricStructure) -> bool:
@@ -310,14 +299,8 @@ def clifford_generators(m: int) -> Tuple[int, List[Matrix]]:
                 cols.append(list(img.coords) + [Fraction(0)] * 8)
             gens.append(Matrix.from_rows(
                 [[cols[j][i] for j in range(16)] for i in range(16)]))
-    if m % 4 == 3:
-        vol = gens[0]
-        for g in gens[1:]:
-            vol = vol * g
-        if vol == -Matrix.identity(dim):
-            gens = [-g for g in gens]
-        elif not vol.is_identity():
-            raise ArithmeticError(f"volume element of the m = {m} generators is not +-Id")
+    if m % 4 == 3 and not reduce(Matrix.__mul__, gens).is_identity():
+        raise ArithmeticError(f"volume element of the m = {m} generators is not +Id")
     return dim, gens
 
 
@@ -375,8 +358,7 @@ def identify_family(alg: TwoStepAlgebra) -> HTypeFamilyId:
     dv, dz, forms = alg.dim_v, alg.dim_z, alg.bracket_forms[1]
     if not dv or not dz or nullspace_int_rows(forms[0], dv):
         raise ValueError("identify_family expects an H-type algebra, so a nondegenerate B_0")
-    q, cs = _clifford_form(inverse(Matrix.from_rows(
-        [[r.get(j, 0) for j in range(dv)] for r in map(dict, forms[0])])), forms)
+    q, cs = _clifford_form(inverse(Matrix.from_sparse(forms[0], dv)), forms)
     if q is None or not is_positive_definite(q):
         raise ValueError("identify_family expects an H-type algebra, so a positive definite q")
     if dz == 1:
@@ -386,8 +368,7 @@ def identify_family(alg: TwoStepAlgebra) -> HTypeFamilyId:
     if dz == 3:
         w1, w2 = clear_denominators([q[0, 0], q[0, 1]])    # over one positive denominator
         comb = [[(j, w1 * x) for j, x in c2] + [(j, -w2 * x) for j, x in c1] for c1, c2 in zip(*cs)]
-        rows = map(dict, sparse_mul(forms[0], sparse_mul(cs[0], comb)))
-        s = Matrix(dv, dv, tuple(tuple(r.get(j, 0) for j in range(dv)) for r in rows))
+        s = Matrix.from_sparse(sparse_mul(forms[0], sparse_mul(cs[0], comb)), dv)
         # S^t = -A''^t A'_1^t B_0 = -B_0 A'' A'_1 = S: A'_b is B_0-self-adjoint
         if not s.is_symmetric():
             raise ArithmeticError("the pencil's volume form S is not symmetric")
@@ -640,7 +621,7 @@ def build_swap_automorphism(ms: MetricStructure,
     same_space = _span_dim(b1 + b2) == k
     if not same_space and not (p1 * ms.gram_v * p2.transpose()).is_zero():
         raise ValueError("v1 and v2 must be orthogonal")
-    for j in ms.j_maps:
+    for j in j_basis(ms):
         if any(_span_dim(p.to_rows() + (p * j.transpose()).to_rows()) != k for p in (p1, p2)):
             raise ValueError("v1 and v2 must be invariant under the Clifford action")
     units = [a for a in range(alg.dim_z) if ms.gram_z[a, a] == 1]
@@ -845,8 +826,6 @@ def _rational_positive_sqrt(m: Matrix, gram: Matrix) -> Optional[Matrix]:
     P = c_0 + (M - mu_0)(c_1 + (M - mu_1)(c_2 + ...)), in k - 1 products for k roots.
     P P = M and gram P = (gram P)^t (gram is symmetric) are checked exactly."""
     n = m.rows
-    if n == 0:
-        return Matrix.zeros(0, 0)
     poly = minimal_polynomial(m)
     roots = rational_roots(poly)
     if len(roots) != len(poly) - 1:
@@ -874,12 +853,13 @@ def _residuals(ms1: MetricStructure, ms2: MetricStructure, gm: GradedMap,
                lam_sq: Fraction) -> Tuple[Fraction, Fraction, int, Fraction]:
     """The exact residuals of gm = P or M in `TransferReport` order: its bracket defect, its Z
     block's distance from a scalar, 0 for the metric and max |lambda^2 gramZ_1 - gramZ_2|."""
-    alg = ms1.algebra
-    res_center = (gm.map_z - Matrix.identity(alg.dim_z).scale(gm.map_z[0, 0])).max_abs()
-    scale, defects = _bracket_defects(alg, gm)
+    zs, c = gm.map_z.data, gm.map_z[0, 0]
+    res_center = max(abs(x - c * (i == j)) for i, r in enumerate(zs) for j, x in enumerate(r))
+    scale, defects = _bracket_defects(ms1.algebra, gm)
     res_auto = Fraction(max((abs(x) for dc in defects for r in dc for _, x in r),
                             default=0), scale)
-    return res_auto, res_center, 0, (ms1.gram_z.scale(lam_sq) - ms2.gram_z).max_abs()
+    return res_auto, res_center, 0, max(abs(lam_sq * a - b) for ra, rb in zip(
+        ms1.gram_z.data, ms2.gram_z.data) for a, b in zip(ra, rb))
 
 
 def _decimal_sqrt(q: Fraction, precision: int) -> str:

@@ -17,9 +17,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactlin import (Matrix, Rational, anticommutator_scalar, inverse, is_positive_definite,
-                       minimal_polynomial, nullspace, nullspace_int_rows, rat_str, rank,
-                       rational_roots, real_root_count, scalar, scaled_sparse, sparse_mul)
+from .exactlin import (Matrix, Rational, anticommutator_scalar, clear_denominators, inverse,
+                       is_positive_definite, minimal_polynomial, nullspace, nullspace_int_rows,
+                       rat_str, rank, rational_roots, real_root_count, scalar, scaled_sparse,
+                       sparse_mul)
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,7 @@ def is_nonsingular(alg: TwoStepAlgebra) -> NonsingularVerdict:
     if m >= n:
         # past the first route no V direction is central, e_0 among them
         return _singular(alg, [int(i == 0) for i in range(n)], f"dimZ = {m} >= dimV")
-    dense = cache(lambda c: Matrix.from_rows(  # B_c, built at most once
-        [[r.get(j, 0) for j in range(n)] for r in map(dict, forms[c])]))
+    dense = cache(lambda c: Matrix.from_sparse(forms[c], n))    # B_c, built at most once
     q = None
     for a in range(m - 1):
         kernel = nullspace_int_rows(forms[a], n)
@@ -208,13 +208,10 @@ def _clifford_form(inv0: Matrix, forms) -> Tuple[Optional[Matrix], list]:
 
 def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> NonsingularVerdict:
     """The singular verdict with witness x, after the exact check rank(ad x) < dimZ; row c of
-    ad x is x^t B_c, read off the bracket forms."""
-    ad = [[0] * alg.dim_v for _ in range(alg.dim_z)]
-    for row, form in zip(ad, alg.bracket_forms[1]):
-        for xi, entries in zip(x, form):
-            for j, s in entries:
-                row[j] += xi * s
-    if rank(Matrix.from_rows(ad)) >= alg.dim_z:
+    ad x is x^t B_c, the product of x (cleared to ints) with each bracket form."""
+    xrow = [[(i, xi) for i, xi in enumerate(clear_denominators(x)) if xi]]
+    ad = [sparse_mul(xrow, form)[0] for form in alg.bracket_forms[1]]
+    if rank(Matrix.from_sparse(ad, alg.dim_v)) >= alg.dim_z:
         raise ArithmeticError("singular witness failed its exact re-check")
     return NonsingularVerdict("singular", f"{certificate}: rank(ad X) < dim Z, verified exactly",
                               tuple(x))

@@ -381,18 +381,18 @@ def scan(type_tag: str, rank: int) -> ScanReport:
 def scan_standard_types(max_rank: int = 8) -> Dict[str, ScanReport]:
     """The default sweep: classical families to max_rank plus G2 F4 E6 E7 E8.
 
-    Every system's root count is checked against MAX_ROOTS before the
-    first one is built.
+    The sweep is walked lazily twice: once to check every system's root count
+    against MAX_ROOTS before the first one is built, once to scan.
     """
-    systems = [("A", n) for n in range(1, max_rank + 1)]
-    systems += [(t, n) for n in range(2, max_rank + 1) for t in ("B", "C")]
-    systems += [("D", n) for n in range(4, max_rank + 1)]
-    systems += [("BC", n) for n in range(1, max_rank + 1)]
-    systems += [(name, int(name[1])) for name in ("G2", "F4", "E6", "E7", "E8")]
-    for t, n in systems:
+    def systems():
+        yield from (("A", n) for n in range(1, max_rank + 1))
+        yield from ((t, n) for n in range(2, max_rank + 1) for t in ("B", "C"))
+        yield from (("D", n) for n in range(4, max_rank + 1))
+        yield from (("BC", n) for n in range(1, max_rank + 1))
+        yield from ((name, int(name[1])) for name in ("G2", "F4", "E6", "E7", "E8"))
+    for t, n in systems():
         _check_root_count(t, n)
-    reports = [scan(t, n) for t, n in systems]
-    return {rep.system.label: rep for rep in reports}
+    return {rep.system.label: rep for rep in (scan(t, n) for t, n in systems())}
 
 
 # ---------------------------------------------------------------------------

@@ -443,11 +443,24 @@ def _lowercase_a1_table():
     return doc
 
 
+def _table_with(name, **fields):
+    """The packaged table with the given fields of row `name` replaced."""
+    doc = _packaged_table()
+    next(r for r in doc if r["name"] == name).update(fields)
+    return doc
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("doc, message", [
     ([], "real-form table must be a non-empty JSON list of objects"),
     (_lowercase_a1_table(), "type must be one of A, B, C, D, BC, G2, F4, E6, E7, E8"),
-], ids=["empty", "lowercase-a1"])
+    (_table_with("sl(3,R)", abelian_only=True), "sl(3,R): declared abelian but dimZ = 1"),
+    (_table_with("sl(3,R)", multiplicities={}), "sl(3,R): no multiplicity for length^2 = 2"),
+    (_table_with("sl(3,R)", nilradical={"kind": "g", "field": "C", "p": 1, "q": 0}),
+     "unknown family kind 'g'"),
+    (_table_with("G2(2)", phi=[0]), "G2(2): grading is not two-step (height 3)"),
+], ids=["empty", "lowercase-a1", "abelian-with-center", "no-multiplicity", "unknown-kind",
+        "three-step"])
 def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, capsys, doc,
                                                                    message, as_json):
     path = str(tmp_path / "table.json")
@@ -521,13 +534,46 @@ def test_gram_blocks_of_both_readers_keep_their_error_text(tmp_path, capsys, gra
     ["--family", "h", "--field", "C", "--n", "1"],
     ["--family", "h", "--field", "O", "--n", "1"],
     ["--family", "hprime", "--field", "H", "--p", "1", "--q", "1", "--name", "sp(2,2)"],
-], ids=["h1C", "h1O", "hp11H-named"])
+    ["--family", "h", "--field", "R", "--n", "256"],
+], ids=["h1C", "h1O", "hp11H-named", "h256R-at-the-ceiling"])
 def test_construct_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys, argv):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "construct", *argv)
     assert code == 0
     assert run(capsys, "construct", *argv, "-o", str(path))[0] == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_construct_refuses_a_family_above_the_metric_ceiling(tmp_path, capsys):
+    # dimV = 2 n for h_n(R): the ceiling is checked on the family's dims, before any bracket
+    path = tmp_path / "out.json"
+    for n in ("300", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--family", "h", "--field", "R", "--n", n,
+                             "-o", str(path))
+        assert (code, out) == (3, "") and not path.exists(), err
+        assert err == (f"resource guard: dimV = {2 * int(n)}, dimZ = 1 exceeds the ceiling "
+                       f"of {MAX_METRIC_DIM} per layer\n")
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("verb, gram, message", [
+    ("verify-htype", {"v": [["1", "0"], ["0", "-1"]], "z": [["1"]]},
+     "gramV is not symmetric positive definite"),
+    ("transfer", {"v": [["1"]], "z": [["1"]]}, "gramV shape does not match dimV"),
+], ids=["indefinite", "shape"])
+def test_gram_blocks_that_make_no_metric_exit_two(tmp_path, capsys, verb, gram, message):
+    alg = make_h_prime(Tag.C, 1, 0).algebra               # dimV = 2, dimZ = 1
+    path, gram2 = tmp_path / "alg.json", tmp_path / "gram2.json"
+    gram2.write_text(json.dumps(gram))
+    if verb == "transfer":
+        nilalg.save(str(path), alg, Matrix.identity(2).scale(2), Matrix.identity(1))
+        argv = [verb, str(path), "--gram2", str(gram2)]
+    else:
+        path.write_text(json.dumps(dict(nilalg.to_json(alg), gram=gram)))
+        argv = [verb, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
 
 
 def test_malformed_file_reports_context(tmp_path, capsys):
@@ -682,6 +728,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["classify", "--type", "G2", "--rank", "100000"]) == 2
     assert main(["no-such-verb"]) == 2
     assert main(["construct", "--family", "h", "--field", "C"]) == 2
+    assert main(["construct", "--family", "hprime", "--field", "H"]) == 2
+    assert "error: --family hprime requires --p" in capsys.readouterr().err
 
 
 def test_prolong_runs_without_numpy(tmp_path):

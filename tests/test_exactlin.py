@@ -988,6 +988,11 @@ def test_matrix_entries_stay_int_or_fraction(case):
     assert prod == dense_mul(ref, ref2) and int_when_integral(entries(prod))
     assert m.scale(c) == Matrix(n, n, tuple(tuple(F(c) * x for x in r) for r in ref.data))
     assert exact_entries(entries(m.scale(c)))
+    # a scalar factor goes through `scale`: `*` takes a Matrix on both sides
+    with pytest.raises(TypeError):
+        m * c
+    with pytest.raises(TypeError):
+        c * m
     assert m.transpose() == ref.transpose() and exact_entries(entries(m.transpose()))
     if el.rank(ref) == n:
         inv = el.inverse(m)
@@ -997,6 +1002,28 @@ def test_matrix_entries_stay_int_or_fraction(case):
         assert exact_entries(x) and el.mat_vec(ref, x) == tuple(F(v) for v in vec)
     for v in el.nullspace(m):
         assert exact_entries(v) and not any(el.mat_vec(ref, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6), st.data())
+def test_from_sparse_reads_rows_over_a_denominator(nrows, ncols, d, data):
+    dense = [[data.draw(st.integers(-7, 7)) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [data.draw(st.permutations([(j, x) for j, x in enumerate(r) if x])) for r in dense]
+    m = Matrix.from_sparse(rows, ncols, d)
+    assert m.shape == (nrows, ncols) and int_when_integral(entries(m))
+    assert m == fraction_matrix([[F(x, d) for x in r] for r in dense], nrows, ncols)
+
+
+def test_from_sparse_divides_only_the_nonzero_entries(monkeypatch):
+    calls, real = [], el.quotient
+    monkeypatch.setattr(el, "quotient", lambda x, d: calls.append(x) or real(x, d))
+    m = Matrix.from_sparse([[(2, 6)], [], [(0, -3), (1, 4)]], 3, 2)
+    assert calls == [6, -3, 4]
+    assert m == Matrix.from_rows([[0, 0, 3], [0, 0, 0], ["-3/2", 2, 0]])
+    calls.clear()
+    assert Matrix.from_rows([[1, 0], [0, 0]]) * Matrix.from_rows([["1/2", 0], [0, 3]]) \
+        == Matrix.from_rows([["1/2", 0], [0, 0]])
+    assert calls == [1]
 
 
 # strings around the integer grammar: signs, whitespace (Unicode too), rationals,

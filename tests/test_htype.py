@@ -236,7 +236,7 @@ def test_clifford_checks_rational_metrics_exactly():
         Matrix.identity(8), p.transpose() * p)
     assert is_htype(rebased)
     for m in (pulled, rebased, fleet_member("hp11H"), fleet_member("cliff5")):
-        assert list(m.j_maps) == _dense_j_maps(m)
+        assert j_basis(m) == _dense_j_maps(m)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def _fraction_sigma(ms, z):
     """Reference: sigma_z from the Fraction J maps, J_z = sum_a z_a J_a and
     2 z (gramZ z)^t - Id on Z, with no verification."""
     n, dz = ms.algebra.dim_v, ms.algebra.dim_z
-    map_v = sum((j.scale(c) for c, j in zip(z, ms.j_maps) if c), Matrix.zeros(n, n))
+    map_v = sum((j.scale(c) for c, j in zip(z, j_basis(ms)) if c), Matrix.zeros(n, n))
     gz_z = mat_vec(ms.gram_z, z)
     return GradedMap(map_v, Matrix.from_rows(
         [[2 * z[i] * gz_z[j] - (1 if i == j else 0) for j in range(dz)] for i in range(dz)]))

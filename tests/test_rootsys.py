@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction as F
 from importlib.resources import files
 
@@ -114,6 +115,18 @@ def test_root_count_guard_trips_before_building():
     with pytest.raises(RootSystemResourceError, match="above the ceiling"):
         scan_standard_types(500)
     assert build.cache_info() == built
+
+
+def test_scan_standard_types_checks_a_huge_sweep_in_little_memory():
+    # the sweep is walked lazily: no list of its ~5 N (type, rank) pairs is built first
+    tracemalloc.start()
+    try:
+        with pytest.raises(RootSystemResourceError, match="^A at rank 71 has 5112 roots"):
+            scan_standard_types(10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _all_roots_closure(type_tag, rank):
