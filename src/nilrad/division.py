@@ -1,13 +1,13 @@
 """Exact arithmetic in the four real normed division algebras.
 
 Elements of R, C, H, O carry rational coordinates in the standard basis
-{1, e_1, ..., e_{d-1}}.  The multiplication tables come from iterating
-the Cayley-Dickson doubling (a,b)(c,d) = (ac - conj(d)b, da + b conj(c))
-starting from the reals, so e_1 e_2 = e_3 inside the quaternions and the
-octonions double the quaternions with unit e_4 (e_1 e_4 = e_5,
-e_2 e_4 = e_6, e_3 e_4 = e_7).  The resulting octonion table is one of
-the 480 equivalent orientations; it is fixed here once and used
-consistently everywhere (brackets, Clifford actions, tests).
+{1, e_1, ..., e_{d-1}}.  The multiplication tables come from the
+Cayley-Dickson doubling (a,b)(c,d) = (ac - conj(d)b, da + b conj(c))
+applied to units, starting from the reals, so e_1 e_2 = e_3 inside the
+quaternions and the octonions double the quaternions with unit e_4
+(e_1 e_4 = e_5, e_2 e_4 = e_6, e_3 e_4 = e_7).  The resulting octonion
+table is one of the 480 equivalent orientations; it is fixed here once
+and used consistently everywhere (brackets, Clifford actions, tests).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .exactlin import rat, rat_str
+from .exactlin import rat
 
 
 class Tag(enum.Enum):
@@ -41,42 +41,23 @@ class Tag(enum.Enum):
             raise ValueError(f"unknown division algebra tag {name!r}") from None
 
 
-def _cd_mul(x: List[Fraction], y: List[Fraction]) -> List[Fraction]:
-    """Cayley-Dickson product on coordinate lists of length 1, 2, 4 or 8
-    (of Fractions or of ints)."""
-    n = len(x)
-    if n == 1:
-        return [x[0] * y[0]]
-    h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    dc = _cd_conj(d)
-    cc = _cd_conj(c)
-    left = [p - q for p, q in zip(_cd_mul(a, c), _cd_mul(dc, b))]
-    right = [p + q for p, q in zip(_cd_mul(d, a), _cd_mul(b, cc))]
-    return left + right
-
-
-def _cd_conj(x: List[Fraction]) -> List[Fraction]:
-    return [x[0]] + [-v for v in x[1:]]
-
-
 @cache
 def _build_table(dim: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k, from int unit vectors; built
-    on the first product in dimension dim."""
-    table = []
-    for i in range(dim):
-        row = []
-        ei = [int(t == i) for t in range(dim)]
-        for j in range(dim):
-            prod = _cd_mul(ei, [int(t == j) for t in range(dim)])
-            nz = [(t, v) for t, v in enumerate(prod) if v]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
-                raise ArithmeticError(f"e_{i} e_{j} is not a signed unit in dimension {dim}")
-            row.append((nz[0][1], nz[0][0]))
-        table.append(tuple(row))
-    return tuple(table)
+    """table[i][j] = (sign, k) meaning e_i e_j = sign * e_k; built on the first product
+    in dimension dim by doubling from the reals.  In the double of dimension 2h, with
+    e_i = (e_i, 0) and e_{h+i} = (0, e_i), the doubling rule sends two units to one of
+    (e_i e_j, 0), (0, e_j e_i), (0, e_i conj(e_j)) and (-conj(e_j) e_i, 0), where
+    conj(e_j) = -e_j for j > 0."""
+    table = [[(1, 0)]]
+    while len(table) < dim:
+        h = len(table)
+        cols = [[table[j][i] for j in range(h)] for i in range(h)]  # cols[i][j]: e_j e_i
+        csign = [1] + [-1] * (h - 1)  # conj(e_j) = csign[j] e_j
+        table = ([row + [(s, k + h) for s, k in col] for row, col in zip(table, cols)]
+                 + [[(s * csign[j], k + h) for j, (s, k) in enumerate(row)]
+                    + [(-csign[j] * s, k) for j, (s, k) in enumerate(col)]
+                    for row, col in zip(table, cols)])
+    return tuple(map(tuple, table))
 
 
 @dataclass(frozen=True)
@@ -108,14 +89,6 @@ class DivisionElement:
     def _expect(self, other: "DivisionElement") -> None:
         if self.tag is not other.tag:
             raise ValueError(f"mixed algebras {self.tag.name} and {other.tag.name}")
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coords):
-            if c:
-                label = "1" if i == 0 else f"e{i}"
-                terms.append(f"{rat_str(c)}*{label}")
-        return f"{self.tag.name}({' + '.join(terms) if terms else '0'})"
 
 
 def element(tag: Tag, coords: Sequence) -> DivisionElement:

@@ -98,14 +98,12 @@ class MetricStructure:
         dg, ginv = scaled_sparse(-self.gram_v_inv)
         dz, gz = scaled_sparse(self.gram_z)
         db, forms = self.algebra.bracket_forms
-        # sum_c gZ[a, c] B_c for every a: gZ times the forms flattened to rows (k n + j)
-        sums = sparse_mul(gz, [[(k * n + j, x) for k, r in enumerate(f) for j, x in r]
-                               for f in forms])
-        blocks = [[[] for _ in range(n)] for _ in sums]
-        for block, flat in zip(blocks, sums):
-            for kj, x in flat:
-                block[kj // n].append((kj % n, x))
-        return dg * dz * db, tuple(sparse_mul(ginv, block) for block in blocks)
+        # -gramV^{-1} sum_c gZ[a, c] B_c is the block row [gZ[a, 0] G .. gZ[a, m] G],
+        # G = -gramV^{-1}, times the block column [B_0; ..; B_m]
+        stacked = [r for f in forms for r in f]
+        return dg * dz * db, tuple(
+            sparse_mul([[(c * n + j, x * y) for c, x in row for j, y in g] for g in ginv], stacked)
+            for row in gz)
 
     @cached_property
     def clifford(self) -> bool:
@@ -190,14 +188,6 @@ class HTypeFamilyId:
             return ((self.params[0] + self.params[1]) * d, d - 1)
         raise ValueError("no canonical dimensions for kind 'other'")
 
-    def equivalent(self, other: "HTypeFamilyId") -> bool:
-        """Equality up to the (p, q) <-> (q, p) swap."""
-        if self.kind != other.kind or self.tag is not other.tag:
-            return False
-        if self.kind == "hprime":
-            return self.params == other.params or self.params == other.params[::-1]
-        return self.params == other.params
-
     def __str__(self) -> str:
         if self.kind == "h":
             return f"h_{self.params[0]}({self.tag.name})"
@@ -224,9 +214,7 @@ def make_h(tag: Tag, n: int) -> MetricStructure:
             for v in range(d):
                 i = slot * d + u              # a-block basis element e_u in slot
                 j = (n + slot) * d + v        # b-block basis element e_v in slot
-                prod = fmul(funit(tag, u), funit(tag, v))
-                if not prod.is_zero():
-                    brackets[(i, j)] = list(prod.coords)
+                brackets[(i, j)] = list(fmul(funit(tag, u), funit(tag, v)).coords)
     alg = TwoStepAlgebra.from_brackets(str(fid), dim_v, dim_z, brackets)
     return MetricStructure(alg, Matrix.identity(dim_v), Matrix.identity(dim_z))
 
@@ -252,8 +240,7 @@ def make_h_prime(tag: Tag, p: int, q: int) -> MetricStructure:
                     w = fmul(fconj(ev), eu) - fmul(fconj(eu), ev)
                 if w.coords[0] != 0:
                     raise ArithmeticError(f"bracket of units {u}, {v} has a real part")
-                if not w.is_zero():
-                    brackets[(slot * d + u, slot * d + v)] = list(w.coords[1:])
+                brackets[(slot * d + u, slot * d + v)] = list(w.coords[1:])
     alg = TwoStepAlgebra.from_brackets(str(fid), dim_v, dim_z, brackets)
     return MetricStructure(alg, Matrix.identity(dim_v).scale(2), Matrix.identity(dim_z))
 
@@ -609,7 +596,9 @@ def build_swap_automorphism(ms: MetricStructure,
     verification is retried; if no word works the violating pair is
     reported.  The letters are the sigma automorphisms of the Z basis
     vectors that are gramZ units, each built when a word first needs it.
-    A theta that fails `_check_theta` by itself raises ValueError.
+    A theta that fails `_check_theta` raises ValueError.  One that passes
+    passes with every word: each letter is an isometric automorphism whose V
+    block J_{z_a} preserves the Clifford-invariant v1 and v2.
     """
     alg = ms.algebra
     b1 = [list(b) for b in v1]
@@ -635,12 +624,7 @@ def build_swap_automorphism(ms: MetricStructure,
             if a not in sigmas:
                 sigmas[a] = sigma_automorphism(ms, [int(a == b) for b in range(alg.dim_z)])
             cand_theta = cand_theta.compose(sigmas[a])
-        try:
-            t = _check_theta(ms, p1, p2, cand_theta)
-        except ValueError:
-            if not word:
-                raise
-            continue
+        t = _check_theta(ms, p1, p2, cand_theta)
         gm = _assemble_swap(ms, p1, p2, t, cand_theta.map_z, same_space)
         tried += 1
         violation = _first_bracket_violation(alg, gm)

@@ -35,6 +35,10 @@ Table = List[List[List[Tuple[int, int]]]]
 Actions = Tuple[int, Optional[Table], Optional[Table]]
 
 
+# the highest degree `prolong` builds: a finite-type algebra adds one empty layer per degree
+MAX_DEGREE = 10_000
+
+
 class ProlongationResourceError(RuntimeError):
     """Raised when a requested degree exceeds the configured size guard."""
 
@@ -226,10 +230,14 @@ def prolong(alg: TwoStepAlgebra, max_degree: int, stop_when_zero: bool = True,
     (with the last nonzero degree) when a later layer vanishes, and
     nontrivial_up_to_cutoff otherwise.  Once a layer vanishes all later
     ones do (transitivity over a fundamental base), which is checked
-    when they are requested with stop_when_zero=False.
+    when they are requested with stop_when_zero=False.  A max_degree above
+    MAX_DEGREE trips the resource guard before any layer is built.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    if max_degree > MAX_DEGREE:
+        raise ProlongationResourceError(
+            f"max_degree {max_degree} exceeds the ceiling of {MAX_DEGREE}")
     guard = {"max_unknowns": max_unknowns, "max_entries": max_entries}
     layers = [g0(alg, **guard)]
     zero_seen = False

@@ -505,6 +505,9 @@ def entry_from_json(obj: dict) -> RealFormEntry:
             raise ValueError("name, type, satake_label and notes must be JSON strings")
         if entry.restricted_type not in _VALID_TYPES:
             raise ValueError(f"type must be one of {', '.join(_VALID_TYPES)}")
+        if not entry.phi or len(set(entry.phi)) != len(entry.phi) or not all(
+                0 <= i < entry.restricted_rank for i in entry.phi):
+            raise ValueError("phi must be a nonempty list of distinct simple-root positions")
         return entry
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed real-form entry {obj.get('name', '?')!r}: {exc}") from exc

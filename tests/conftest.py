@@ -207,6 +207,45 @@ def reference_bracket_defects(alg, gm):
     return d * dv * dv * dz, defects
 
 
+def reference_cd_mul(x, y):
+    """Reference Cayley-Dickson product on coordinate lists of length 1, 2, 4 or 8:
+    (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)), recursively from the reals."""
+    n = len(x)
+    if n == 1:
+        return [x[0] * y[0]]
+    h = n // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    conj = lambda v: [v[0]] + [-t for t in v[1:]]
+    left = [p - q for p, q in zip(reference_cd_mul(a, c), reference_cd_mul(conj(d), b))]
+    right = [p + q for p, q in zip(reference_cd_mul(d, a), reference_cd_mul(b, conj(c)))]
+    return left + right
+
+
+def reference_int_j_maps(ms):
+    """Reference for `MetricStructure.int_j_maps`: gZ times the forms flattened to
+    rows (k n + j), each product row cut back into an n x n block."""
+    n = ms.algebra.dim_v
+    dg, ginv = scaled_sparse(-ms.gram_v_inv)
+    dz, gz = scaled_sparse(ms.gram_z)
+    db, forms = ms.algebra.bracket_forms
+    sums = sparse_mul(gz, [[(k * n + j, x) for k, r in enumerate(f) for j, x in r]
+                           for f in forms])
+    blocks = [[[] for _ in range(n)] for _ in sums]
+    for block, flat in zip(blocks, sums):
+        for kj, x in flat:
+            block[kj // n].append((kj % n, x))
+    return dg * dz * db, tuple(sparse_mul(ginv, block) for block in blocks)
+
+
+def same_family(a, b) -> bool:
+    """Equality of two `HTypeFamilyId`s up to the (p, q) <-> (q, p) swap."""
+    if a.kind != b.kind or a.tag is not b.tag:
+        return False
+    if a.kind == "hprime":
+        return a.params in (b.params, b.params[::-1])
+    return a.params == b.params
+
+
 _BUILDERS = {
     "h1C": lambda: make_h(Tag.C, 1),
     "h1H": lambda: make_h(Tag.H, 1),

@@ -459,8 +459,16 @@ def _table_with(name, **fields):
     (_table_with("sl(3,R)", nilradical={"kind": "g", "field": "C", "p": 1, "q": 0}),
      "unknown family kind 'g'"),
     (_table_with("G2(2)", phi=[0]), "G2(2): grading is not two-step (height 3)"),
+    (_table_with("sl(3,R)", nilradical={"kind": "h", "field": "X", "n": 1}),
+     "malformed real-form entry 'sl(3,R)': unknown division algebra tag 'X'"),
+    (_table_with("so(2,1)", phi=[]), "malformed real-form entry 'so(2,1)': phi must be a "
+                                     "nonempty list of distinct simple-root positions"),
+    (_table_with("so(2,1)", phi=[0, 0]), "malformed real-form entry 'so(2,1)': phi must be a "
+                                         "nonempty list of distinct simple-root positions"),
+    (_table_with("so(2,1)", phi=[5]), "malformed real-form entry 'so(2,1)': phi must be a "
+                                      "nonempty list of distinct simple-root positions"),
 ], ids=["empty", "lowercase-a1", "abelian-with-center", "no-multiplicity", "unknown-kind",
-        "three-step"])
+        "three-step", "unknown-field", "phi-empty", "phi-repeated", "phi-out-of-range"])
 def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, capsys, doc,
                                                                    message, as_json):
     path = str(tmp_path / "table.json")
@@ -561,7 +569,9 @@ def test_construct_refuses_a_family_above_the_metric_ceiling(tmp_path, capsys):
     ("verify-htype", {"v": [["1", "0"], ["0", "-1"]], "z": [["1"]]},
      "gramV is not symmetric positive definite"),
     ("transfer", {"v": [["1"]], "z": [["1"]]}, "gramV shape does not match dimV"),
-], ids=["indefinite", "shape"])
+    ("verify-htype", {"v": [["2", "0"], ["0", "2"]], "z": [["-1"]]},
+     "gramZ is not symmetric positive definite"),
+], ids=["indefinite", "shape", "indefinite-z"])
 def test_gram_blocks_that_make_no_metric_exit_two(tmp_path, capsys, verb, gram, message):
     alg = make_h_prime(Tag.C, 1, 0).algebra               # dimV = 2, dimZ = 1
     path, gram2 = tmp_path / "alg.json", tmp_path / "gram2.json"

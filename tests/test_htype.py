@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     FLEET,
+    UNIT_PAIRS,
     conformal_automorphism_h1H,
     fleet_member,
     free_two_step,
@@ -17,8 +19,10 @@ from conftest import (
     rebase_v,
     rebase_z,
     reference_bracket_defects,
+    reference_int_j_maps,
     right_mult_matrix,
     run_optimized,
+    same_family,
     transfer_pairs,
     unit_z,
 )
@@ -135,6 +139,13 @@ def test_jz_linear_zero():
     assert jz(ms, [F(0)] * 4).is_zero()
 
 
+def test_jz_rejects_a_vector_outside_the_z_layer():
+    ms = fleet_member("h1H")
+    for z in ([F(1)] * 3, [F(1)] * 5):
+        with pytest.raises(ValueError, match="z must live in the Z layer"):
+            jz(ms, z)
+
+
 def test_jz_clifford_module_unit():
     ms = fleet_member("cliff7x2")
     z = unit_z(ms, 3)
@@ -175,12 +186,28 @@ def test_is_htype_rejects_free_algebra():
     assert len(nullspace(jz(ms, [F(1), F(0), F(0)]))) > 0
 
 
+@pytest.mark.parametrize("key", FLEET)
+def test_int_j_maps_match_the_flattened_reference(key):
+    # the block-row product against the reshaped flat product, also where gramV and
+    # gramZ are not diagonal
+    ms = fleet_member(key)
+    v_rebased = rebase_v(ms, random_thirds(ms.algebra.dim_v - 1, 3))
+    metrics = [ms, v_rebased]
+    if ms.algebra.dim_z > 1:
+        metrics.append(rebase_z(v_rebased, UNIT_PAIRS[1:] * 2, 2))
+    for other in metrics[1:]:
+        gram = other.gram_v if other is v_rebased else other.gram_z
+        assert any(gram[i, j] for i in range(gram.rows) for j in range(gram.cols) if i != j)
+    for m in metrics:
+        assert m.int_j_maps == reference_int_j_maps(m)
+
+
 def test_clifford_data_is_computed_once_per_metric(monkeypatch):
     # the J maps, and so gramV^{-1}, belong to the metric structure: one inverse
     # serves the verdict and all eight sigma automorphisms; the family id reads the
     # bracket forms alone and never builds the J maps
     ms = make_h(Tag.O, 1)
-    assert identify_family(ms.algebra).equivalent(HTypeFamilyId("h", Tag.O, (1,)))
+    assert same_family(identify_family(ms.algebra), HTypeFamilyId("h", Tag.O, (1,)))
     assert "int_j_maps" not in ms.__dict__
     real_inverse, calls = htype.inverse, []
     monkeypatch.setattr(htype, "inverse", lambda m: calls.append(m) or real_inverse(m))
@@ -325,12 +352,12 @@ def test_identify_constructor_round_trips():
         (make_h_prime(Tag.O, 1, 0), HTypeFamilyId("hprime", Tag.O, (1, 0))),
     ]
     for ms, want in cases:
-        assert identify_family(ms.algebra).equivalent(want)
+        assert same_family(identify_family(ms.algebra), want)
 
 
 def test_identify_signature_up_to_swap():
     got = identify_family(make_h_prime(Tag.H, 1, 2).algebra)
-    assert got.equivalent(HTypeFamilyId("hprime", Tag.H, (2, 1)))
+    assert same_family(got, HTypeFamilyId("hprime", Tag.H, (2, 1)))
 
 
 def test_identify_volume_eigenspace_dimensions():
@@ -351,7 +378,7 @@ def test_identify_outside_families():
 
 def test_identify_small_clifford_is_heisenberg():
     fid = identify_family(make_clifford_module_algebra(1, 1).algebra)
-    assert fid.equivalent(HTypeFamilyId("hprime", Tag.C, (1, 0)))
+    assert same_family(fid, HTypeFamilyId("hprime", Tag.C, (1, 0)))
 
 
 def test_identify_intermediate_center_dims_are_other():
@@ -363,13 +390,13 @@ def test_identify_clifford_rebuilds_of_families():
     # module data determines the algebra: these constructions land back
     # in the families even though they never went through make_h/make_h_prime
     fid = identify_family(make_clifford_module_algebra(4, 2).algebra)
-    assert fid.equivalent(HTypeFamilyId("h", Tag.H, (2,)))
+    assert same_family(fid, HTypeFamilyId("h", Tag.H, (2,)))
     fid = identify_family(make_clifford_module_algebra(2, 2).algebra)
-    assert fid.equivalent(HTypeFamilyId("h", Tag.C, (2,)))
+    assert same_family(fid, HTypeFamilyId("h", Tag.C, (2,)))
     fid = identify_family(make_clifford_module_algebra(7, (1, 0)).algebra)
-    assert fid.equivalent(HTypeFamilyId("hprime", Tag.O, (1, 0)))
+    assert same_family(fid, HTypeFamilyId("hprime", Tag.O, (1, 0)))
     fid = identify_family(make_clifford_module_algebra(3, (2, 1)).algebra)
-    assert fid.equivalent(HTypeFamilyId("hprime", Tag.H, (2, 1)))
+    assert same_family(fid, HTypeFamilyId("hprime", Tag.H, (2, 1)))
 
 
 def test_identify_rejects_non_htype():
@@ -402,7 +429,7 @@ def test_pencil_inertia_is_the_split_of_the_volume_element(monkeypatch, p, q):
     ms = make_h_prime(Tag.H, p, q)
     n = ms.algebra.dim_v
     for moved in (ms, rebase_v(ms, random_thirds(n - 1, 3))):
-        assert identify_family(moved.algebra).equivalent(HTypeFamilyId("hprime", Tag.H, (p, q)))
+        assert same_family(identify_family(moved.algebra), HTypeFamilyId("hprime", Tag.H, (p, q)))
         js = j_basis(moved)
         omega = js[0] * js[1] * js[2]
         split = [len(nullspace(omega - Matrix.identity(n).scale(s))) for s in (1, -1)]
@@ -454,6 +481,12 @@ def test_sigma_rejects_non_unit_z():
     ms = fleet_member("h1H")
     with pytest.raises(ValueError):
         sigma_automorphism(ms, [F(2), F(0), F(0), F(0)])
+
+
+def test_sigma_rejects_a_metric_that_is_not_htype():
+    ms = MetricStructure(make_h(Tag.R, 1).algebra, Matrix.diagonal([1, 4]), Matrix.identity(1))
+    with pytest.raises(ValueError, match="H-type structures only"):
+        sigma_automorphism(ms, [F(1)])
 
 
 def test_sigma_accepts_rational_unit_z():
@@ -639,13 +672,22 @@ def test_swap_rejects_scaled_theta():
     ("h2C", [[0], [1], [2], [3]], [[4], [5], [6], [7]], "invariant under the Clifford action"),
     # the conjugation swap with +Id on Z sends each bracket to minus its image
     ("hp11H", [[0], [1], [2], [3]], [[4], [5], [6], [7]], "homomorphism"),
-], ids=["not-orthogonal", "not-invariant", "not-homomorphic"])
+    ("h2C", [[0], [1], [4], [5]], [[2], [3], [6]], "bases of equal positive dimension"),
+    # the slot swap of h_2(C) taken as the identity, as dropping e_5, and as 2 Id on Z
+    ("h2C-identity", [[0], [1], [4], [5]], [[2], [3], [6], [7]], "does not map v1 into v2"),
+    ("h2C-drop5", [[0], [1], [4], [5]], [[2], [3], [6], [7]], "not injective on v1"),
+    ("h2C-z2", [[0], [1], [4], [5]], [[2], [3], [6], [7]], "not isometric on Z"),
+], ids=["not-orthogonal", "not-invariant", "not-homomorphic", "unequal-sizes",
+        "outside-v2", "not-injective", "not-isometric-on-z"])
 def test_swap_rejects_blocks_and_theta_that_do_not_qualify(key, v1, v2, match):
-    if key == "h2C":
+    if key.startswith("h2C"):
         ms = make_h(Tag.C, 2)
-        perm = {0: 2, 1: 3, 4: 6, 5: 7, 2: 0, 3: 1, 6: 4, 7: 5}
-        theta = GradedMap(Matrix.from_rows([[F(int(perm[j] == i)) for j in range(8)]
-                                            for i in range(8)]), Matrix.identity(2))
+        perm = ({j: j for j in range(8)} if key == "h2C-identity"
+                else {0: 2, 1: 3, 4: 6, 5: 7, 2: 0, 3: 1, 6: 4, 7: 5})
+        dropped = 5 if key == "h2C-drop5" else None
+        theta = GradedMap(Matrix.from_rows([[F(int(perm[j] == i and j != dropped))
+                                             for j in range(8)] for i in range(8)]),
+                          Matrix.identity(2).scale(2 if key == "h2C-z2" else 1))
     else:
         ms = fleet_member(key)
         theta = GradedMap(quaternion_conj_swap(ms).map_v, Matrix.identity(3))
@@ -700,6 +742,25 @@ def test_swap_searches_sigma_words(u, word, tried, pair):
     if res:
         assert is_graded_automorphism(ms.algebra, res.automorphism)
         assert is_isometry(ms, res.automorphism)
+
+
+@pytest.mark.parametrize("u", [[F(3, 5), F(4, 5), 0, 0], [F(1, 3), F(2, 3), F(2, 3), 0],
+                               [F(1, 2)] * 4])
+def test_every_sigma_word_keeps_theta_passing_its_check(u):
+    # the swap's word loop checks each candidate without a fallback: theta o sigma_w
+    # passes `_check_theta` whenever theta does, for each of the 13 words w
+    ms = fleet_member("hp11H")
+    p1, p2 = (Matrix.from_rows(_basis_vectors(8, idx)) for idx in ([0, 1, 2, 3], [4, 5, 6, 7]))
+    theta = quaternion_conj_swap(ms).compose(_conjugation(element(Tag.H, u)))
+    sigmas = [sigma_automorphism(ms, unit_z(ms, a)) for a in range(3)]
+    words = [w for depth in range(3) for w in itertools.product(range(3), repeat=depth)]
+    assert len(words) == 13
+    for word in words:
+        cand = theta
+        for a in word:
+            cand = cand.compose(sigmas[a])
+        t = htype._check_theta(ms, p1, p2, cand)
+        assert t == p1 * cand.map_v.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -961,6 +1022,21 @@ def test_probe_acts_with_the_integer_j_maps_alone():
     for ms in (make_h_prime(Tag.H, 1, 1), make_h(Tag.O, 1), make_clifford_module_algebra(7, 2)):
         irreducibility_probe(ms)
         assert "int_j_maps" in ms.__dict__ and "j_maps" not in ms.__dict__
+
+
+def test_probe_on_no_generators_is_inconclusive():
+    verdict = irreducibility_probe(fleet_member("h1H"), [])
+    assert (verdict.kind, verdict.detail) == ("inconclusive", "nothing to act on")
+
+
+def test_probe_rejects_the_zero_map_on_its_rank():
+    # the zero map preserves every bracket, so only the rank check refuses it
+    ms = fleet_member("h1H")
+    zero = dilation(ms.algebra, 0)
+    assert htype._first_bracket_violation(ms.algebra, zero) is None
+    assert not is_graded_automorphism(ms.algebra, zero)
+    with pytest.raises(ValueError, match="fails exact automorphism verification"):
+        irreducibility_probe(ms, [zero])
 
 
 def test_probe_rejects_a_generator_that_is_not_an_automorphism():

@@ -21,6 +21,7 @@ from nilrad.exactlin import Matrix, clear_denominators, nullspace_int_rows
 from nilrad.htype import make_h_prime
 from nilrad.nilalg import TwoStepAlgebra
 from nilrad.prolong import (
+    MAX_DEGREE,
     ProlongationLayer,
     ProlongationResourceError,
     compute_layer,
@@ -220,6 +221,30 @@ def test_resource_guard():
         prolong(alg, 2, max_entries=5)
     with pytest.raises(ProlongationResourceError):
         prolong(alg, 2, max_unknowns=3)
+
+
+def test_max_degree_above_the_ceiling_exits_three_before_any_layer(tmp_path, capsys,
+                                                                    monkeypatch):
+    # without --stop-when-zero a finite-type algebra adds one empty layer per degree
+    path = str(tmp_path / "h1H.json")
+    nilalg.save(path, fleet_member("h1H").algebra)
+    module = importlib.import_module("nilrad.prolong")
+    calls = []
+    monkeypatch.setattr(module, "compute_layer", lambda *args, **kw: calls.append(args))
+    assert main(["prolong", path, "--max-degree", str(MAX_DEGREE + 1)]) == 3
+    out = capsys.readouterr()
+    assert (calls, out.out) == ([], "")
+    assert out.err == (f"resource guard: max_degree {MAX_DEGREE + 1} exceeds the ceiling "
+                       f"of {MAX_DEGREE}\n")
+
+
+def test_max_degree_at_the_ceiling_builds_every_layer(tmp_path, capsys):
+    assert MAX_DEGREE == 10_000
+    path = str(tmp_path / "h1H.json")
+    nilalg.save(path, fleet_member("h1H").algebra)
+    assert main(["prolong", path, "--max-degree", str(MAX_DEGREE), "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert len(dims) == MAX_DEGREE + 1 and dims[:3] == [11, 8, 4] and not any(dims[3:])
 
 
 def test_compute_layer_argument_validation():
