@@ -16,19 +16,19 @@ multiplies those (`sparse_mul`) and reads the product back through
 `Matrix.from_sparse`, which divides only its nonzero entries (`quotient`).
 The Clifford test `anticommutator_scalar` forms no product: it sums each row
 of A B + B A from the rows of A and B and stops at the first row that is
-not s e_i.  Every exact answer (rank, solve, inverse, nullspace) is read
-off one fraction-free integer echelon form of the denominator-cleared rows;
+not s e_i.  rank, solve and inverse are read off one fraction-free
+integer echelon form of the denominator-cleared rows;
 `solve` and `inverse` reduce the augmented matrices [m | rhs] and [m | I]
 (for an invertible diagonal m, row i of [m | I] reduces to 1/x_i, so
 `inverse` reads it off the diagonal).
 `inertia` counts the pivot signs of one symmetric elimination, and
 `is_positive_definite` asks it for (n, 0).  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
-`nullspace` hands them back as coordinates.  A kernel is one exact
-route for every size: the columns of the one-term rows are zeroed before
-the rows are indexed, structured elimination drains the rows with one or
-two nonzeros, the integer echelon form reduces what is left block by
-block (blocks that share no column), and back-substitution in Python ints
+`nullspace` hands them back as coordinates.  A kernel is one sparse
+elimination for every size: the columns of the one-term rows are zeroed
+before the rows are indexed, structured elimination drains the rows with
+one or two nonzeros, each leftover row is reduced in place at its smallest
+column, and one back-substitution over all pivots, largest column first,
 recovers the echelon-form basis of the whole system.  Every vector is
 certified by exact integer substitution into every original row.
 Polynomials are read off one Sturm chain in ints: `real_root_count` counts
@@ -238,7 +238,7 @@ def rank(m: Matrix) -> int:
 def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
     """Basis of the right kernel of m, as coordinate vectors.
 
-    The basis is the one read off the reduced echelon form, computed by
+    The basis is the one the reduced echelon form gives, computed by
     `nullspace_int_rows` and certified by exact substitution.
     """
     if m.cols == 0:
@@ -418,28 +418,6 @@ def _primitive(v: List[int]) -> List[int]:
     return [x // g for x in v] if g != 1 else v
 
 
-def _nullspace_from_rref(pivots: List[int], prows: List[List[int]],
-                         ncols: int) -> List[List[int]]:
-    """Kernel basis of an integer RREF (positive pivots) as primitive int vectors.
-
-    One vector per free column f, with v[f] > 0 and v[c] / v[f] = -p[f] / p[c]
-    for the pivot row p of column c; entries coprime, first nonzero positive.
-    """
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        terms = [(c, p[f], p[c]) for c, p in zip(pivots, prows) if p[f]]
-        lcm = math.lcm(*(d for _, _, d in terms))
-        v = [0] * ncols
-        v[f] = lcm
-        for c, n, d in terms:
-            v[c] = -n * (lcm // d)
-        basis.append(_primitive(v))
-    return basis
-
-
 def verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> bool:
     """True when every vector satisfies every sparse row, by exact substitution.
 
@@ -464,32 +442,6 @@ def verify_kernel(rows: Sequence[SparseRow], vecs: Sequence[Sequence[int]]) -> b
     return True
 
 
-def _blocks(rows: Sequence[dict]) -> List[Tuple[List[int], List[dict]]]:
-    """(columns in order, rows) for each block of the rows, where two blocks
-    share no column; a union-find joins the columns of each row."""
-    parent: dict = {}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for d in rows:
-        for c in d:
-            parent.setdefault(c, c)
-        roots = {find(c) for c in d}
-        a = roots.pop()
-        for b in roots:
-            parent[b] = a
-    blocks: dict = {}
-    for c in sorted(parent):
-        blocks.setdefault(find(c), ([], []))[0].append(c)
-    for d in rows:
-        blocks[find(next(iter(d)))][1].append(d)
-    return list(blocks.values())
-
-
 def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]:
     """Kernel basis of sparse integer rows, as primitive int vectors.
 
@@ -501,19 +453,15 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
     singleton a x_c = 0 sets x_c = 0, and a doubleton a x_i + b x_j = 0
     with i < j, negated if need be so that a > 0, substitutes x_i = -b/a x_j
     into every row holding i, so no row gains a nonzero or is scaled by a
-    negative factor.  The residual rows split into blocks that share
-    no column, and each block goes through `_int_rref` in its own columns,
-    in their original order; a live column that no residual row holds is
-    free, with its unit vector.  The echelon form of a block-diagonal
-    system is the union of the blocks' echelon forms, so these vectors,
-    merged in order of their free column (the last nonzero of each), are
-    the residual's echelon basis; it is back-substituted in reverse.  An
-    eliminated column is never the last nonzero of a kernel vector, so the
-    residual's free columns are those of the full echelon form and the
-    result is the basis `_nullspace_from_rref` reads off it: one vector
-    per free column, entries coprime, first nonzero positive.  Every
-    returned vector is certified against every input row by exact integer
-    substitution.
+    negative factor.  Each residual row is reduced in place at its smallest
+    column against the residual pivot rows so far, until that column is no
+    pivot column, and pivots there with a positive entry.  Every pivot row
+    a x_i + sum b_j x_j = 0 has a > 0 and only columns j > i, so the free
+    columns are those of the reduced echelon form.  Each free column's unit
+    vector is back-substituted through the pivots below it, largest column
+    first (an early residual row may hold a later one's pivot), into the
+    echelon-form basis: entries coprime, first nonzero positive.  Every
+    vector is certified against every input row by exact substitution.
     """
     dead = set()            # columns of the one-term rows, then each eliminated one
     merged = []
@@ -539,7 +487,7 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
         for c in d:
             holds[c].add(len(work))
         work.append(d)
-    subs = []               # (i, a, j, b): a x_i + b x_j = 0, in elimination order
+    subs = []               # (i, a, terms): a x_i + sum of b x_j over terms = 0, each j > i
     queue = deque(k for k, d in enumerate(work) if len(d) <= 2)
     while queue:
         k = queue.popleft()
@@ -562,7 +510,7 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
             (i, a), (j, b) = sorted(d.items())
             if a < 0:
                 a, b = -a, -b
-            subs.append((i, a, j, b))
+            subs.append((i, a, ((j, b),)))
             for m in holds[i]:
                 r = work[m]
                 x = r.pop(i)
@@ -585,31 +533,39 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                 if len(r) <= 2:
                     queue.append(m)
         dead.add(i)
-        holds[i] = set()
-    residual = [d for d in work if d is not None]
-    free = []               # (free column, {column: entry}) per residual kernel vector
-    if residual:
-        for cols, block in _blocks(residual):
-            pos = {c: n for n, c in enumerate(cols)}
-            dense = []
-            for d in block:
-                r = [0] * len(cols)
-                for c, x in d.items():
-                    r[pos[c]] = x
-                dense.append(r)
-            for w in _nullspace_from_rref(*_int_rref(dense), len(cols)):
-                entries = {c: x for c, x in zip(cols, w) if x}
-                free.append((max(entries), entries))
-    # holds[c] lists the residual rows holding a live column c
-    free += [(c, {c: 1}) for c in range(ncols) if c not in dead and not holds[c]]
-    free.sort(key=lambda fv: fv[0])
+    pivots = {}             # residual pivot column c -> (a, terms), as in subs
+    for r in work:
+        while r and (c := min(r)) in pivots:
+            (a, terms), x = pivots[c], r.pop(c)
+            g = math.gcd(a, x)
+            s, t = a // g, x // g
+            if s != 1:
+                for k in r:
+                    r[k] *= s
+            for k, y in terms:
+                y = r.get(k, 0) - t * y
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+            g = math.gcd(*r.values())
+            if g > 1:
+                for k in r:
+                    r[k] //= g
+        if r:
+            if r[c] < 0:
+                r = {k: -y for k, y in r.items()}
+            pivots[c] = (r.pop(c), tuple(r.items()))
+    subs = sorted(subs + [(c, *sub) for c, sub in pivots.items()])
     basis = []
-    for _, entries in free:
+    for f in sorted(set(range(ncols)).difference(dead, pivots)):
         v = [0] * ncols
-        for c, x in entries.items():
-            v[c] = x
-        for i, a, j, b in reversed(subs):
-            y = -b * v[j]
+        v[f] = 1
+        # a pivot above f reads only columns above f, so it stays zero
+        for i, a, terms in reversed(subs[:bisect.bisect(subs, (f,))]):
+            y = 0
+            for j, b in terms:
+                y -= b * v[j]
             if y % a:
                 s = a // math.gcd(a, y)
                 v = [x * s for x in v]

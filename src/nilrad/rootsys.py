@@ -497,14 +497,19 @@ def entry_from_json(obj: dict) -> RealFormEntry:
             phi=tuple(json_int(i, "a phi entry") for i in obj["phi"]),
             satake_label=obj.get("satake_label", ""),
             nilradical=_family_from_json(obj.get("nilradical")),
-            abelian_only=bool(obj.get("abelian_only", False)),
+            abelian_only=obj.get("abelian_only", False),
             notes=obj.get("notes", ""),
         )
         if not all(isinstance(x, str) for x in (entry.name, entry.restricted_type,
                                                  entry.satake_label, entry.notes)):
             raise ValueError("name, type, satake_label and notes must be JSON strings")
+        if type(entry.abelian_only) is not bool:
+            raise ValueError(f"abelian_only must be JSON true or false, got {entry.abelian_only!r}")
+        if not all(m > 0 for m in entry.multiplicities.values()):
+            raise ValueError(f"multiplicities must be positive, got {obj['multiplicities']}")
         if entry.restricted_type not in _VALID_TYPES:
             raise ValueError(f"type must be one of {', '.join(_VALID_TYPES)}")
+        _check_rank(entry.restricted_type, entry.restricted_rank)
         if not entry.phi or len(set(entry.phi)) != len(entry.phi) or not all(
                 0 <= i < entry.restricted_rank for i in entry.phi):
             raise ValueError("phi must be a nonempty list of distinct simple-root positions")

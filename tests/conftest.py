@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -13,8 +14,8 @@ from typing import Optional
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
-from nilrad.exactlin import (Matrix, _int_rref, _nullspace_from_rref, clear_denominators,
-                              inverse, mat_vec, scaled_sparse, sparse_mul)
+from nilrad.exactlin import (Matrix, _int_rref, _primitive, clear_denominators, inverse,
+                              mat_vec, scaled_sparse, sparse_mul)
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -38,6 +39,27 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
 def run_optimized(code: str) -> subprocess.CompletedProcess:
     """Run a snippet under `python -O` (asserts compiled away) with this nilrad."""
     return run_python(code, "-O")
+
+
+def _nullspace_from_rref(pivots, prows, ncols):
+    """Kernel basis of an integer RREF (positive pivots) as primitive int vectors.
+
+    One vector per free column f, with v[f] > 0 and v[c] / v[f] = -p[f] / p[c]
+    for the pivot row p of column c; entries coprime, first nonzero positive.
+    """
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        terms = [(c, p[f], p[c]) for c, p in zip(pivots, prows) if p[f]]
+        lcm = math.lcm(*(d for _, _, d in terms))
+        v = [0] * ncols
+        v[f] = lcm
+        for c, n, d in terms:
+            v[c] = -n * (lcm // d)
+        basis.append(_primitive(v))
+    return basis
 
 
 def dense_kernel(rows, ncols):

@@ -467,8 +467,24 @@ def _table_with(name, **fields):
                                          "nonempty list of distinct simple-root positions"),
     (_table_with("so(2,1)", phi=[5]), "malformed real-form entry 'so(2,1)': phi must be a "
                                       "nonempty list of distinct simple-root positions"),
+    (_table_with("so(3,1)", abelian_only="false"), "malformed real-form entry 'so(3,1)': "
+                                                   "abelian_only must be JSON true or false"),
+    (_table_with("sl(3,R)", abelian_only="false"), "malformed real-form entry 'sl(3,R)': "
+                                                   "abelian_only must be JSON true or false"),
+    (_table_with("sl(3,R)", abelian_only=1), "malformed real-form entry 'sl(3,R)': "
+                                             "abelian_only must be JSON true or false, got 1"),
+    (_table_with("so(2,1)", multiplicities={"2": -3}),
+     "malformed real-form entry 'so(2,1)': multiplicities must be positive"),
+    (_table_with("so(2,1)", multiplicities={"2": 0}),
+     "malformed real-form entry 'so(2,1)': multiplicities must be positive"),
+    (_table_with("G2(2)", restricted={"type": "G2", "rank": 5}),
+     "malformed real-form entry 'G2(2)': G2 has rank 2"),
+    (_table_with("sl(3,R)", restricted={"type": "D", "rank": 3}),
+     "malformed real-form entry 'sl(3,R)': D needs rank >= 4"),
 ], ids=["empty", "lowercase-a1", "abelian-with-center", "no-multiplicity", "unknown-kind",
-        "three-step", "unknown-field", "phi-empty", "phi-repeated", "phi-out-of-range"])
+        "three-step", "unknown-field", "phi-empty", "phi-repeated", "phi-out-of-range",
+        "abelian-string-on-abelian-row", "abelian-string", "abelian-int",
+        "multiplicity-negative", "multiplicity-zero", "rank-of-fixed-type", "rank-below-minimum"])
 def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, capsys, doc,
                                                                    message, as_json):
     path = str(tmp_path / "table.json")

@@ -286,47 +286,47 @@ def test_verify_kernel_of_no_vector_reads_no_row():
 
 
 def test_kernel_certification_survives_optimize_flag():
-    # a wrong kernel from the residual echelon form must raise even when
-    # asserts are compiled away, also when only one block's basis is wrong
+    # a wrong kernel vector must raise even when asserts are compiled away:
+    # every vector wrong, and one wrong vector among several
     proc = run_optimized("""
         import sys
         from nilrad import exactlin as el
         if __debug__:
             sys.exit(2)
+        # three-term rows on columns 0-3 and a copy on columns 4-7, every row
+        # a residual pivot row: one kernel vector per copy
         rows = [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (3, 1)],
                 [(1, 1), (2, 3), (3, 1)]]
-        if len(el.nullspace_int_rows(rows, 4)) != 1:
-            sys.exit(3)
-        # the three-term rows all reach the residual echelon form
-        right = el._nullspace_from_rref
-        el._nullspace_from_rref = lambda pivots, prows, ncols: [[1] * ncols]
-        try:
-            el.nullspace_int_rows(rows, 4)
-        except ArithmeticError:
-            pass
-        else:
-            sys.exit(1)
-        # two blocks, on columns 0-3 and on 4-7: the first keeps its basis,
-        # the second gets a wrong one
         rows += [[(c + 4, x) for c, x in r] for r in rows]
-        calls = []
-
-        def second_wrong(pivots, prows, ncols):
-            calls.append(ncols)
-            basis = right(pivots, prows, ncols)
-            return basis if len(calls) == 1 else [[1] * ncols]
-
-        el._nullspace_from_rref = right
         if len(el.nullspace_int_rows(rows, 8)) != 2:
-            sys.exit(4)
-        el._nullspace_from_rref = second_wrong
-        try:
-            el.nullspace_int_rows(rows, 8)
-        except ArithmeticError:
-            sys.exit(0 if calls == [4, 4] else 5)
-        sys.exit(1)
+            sys.exit(3)
+        right, calls = el._primitive, []
+
+        def second_wrong(v):
+            calls.append(v)
+            return right(v) if len(calls) == 1 else [1] * len(v)
+
+        for wrong in (lambda v: [1] * len(v), second_wrong):
+            el._primitive = wrong
+            try:
+                el.nullspace_int_rows(rows, 8)
+            except ArithmeticError:
+                continue
+            sys.exit(1)
+        sys.exit(0 if len(calls) == 2 else 4)
     """)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_back_substitution_takes_the_pivots_by_column_not_by_creation():
+    # residual pivot rows in the order found: column 2, then column 0 (whose row
+    # holds column 2), then column 3 (held by the row of column 2); the doubleton
+    # x1 = x3, eliminated first, reads the residual pivot 3.  Back-substitution
+    # in creation order, or in its reverse, reads a pivot column before it is set
+    rows = [[(1, 1), (3, -1)], [(2, 1), (3, 1), (5, 1)], [(0, 1), (2, 1), (4, 1)],
+            [(3, 1), (4, 2), (5, 1)]]
+    got = el.nullspace_int_rows(rows, 6)
+    assert got == dense_kernel(rows, 6) == [[3, 2, -2, 2, -1, 0], [0, 1, 0, 1, 0, -1]]
 
 
 @settings(max_examples=60, deadline=None)

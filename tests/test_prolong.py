@@ -275,26 +275,25 @@ def test_layer_kernels_are_the_dense_echelon_basis(key, monkeypatch):
     assert sizes == dims
 
 
-def test_h1O_residual_reaches_the_echelon_form_in_blocks(monkeypatch):
-    # the degree-0 residual of h_1(O) (512 rows in 192 columns) splits into
-    # eight blocks of 24 columns, each reduced on its own; degrees 1-3 drain
-    # to an empty residual and never reach the echelon form
+# the dims of the prolongation table, to the degree each member is prolonged to
+TABLE_DIMS = {
+    "h1C": (8, 12, 18, 24), "h1H": (11, 8, 4, 0), "h1O": (30, 16, 8, 0),
+    "hp10C": (4, 6, 9, 12, 16), "hp10H": (7, 4, 3, 0), "hp11H": (14, 8, 3, 0),
+    "hp21H": (25, 12, 3, 0), "hp10O": (22, 8, 7, 0), "cliff5": (12, 0),
+    "cliff7x2": (23, 0),
+}
+
+
+@pytest.mark.parametrize("key", FLEET)
+def test_prolongation_never_reaches_the_dense_echelon_form(key, monkeypatch):
+    # every kernel is one sparse elimination; the dense integer echelon form
+    # `_int_rref` serves rank, solve and inverse only
     exactlin = importlib.import_module("nilrad.exactlin")
-    reduce = exactlin._int_rref
-    widths = []
-
-    def recorded(rows):
-        widths.append(len(rows[0]) if rows else 0)
-        return reduce(rows)
-
-    monkeypatch.setattr(exactlin, "_int_rref", recorded)
-    alg = fleet_member("h1O").algebra
-    layers = []
-    for k in range(4):
-        widths.clear()
-        layers.append(compute_layer(alg, k, layers))
-        assert widths == ([24] * 8 if k == 0 else []), k
-    assert [layer.dim for layer in layers] == [30, 16, 8, 0]
+    calls = []
+    monkeypatch.setattr(exactlin, "_int_rref", calls.append)
+    dims = prolong(fleet_member(key).algebra, len(TABLE_DIMS[key]) - 1,
+                   stop_when_zero=False).dims()
+    assert not calls and tuple(dims) == TABLE_DIMS[key]
 
 
 @pytest.mark.parametrize("key", FLEET)
