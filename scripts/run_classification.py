@@ -3,10 +3,12 @@
 
 Sweeps every standard restricted root system, prints the surviving Phi
 per type, and renders the curated real-form table with its validated
-nilradical profiles.  Everything here is exact arithmetic.
+nilradical profiles.  Everything here is exact arithmetic.  The scan's
+wall time goes to stderr, so stdout is the same on every run.
 """
 
 import argparse
+import sys
 import time
 
 from nilrad.rootsys import (
@@ -24,7 +26,8 @@ def main() -> int:
 
     t0 = time.monotonic()
     reports = scan_standard_types(args.max_rank)
-    print(f"scan of {len(reports)} systems ({time.monotonic() - t0:.1f}s)\n")
+    print(f"scan took {time.monotonic() - t0:.1f}s", file=sys.stderr)
+    print(f"scan of {len(reports)} systems\n")
     for name, rep in sorted(reports.items()):
         if rep.passing:
             subsets = "; ".join("{" + ", ".join(f"a{i+1}" for i in phi) + "}"

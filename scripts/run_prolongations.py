@@ -8,9 +8,11 @@ next to its weighted-monomial oracle.  The two H-type algebras outside
 the families are shown with their vanishing first prolongation.  Every
 computed layer is re-verified by substitution into its Leibniz rows
 (`verify_layer`); the script exits 1 when a check or a verification fails.
+Each row's wall time goes to stderr, so stdout is the same on every run.
 """
 
 import argparse
+import sys
 import time
 
 from nilrad.division import Tag
@@ -53,8 +55,8 @@ def main() -> int:
                 and booked == dim_ambient)
         ok &= good
         print(f"{alg.name:14s} dims {dims}  ambient {ambient} = {dim_ambient} "
-              f"=> bookkeeping {'ok' if good else 'MISMATCH'} "
-              f"({time.monotonic() - t0:.1f}s)")
+              f"=> bookkeeping {'ok' if good else 'MISMATCH'}")
+        print(f"{alg.name}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
 
     heis = make_h_prime(Tag.C, 1, 0)
     res = prolong(heis.algebra, 4, stop_when_zero=False)

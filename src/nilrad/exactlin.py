@@ -16,11 +16,11 @@ multiplies those (`sparse_mul`) and reads the product back through
 `Matrix.from_sparse`, which divides only its nonzero entries (`quotient`).
 The Clifford test `anticommutator_scalar` forms no product: it sums each row
 of A B + B A from the rows of A and B and stops at the first row that is
-not s e_i.  rank, solve and inverse are read off one fraction-free
-integer echelon form of the denominator-cleared rows;
-`solve` and `inverse` reduce the augmented matrices [m | rhs] and [m | I]
-(for an invertible diagonal m, row i of [m | I] reduces to 1/x_i, so
-`inverse` reads it off the diagonal).
+not s e_i.  rank, solve and inverse are read off the one kernel below, each
+row cleared of denominators on its own: `rank` is the columns less the kernel's
+dimension, and `solve` and `inverse` read the kernel vectors of [m | rhs] and
+[m | -I] at their last columns, so every answer is certified by substitution
+(an invertible diagonal m needs no kernel: `inverse` reads 1/x_i off the diagonal).
 `inertia` counts the pivot signs of one symmetric elimination, and
 `is_positive_definite` asks it for (n, 0).  Kernels work on sparse integer rows and
 return primitive integer vectors; `Fraction` enters only when
@@ -227,12 +227,19 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact answers from the integer echelon form
+# Exact answers read off the kernel
 # ---------------------------------------------------------------------------
 
+def _int_row(values: Sequence, cols: Optional[Sequence[int]] = None) -> List[Tuple[int, int]]:
+    """The values times the lcm of their denominators, as one sparse integer row;
+    value k sits at column cols[k] (column k when cols is None)."""
+    return [(j, x) for j, x in zip(range(len(values)) if cols is None else cols,
+                                   clear_denominators(values)) if x]
+
+
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
-    return len(_int_rref(_int_rows(m))[0])
+    """Exact rank over the rationals: the columns less the kernel's dimension."""
+    return m.cols - len(nullspace_int_rows([_int_row(r) for r in m.data], m.cols))
 
 
 def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
@@ -241,28 +248,29 @@ def nullspace(m: Matrix) -> List[Tuple[Fraction, ...]]:
     The basis is the one the reduced echelon form gives, computed by
     `nullspace_int_rows` and certified by exact substitution.
     """
-    if m.cols == 0:
-        return []
-    rows = [[(j, x) for j, x in enumerate(r) if x] for r in _int_rows(m)]
+    rows = [_int_row(r) for r in m.data]
     return [tuple(Fraction(x) for x in v) for v in nullspace_int_rows(rows, m.cols)]
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """One solution of m x = rhs (free variables zero), or None when inconsistent."""
+    """One solution of m x = rhs (free variables zero), or None when inconsistent.
+
+    Only the kernel vector of [m | rhs] for the free column n = m.cols can be
+    nonzero at n, and it is c (x, -1); with n a pivot column there is none."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix.from_rows([list(r) + [b] for r, b in zip(m.data, rhs)])
-    pivots, prows = _int_rref(_int_rows(aug))
-    if m.cols in pivots:
+    n = m.cols
+    kernel = nullspace_int_rows([_int_row([*r, scalar(b)]) for r, b in zip(m.data, rhs)], n + 1)
+    if not kernel or not kernel[-1][n]:
         return None
-    x = [Fraction(0)] * m.cols
-    for c, p in zip(pivots, prows):
-        x[c] = Fraction(p[m.cols], p[c])
-    return tuple(x)
+    return tuple(Fraction(x, -kernel[-1][n]) for x in kernel[-1][:n])
 
 
 def inverse(m: Matrix) -> Matrix:
-    """m^{-1}: diag(1/x_i) for an invertible diagonal m, else off the echelon form of [m | I]."""
+    """m^{-1}: diag(1/x_i) for an invertible diagonal m, else read off the kernel of [m | -I].
+
+    That kernel has one vector per column n + i when m is invertible, (c m^{-1} e_i, c e_i),
+    nonzero at n + i; when m is singular, the first vector is zero from column n on."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
@@ -270,13 +278,15 @@ def inverse(m: Matrix) -> Matrix:
     if all(diag) and not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(m.data)):
         return Matrix.diagonal([quotient(x.denominator, x.numerator) if x > 0
                                 else -quotient(x.denominator, -x.numerator) for x in diag])
-    aug = [clear_denominators([*r] + [0] * i + [1] + [0] * (n - 1 - i))
-           for i, r in enumerate(m.data)]
-    pivots, prows = _int_rref(aug)
-    if pivots != list(range(n)):
+    kernel = nullspace_int_rows([_int_row([*r, -1], [*range(n), n + i])
+                                 for i, r in enumerate(m.data)], 2 * n)
+    if len(kernel) != n or not all(v[n + i] for i, v in enumerate(kernel)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(quotient(x, p[i]) for x in p[n:])
-                              for i, p in enumerate(prows)))
+    cols = []
+    for i, v in enumerate(kernel):
+        c = v[n + i]
+        cols.append([quotient(x, c) if c > 0 else quotient(-x, -c) for x in v[:n]])
+    return Matrix(n, n, tuple(zip(*cols)))
 
 
 def inertia(m: Matrix) -> Tuple[int, int]:
@@ -363,46 +373,6 @@ def anticommutator_scalar(a: List[SparseRow], b: List[SparseRow]) -> Optional[in
         if d != s or any(acc.values()):
             return None
     return s
-
-
-def _int_rows(m: Matrix) -> List[List[int]]:
-    """Clear denominators row by row (each row times the lcm of its denominators)."""
-    return [clear_denominators(r) for r in m.data]
-
-
-def _int_rref(rows: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
-    """Fraction-free RREF of integer rows (each pivot row made primitive).
-
-    Returns (pivot_columns, reduced_pivot_rows).  Pivot rows end up with
-    positive pivots and zeros above/below each pivot.  A pivot row's first
-    nonzero is its pivot, so `_primitive` makes the pivot positive.
-    """
-    work = [_primitive(list(r)) for r in rows if any(r)]
-    pivots: List[int] = []
-    prows: List[List[int]] = []
-    for r in work:
-        # reduce against existing pivot rows
-        for (c, p) in zip(pivots, prows):
-            if r[c]:
-                pv, rv = p[c], r[c]
-                g = math.gcd(pv, rv)
-                a, b = pv // g, rv // g
-                r = [a * x - b * y for x, y in zip(r, p)]
-        if not any(r):
-            continue
-        c = next(j for j, x in enumerate(r) if x)
-        r = _primitive(r)
-        # clear the new pivot column in earlier rows
-        for k, p in enumerate(prows):
-            if p[c]:
-                pv, rv = r[c], p[c]
-                g = math.gcd(pv, rv)
-                a, b = pv // g, rv // g
-                prows[k] = _primitive([a * x - b * y for x, y in zip(p, r)])
-        pos = bisect.bisect(pivots, c)
-        pivots.insert(pos, c)
-        prows.insert(pos, r)
-    return pivots, prows
 
 
 def _primitive(v: List[int]) -> List[int]:

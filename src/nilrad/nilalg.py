@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactlin import (Matrix, Rational, anticommutator_scalar, clear_denominators, inverse,
                        is_positive_definite, minimal_polynomial, nullspace, nullspace_int_rows,
-                       rat_str, rank, rational_roots, real_root_count, scalar, scaled_sparse,
+                       rat_str, rational_roots, real_root_count, scalar, scaled_sparse,
                        sparse_mul)
 
 
@@ -207,11 +207,12 @@ def _clifford_form(inv0: Matrix, forms) -> Tuple[Optional[Matrix], list]:
 
 
 def _singular(alg: TwoStepAlgebra, x: Sequence, certificate: str) -> NonsingularVerdict:
-    """The singular verdict with witness x, after the exact check rank(ad x) < dimZ; row c of
-    ad x is x^t B_c, the product of x (cleared to ints) with each bracket form."""
+    """The singular verdict with witness x, after the exact check rank(ad x) < dimZ, the rank
+    read off the kernel of ad x; row c of ad x is x^t B_c, the product of x (cleared to ints)
+    with each bracket form."""
     xrow = [[(i, xi) for i, xi in enumerate(clear_denominators(x)) if xi]]
     ad = [sparse_mul(xrow, form)[0] for form in alg.bracket_forms[1]]
-    if rank(Matrix.from_sparse(ad, alg.dim_v)) >= alg.dim_z:
+    if alg.dim_v - len(nullspace_int_rows(ad, alg.dim_v)) >= alg.dim_z:
         raise ArithmeticError("singular witness failed its exact re-check")
     return NonsingularVerdict("singular", f"{certificate}: rank(ad X) < dim Z, verified exactly",
                               tuple(x))

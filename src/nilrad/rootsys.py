@@ -484,6 +484,16 @@ def _family_from_json(obj: Optional[dict]) -> Optional[HTypeFamilyId]:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def _length_key(k: str) -> int:
+    """A multiplicity key, a squared root length: a positive int spelled canonically
+    ("2", not "02", " 2", "+2" or "1_0"), so no two keys name one length."""
+    n = int(k)
+    if n <= 0 or str(n) != k:
+        raise ValueError(f"multiplicity keys must be positive integers in canonical form, "
+                         f"got {k!r}")
+    return n
+
+
 def entry_from_json(obj: dict) -> RealFormEntry:
     if not isinstance(obj, dict):
         raise ValueError(f"real-form entry must be a JSON object, got {type(obj).__name__}")
@@ -492,7 +502,7 @@ def entry_from_json(obj: dict) -> RealFormEntry:
             name=obj["name"],
             restricted_type=obj["restricted"]["type"],
             restricted_rank=json_int(obj["restricted"]["rank"], "rank"),
-            multiplicities={int(k): json_int(v, "a multiplicity")
+            multiplicities={_length_key(k): json_int(v, "a multiplicity")
                             for k, v in obj["multiplicities"].items()},
             phi=tuple(json_int(i, "a phi entry") for i in obj["phi"]),
             satake_label=obj.get("satake_label", ""),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
@@ -14,8 +15,8 @@ from typing import Optional
 
 import nilrad
 from nilrad.division import Tag, conj as fconj, element, mul as fmul, norm_sq, unit as funit
-from nilrad.exactlin import (Matrix, _int_rref, _primitive, clear_denominators, inverse,
-                              mat_vec, scaled_sparse, sparse_mul)
+from nilrad.exactlin import (Matrix, _primitive, clear_denominators, inverse, mat_vec,
+                              scaled_sparse, sparse_mul)
 from nilrad.htype import (
     GradedMap,
     MetricStructure,
@@ -39,6 +40,39 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
 def run_optimized(code: str) -> subprocess.CompletedProcess:
     """Run a snippet under `python -O` (asserts compiled away) with this nilrad."""
     return run_python(code, "-O")
+
+
+def int_rref(rows):
+    """Reference: the fraction-free RREF of dense integer rows, each pivot row made
+    primitive, as (pivot_columns, reduced_pivot_rows).
+
+    Pivot rows end up with positive pivots and zeros above and below each pivot;
+    a pivot row's first nonzero is its pivot, so `_primitive` makes it positive.
+    The dense reference behind `dense_kernel` and the rank, solve and inverse tests.
+    """
+    work = [_primitive(list(r)) for r in rows if any(r)]
+    pivots, prows = [], []
+    for r in work:
+        # reduce against existing pivot rows
+        for c, p in zip(pivots, prows):
+            if r[c]:
+                g = math.gcd(p[c], r[c])
+                a, b = p[c] // g, r[c] // g
+                r = [a * x - b * y for x, y in zip(r, p)]
+        if not any(r):
+            continue
+        c = next(j for j, x in enumerate(r) if x)
+        r = _primitive(r)
+        # clear the new pivot column in earlier rows
+        for k, p in enumerate(prows):
+            if p[c]:
+                g = math.gcd(r[c], p[c])
+                a, b = r[c] // g, p[c] // g
+                prows[k] = _primitive([a * x - b * y for x, y in zip(p, r)])
+        pos = bisect.bisect(pivots, c)
+        pivots.insert(pos, c)
+        prows.insert(pos, r)
+    return pivots, prows
 
 
 def _nullspace_from_rref(pivots, prows, ncols):
@@ -69,7 +103,7 @@ def dense_kernel(rows, ncols):
     for d, r in zip(dense, rows):
         for c, x in r:
             d[c] += x
-    return _nullspace_from_rref(*_int_rref(dense), ncols)
+    return _nullspace_from_rref(*int_rref(dense), ncols)
 
 
 def _fraction_actions(alg, layers, j):

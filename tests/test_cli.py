@@ -477,6 +477,9 @@ def _table_with(name, **fields):
      "malformed real-form entry 'so(2,1)': multiplicities must be positive"),
     (_table_with("so(2,1)", multiplicities={"2": 0}),
      "malformed real-form entry 'so(2,1)': multiplicities must be positive"),
+    *[(_table_with("so(3,1)", multiplicities={"2": 1, key: 7}),
+       f"malformed real-form entry 'so(3,1)': multiplicity keys must be positive integers in "
+       f"canonical form, got {key!r}") for key in ("02", " 2", "+2", "1_0")],
     (_table_with("G2(2)", restricted={"type": "G2", "rank": 5}),
      "malformed real-form entry 'G2(2)': G2 has rank 2"),
     (_table_with("sl(3,R)", restricted={"type": "D", "rank": 3}),
@@ -484,7 +487,8 @@ def _table_with(name, **fields):
 ], ids=["empty", "lowercase-a1", "abelian-with-center", "no-multiplicity", "unknown-kind",
         "three-step", "unknown-field", "phi-empty", "phi-repeated", "phi-out-of-range",
         "abelian-string-on-abelian-row", "abelian-string", "abelian-int",
-        "multiplicity-negative", "multiplicity-zero", "rank-of-fixed-type", "rank-below-minimum"])
+        "multiplicity-negative", "multiplicity-zero", "key-leading-zero", "key-space", "key-plus",
+        "key-underscore", "rank-of-fixed-type", "rank-below-minimum"])
 def test_table_rejects_an_empty_table_and_unlisted_type_spellings(tmp_path, capsys, doc,
                                                                    message, as_json):
     path = str(tmp_path / "table.json")

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import dense_det, dense_kernel, dense_mul, reference_anticommutator_scalar, run_optimized
+from conftest import (dense_det, dense_kernel, dense_mul, int_rref, reference_anticommutator_scalar,
+                      run_optimized)
 from nilrad import exactlin as el
 from nilrad.exactlin import Matrix
 
@@ -180,7 +181,7 @@ def test_block_residual_kernel_is_the_echelon_basis(system):
 
 
 def _row_primitive(row):
-    """Reference: the content normaliser `_int_rref` used before `_primitive`; it
+    """Reference: the content normaliser `int_rref` used before `_primitive`; it
     divides by the content and leaves the sign alone."""
     g = 0
     for x in row:
@@ -234,7 +235,7 @@ scaled_int_rows = st.integers(1, 6).flatmap(lambda n: st.lists(
 @example([[-2, 4, 6], [0, -3, 9]])
 def test_int_rref_pivot_rows_are_primitive_with_positive_pivots(rows):
     before = [list(r) for r in rows]
-    pivots, prows = el._int_rref(rows)
+    pivots, prows = int_rref(rows)
     assert rows == before
     assert (pivots, prows) == _sign_flip_rref(rows)
     for c, p in zip(pivots, prows):
@@ -287,7 +288,8 @@ def test_verify_kernel_of_no_vector_reads_no_row():
 
 def test_kernel_certification_survives_optimize_flag():
     # a wrong kernel vector must raise even when asserts are compiled away:
-    # every vector wrong, and one wrong vector among several
+    # every vector wrong, and one wrong vector among several, in a kernel and
+    # in the kernel behind an inverse
     proc = run_optimized("""
         import sys
         from nilrad import exactlin as el
@@ -300,20 +302,24 @@ def test_kernel_certification_survives_optimize_flag():
         rows += [[(c + 4, x) for c, x in r] for r in rows]
         if len(el.nullspace_int_rows(rows, 8)) != 2:
             sys.exit(3)
-        right, calls = el._primitive, []
+        right, m = el._primitive, el.Matrix.from_rows([[1, 2], [3, 4]])
+        # the kernel itself, and the kernel of [m | -I] that `inverse` reads
+        for run in (lambda: el.nullspace_int_rows(rows, 8), lambda: el.inverse(m)):
+            calls = []
 
-        def second_wrong(v):
-            calls.append(v)
-            return right(v) if len(calls) == 1 else [1] * len(v)
+            def second_wrong(v):
+                calls.append(v)
+                return right(v) if len(calls) == 1 else [1] * len(v)
 
-        for wrong in (lambda v: [1] * len(v), second_wrong):
-            el._primitive = wrong
-            try:
-                el.nullspace_int_rows(rows, 8)
-            except ArithmeticError:
-                continue
-            sys.exit(1)
-        sys.exit(0 if len(calls) == 2 else 4)
+            for wrong in (lambda v: [1] * len(v), second_wrong):
+                el._primitive = wrong
+                try:
+                    run()
+                except ArithmeticError:
+                    continue
+                sys.exit(1)
+            if len(calls) != 2:
+                sys.exit(4)
     """)
     assert proc.returncode == 0, proc.stderr
 
@@ -1072,13 +1078,78 @@ def test_a_repeated_string_is_read_once():
 
 
 def _echelon_inverse(m):
-    """Reference: m^{-1} read off `_int_rref` of [m | I], as `inverse` does for a
-    matrix that is not diagonal."""
+    """Reference: m^{-1} read off the dense echelon form `int_rref` of [m | I];
+    None when m is singular."""
     n = m.rows
-    pivots, prows = el._int_rref(el._int_rows(Matrix.from_rows(
-        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.data)])))
-    assert pivots == list(range(n))
+    pivots, prows = int_rref([el.clear_denominators([*r] + [int(i == j) for j in range(n)])
+                              for i, r in enumerate(m.data)])
+    if pivots != list(range(n)):
+        return None
     return [[el.quotient(x, p[i]) for x in p[n:]] for i, p in enumerate(prows)]
+
+
+def _echelon_rank(m):
+    """Reference: the pivots of the dense echelon form of m, each row cleared on its own."""
+    return len(int_rref([el.clear_denominators(r) for r in m.data])[0])
+
+
+def _echelon_solve(m, rhs):
+    """Reference: the solution of m x = rhs with free variables zero, read off the
+    dense echelon form of [m | rhs]; None when column m.cols is a pivot column."""
+    pivots, prows = int_rref([el.clear_denominators([*r, F(b)]) for r, b in zip(m.data, rhs)])
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for c, p in zip(pivots, prows):
+        x[c] = F(p[m.cols], p[c])
+    return tuple(x)
+
+
+@st.composite
+def echelon_cases(draw):
+    """(m, rhs): rational matrices up to 5 x 5, 0 rows or columns allowed, often singular:
+    rows may be zero or multiples (repeats among them) of earlier rows, and the int
+    entries are mixed with Fractions, integral ones too."""
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), rationals)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "multiple"])) if rows else "fresh"
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "multiple":
+            c = draw(st.sampled_from([1, F(1), -2, F(3, 5)]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return Matrix(nrows, ncols, tuple(tuple(map(el.scalar, r)) for r in rows)), rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_cases())
+@example((Matrix(3, 3, ((1, 2, 3), (1, 2, 3), (0, 0, 0))), [F(1), F(1), F(0)]))
+@example((Matrix(2, 0, ((), ())), [F(0), F(1)]))
+@example((Matrix(2, 2, ((F(1, 2), F(1, 3)), (F(1, 4), F(1, 6)))), [F(1), F(1, 2)]))
+@example((Matrix(2, 2, ((F(1, 2), F(1, 3)), (F(-1, 4), F(1, 6)))), [F(1), F(1, 2)]))
+def test_rank_solve_and_inverse_equal_the_dense_echelon_reference(case):
+    # the answers read off the kernel must be those the dense echelon form gives,
+    # value and type: ints where integral, reduced Fractions otherwise
+    m, rhs = case
+    assert el.rank(m) == _echelon_rank(m)
+    got, want = el.solve(m, rhs), _echelon_solve(m, rhs)
+    assert got == want
+    assert got is None or all(type(x) is F for x in got)
+    if m.rows == m.cols:
+        want = _echelon_inverse(m)
+        if want is None:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                el.inverse(m)
+        else:
+            got = el.inverse(m).to_rows()
+            assert got == want
+            assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
 
 
 diagonal_entries = st.one_of(
