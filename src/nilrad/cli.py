@@ -57,8 +57,15 @@ VERDICT_EXIT = {"nonsingular": EXIT_OK, "irreducible": EXIT_OK,
 MAX_METRIC_DIM = 512
 
 
+# most unknowns, n(n+1)/2 at dimV = n, of the commutant kernel that probe-irreducible
+# solves: dimV 128 (8,256 unknowns) takes about 5 s and 125 MB on a 2-CPU x86 host, and
+# dimV 141 is the first refused
+MAX_PROBE_UNKNOWNS = 10_000
+
+
 class MetricResourceError(RuntimeError):
-    """Raised when a metric verb's input or a constructed family exceeds MAX_METRIC_DIM."""
+    """Raised when a metric verb's input or a constructed family exceeds MAX_METRIC_DIM,
+    or a probe's commutant exceeds MAX_PROBE_UNKNOWNS."""
 
 
 def _emit(doc: dict, as_json: bool, text: str) -> None:
@@ -272,6 +279,10 @@ def _cmd_identify(args) -> int:
 
 def _cmd_probe(args) -> int:
     ms = _load_metric(args.file)
+    n = ms.algebra.dim_v
+    if n * (n + 1) // 2 > MAX_PROBE_UNKNOWNS:
+        raise MetricResourceError(f"dimV = {n}: the commutant has {n * (n + 1) // 2} unknowns, "
+                                  f"above the ceiling of {MAX_PROBE_UNKNOWNS}")
     verdict = irreducibility_probe(ms)
     doc = {"command": "probe-irreducible", "file": args.file,
            "verdict": verdict.kind, "detail": verdict.detail}

@@ -28,9 +28,11 @@ return primitive integer vectors; `Fraction` enters only when
 elimination for every size: the columns of the one-term rows are zeroed
 before the rows are indexed, structured elimination drains the rows with
 one or two nonzeros, each leftover row is reduced in place at its smallest
-column, and one back-substitution over all pivots, largest column first,
-recovers the echelon-form basis of the whole system.  Every vector is
-certified by exact integer substitution into every original row.
+column, and one back-substitution per free column, pushing each new entry
+to the pivots that read it and taking them largest column first, recovers
+the echelon-form basis of the whole system.  A pivot that divides the entry
+it eliminates reduces the row with no scaling and no content gcd.  Every
+vector is certified by exact integer substitution into every original row.
 Polynomials are read off one Sturm chain in ints: `real_root_count` counts
 their distinct real roots, and `rational_roots` isolates them by bisection
 and finds every rational root, with no cap on the coefficients.
@@ -38,8 +40,8 @@ and finds every rational root, with no cap on the coefficients.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import heapq
 import math
 import re
 from collections import deque
@@ -421,15 +423,23 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
     a row that lies wholly inside them is not stored.  Structured
     elimination then drains the rows with one or two nonzeros: a
     singleton a x_c = 0 sets x_c = 0, and a doubleton a x_i + b x_j = 0
-    with i < j, negated if need be so that a > 0, substitutes x_i = -b/a x_j
-    into every row holding i, so no row gains a nonzero or is scaled by a
-    negative factor.  Each residual row is reduced in place at its smallest
-    column against the residual pivot rows so far, until that column is no
-    pivot column, and pivots there with a positive entry.  Every pivot row
-    a x_i + sum b_j x_j = 0 has a > 0 and only columns j > i, so the free
-    columns are those of the reduced echelon form.  Each free column's unit
-    vector is back-substituted through the pivots below it, largest column
-    first (an early residual row may hold a later one's pivot), into the
+    with i < j, divided by gcd(a, b) and negated if need be so that a > 0,
+    substitutes x_i = -b/a x_j into every row holding i, so no row gains a
+    nonzero or is scaled by a negative factor.  Each residual row is reduced
+    in place at its smallest column against the residual pivot rows so far,
+    until that column is no pivot column, and pivots there with a positive
+    entry.  Both steps take a row's entry x at the pivot a as it comes: when
+    a | x the row loses (x / a) times the pivot row, with no scaling and no
+    content gcd; otherwise it is scaled by a / gcd(a, x) first and divided
+    by its content after.  Every pivot row a x_i + sum b_j x_j = 0 has a > 0
+    and only columns j > i, so the free columns are those of the reduced
+    echelon form.  Each free column's vector starts as its unit vector and
+    is back-substituted by pushing: each new entry x_j adds b x_j to the
+    pending sum of every pivot row that holds j (one index, column -> rows),
+    and the pivots with a pending sum leave a heap largest column first (an
+    early residual row may hold a later one's pivot).  A sum that has
+    cancelled to zero sets nothing; a sum y that a does not divide scales
+    the vector and every pending sum by a / gcd(a, y).  The result is the
     echelon-form basis: entries coprime, first nonzero positive.  Every
     vector is certified against every input row by exact substitution.
     """
@@ -478,17 +488,19 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                     queue.append(m)
         else:
             (i, a), (j, b) = sorted(d.items())
-            if a < 0:
-                a, b = -a, -b
+            g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+            a, b = a // g, b // g
             subs.append((i, a, ((j, b),)))
             for m in holds[i]:
                 r = work[m]
                 x = r.pop(i)
-                g = math.gcd(a, x)
-                s, t = a // g, x // g
-                if s != 1:
+                if x % a:
+                    g = math.gcd(a, x)
+                    s, t = a // g, x // g
                     for c in r:
                         r[c] *= s
+                else:
+                    s, t = 1, x // a
                 y = r.get(j, 0) - t * b
                 if y:
                     r[j] = y
@@ -496,10 +508,11 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
                 elif j in r:
                     del r[j]
                     holds[j].discard(m)
-                g = math.gcd(*r.values())
-                if g > 1:
-                    for c in r:
-                        r[c] //= g
+                if s != 1:
+                    g = math.gcd(*r.values())
+                    if g > 1:
+                        for c in r:
+                            r[c] //= g
                 if len(r) <= 2:
                     queue.append(m)
         dead.add(i)
@@ -507,41 +520,65 @@ def nullspace_int_rows(rows: Sequence[SparseRow], ncols: int) -> List[List[int]]
     for r in work:
         while r and (c := min(r)) in pivots:
             (a, terms), x = pivots[c], r.pop(c)
-            g = math.gcd(a, x)
-            s, t = a // g, x // g
-            if s != 1:
+            if x % a:
+                g = math.gcd(a, x)
+                s, t = a // g, x // g
                 for k in r:
                     r[k] *= s
+            else:
+                s, t = 1, x // a
             for k, y in terms:
                 y = r.get(k, 0) - t * y
                 if y:
                     r[k] = y
                 else:
                     del r[k]
-            g = math.gcd(*r.values())
-            if g > 1:
-                for k in r:
-                    r[k] //= g
+            if s != 1:
+                g = math.gcd(*r.values())
+                if g > 1:
+                    for k in r:
+                        r[k] //= g
         if r:
             if r[c] < 0:
                 r = {k: -y for k, y in r.items()}
             pivots[c] = (r.pop(c), tuple(r.items()))
-    subs = sorted(subs + [(c, *sub) for c, sub in pivots.items()])
+    readers: List[list] = [[] for _ in range(ncols)]    # column j -> (i, -b) per pivot row
+    pivot_a = {}
+    for i, a, terms in subs + [(c, *sub) for c, sub in pivots.items()]:
+        pivot_a[i] = a
+        for j, b in terms:
+            readers[j].append((i, -b))
     basis = []
     for f in sorted(set(range(ncols)).difference(dead, pivots)):
-        v = [0] * ncols
-        v[f] = 1
-        # a pivot above f reads only columns above f, so it stays zero
-        for i, a, terms in reversed(subs[:bisect.bisect(subs, (f,))]):
+        v, sums, heap = {}, {}, []      # sums[i] = -(sum of b x_j) so far, for each i on the heap
+        i, x = f, 1
+        while True:
+            v[i] = x
+            for k, b in readers[i]:
+                if k in sums:
+                    sums[k] += b * x
+                else:
+                    sums[k] = b * x
+                    heapq.heappush(heap, -k)
             y = 0
-            for j, b in terms:
-                y -= b * v[j]
+            while heap and not y:
+                i = -heapq.heappop(heap)
+                y = sums.pop(i)
+            if not y:
+                break
+            a = pivot_a[i]
             if y % a:
                 s = a // math.gcd(a, y)
-                v = [x * s for x in v]
+                for k in v:
+                    v[k] *= s
+                for k in sums:
+                    sums[k] *= s
                 y *= s
-            v[i] = y // a
-        basis.append(_primitive(v))
+            x = y // a
+        vec = [0] * ncols
+        for k, x in v.items():
+            vec[k] = x
+        basis.append(_primitive(vec))
     if not verify_kernel(rows, basis):
         raise ArithmeticError("kernel failed certification by substitution")
     return basis

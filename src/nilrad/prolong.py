@@ -133,13 +133,16 @@ def _leibniz_rows(alg: TwoStepAlgebra, k: int, layers: Sequence[ProlongationLaye
     off2 = nv * d1       # U2 coordinates start here
     rows: List[List[Tuple[int, int]]] = []
 
-    # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i], times d s1
+    # pairs in V x V: u2([x_i, x_j]) = [u1(x_i), x_j] - [u1(x_j), x_i], times d s1;
+    # av1 pre-scaled to (b dimV, x d), so each term is one addition
+    av1 = [[[]] * d2] * nv if av1 is None else [
+        [[(b * nv, x * d) for b, x in terms] for terms in col] for col in av1]
     for i, j in itertools.combinations(range(nv), 2):
-        for t in range(d2):
-            row = [(off2 + t * nz + a, c * s1) for a, c in pairs.get((i, j), ())]
-            if av1 is not None:
-                row += [(b * nv + i, -x * d) for b, x in av1[j][t]]
-                row += [(b * nv + j, x * d) for b, x in av1[i][t]]
+        pair = [(off2 + a, c * s1) for a, c in pairs.get((i, j), ())]
+        for t, p, q in zip(itertools.count(0, nz), av1[j], av1[i]):
+            row = [(u + t, c) for u, c in pair]
+            row += [(b + i, -x) for b, x in p]
+            row += [(b + j, x) for b, x in q]
             if row:
                 rows.append(row)
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from conftest import (FLEET, INDEFINITE_DIMV4, NON_CLIFFORD_DIMV8, UNIT_PAIRS, f
                       free_two_step, mix_z, pencil_findings, random_thirds, rebase_v, rebase_z,
                       run_python, transfer_pairs)
 from nilrad import cli, nilalg
-from nilrad.cli import MAX_METRIC_DIM, main
+from nilrad.cli import MAX_METRIC_DIM, MAX_PROBE_UNKNOWNS, main
 from nilrad.division import Tag
 from nilrad.exactlin import Matrix
 from nilrad.htype import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, dilation, is_htype,
@@ -144,6 +145,26 @@ def test_prolong_basis_json_is_the_indent_encoders_bytes(tmp_path, capsys, monke
            "verdict": res.verdict, "last_nonzero_degree": res.last_nonzero}
     assert code == 0
     assert out == reference_basis_json(doc, res.layers)
+
+
+# sha256 of `prolong FILE --max-degree K --stop-when-zero --basis --json`, run in the
+# file's directory, for the kernel's canonical echelon bases: any change to the
+# elimination that moves one basis entry, or one byte of the writer, moves these
+PINNED_BASIS_SHA256 = [
+    ("h1O", 3, "bbe5ff77965966a6dca27eb65b317c11efa325a3546d97066210a20629bb87a1"),
+    ("cliff8x2", 1, "5a28b47fc945527ad7a949fe8da726ef89c6a4cde4473e91efb406480a8b1945"),
+]
+
+
+@pytest.mark.parametrize("key,degree,digest", PINNED_BASIS_SHA256)
+def test_prolong_basis_json_bytes_are_pinned(tmp_path, capsys, monkeypatch, key, degree, digest):
+    alg = make_h(Tag.O, 1).algebra if key == "h1O" else make_clifford_module_algebra(8, 2).algebra
+    monkeypatch.chdir(tmp_path)
+    nilalg.save(f"{key}.json", alg)
+    code, out, _ = run(capsys, "prolong", f"{key}.json", "--max-degree", str(degree),
+                       "--stop-when-zero", "--basis", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_basis_writer_on_hand_built_layers():
@@ -780,6 +801,25 @@ def test_prolong_runs_without_numpy(tmp_path):
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == "0 [11, 8, 4, 0]"
+
+
+def test_probe_refuses_a_commutant_above_the_unknown_ceiling(tmp_path, capsys):
+    # n(n+1)/2 unknowns at dimV = n: h_16(H) (dimV 128) answers, dimV 141 is the first refused
+    assert 128 * 129 // 2 <= 140 * 141 // 2 <= MAX_PROBE_UNKNOWNS < 141 * 142 // 2
+    for n in (141, 512):
+        path = tmp_path / f"v{n}.json"
+        path.write_text(json.dumps({"dimV": n, "dimZ": 0, "brackets": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "probe-irreducible", str(path), "--json")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err == (f"resource guard: dimV = {n}: the commutant has {n * (n + 1) // 2} "
+                       f"unknowns, above the ceiling of {MAX_PROBE_UNKNOWNS}\n")
+    # below the ceiling the probe runs, and this metric is not H-type
+    path = tmp_path / "v140.json"
+    path.write_text(json.dumps({"dimV": 140, "dimZ": 0, "brackets": []}))
+    code, out, err = run(capsys, "probe-irreducible", str(path), "--json")
+    assert (code, out) == (2, "") and "H-type" in err
 
 
 def test_metric_verbs_refuse_huge_layers_before_allocating(tmp_path, capsys):

@@ -335,6 +335,53 @@ def test_back_substitution_takes_the_pivots_by_column_not_by_creation():
     assert got == dense_kernel(rows, 6) == [[3, 2, -2, 2, -1, 0], [0, 1, 0, 1, 0, -1]]
 
 
+# every row has three terms, so each is a residual pivot row as given: pivot 0 reads
+# columns 1 and 4, pivot 1 columns 2 and 3, pivot 2 columns 4 and 5, pivot 3 (a = 2)
+# columns 4 and 5.  For the free column 4, pivot 3 scales the vector by 2 while the sums
+# of pivots 0 and 2 are pending, the sum of pivot 1 then cancels to zero, and pivot 0,
+# taken after it, is nonzero
+PENDING_SYSTEM = (6, [[(0, 1), (1, 1), (4, 1)], [(1, 1), (2, 1), (3, -2)],
+                      [(2, 1), (4, 1), (5, 1)], [(3, 2), (4, 1), (5, 1)]])
+
+# a x0 + b x1 = 0 with content 2 or 3, against rows holding column 0 whose entries the
+# reduced pivot divides (4, 6) and does not (3, 9), one of them scaled by a word-size prime
+CONTENT_SYSTEM = (5, [[(0, 2), (1, -2)], [(0, 4), (2, 6), (3, 1)], [(0, 3), (2, 9), (4, 2)],
+                      [(0, 6), (1, 3), (3, 3 * WORD_PRIMES[0])], [(1, 3), (4, -6)]])
+
+
+@st.composite
+def doubleton_rich_systems(draw):
+    """(ncols, rows): mostly doubletons whose coefficients are 1, 2, 3, 4, 6 or 9 in either
+    sign, so reduced pivots of 2 and 3 meet entries they divide and entries they do not;
+    rows of three or four terms that stay in the residual, whose back-substitution scales
+    while other sums are pending and may cancel a sum to zero; each row scaled by 2 or 3
+    (content 2 or 3) or by a word-size prime, or left as drawn."""
+    n = draw(st.integers(2, 12))
+    col, coef = st.integers(0, n - 1), st.sampled_from((1, 2, 3, 4, 6, 9, -1, -2, -3, -4, -6, -9))
+    doubleton = st.lists(st.tuples(col, coef), min_size=2, max_size=2, unique_by=lambda t: t[0])
+    longer = st.lists(st.tuples(col, coef), min_size=3, max_size=4, unique_by=lambda t: t[0])
+    rows = draw(st.lists(st.one_of(doubleton, doubleton, longer), min_size=1, max_size=12))
+    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3) + WORD_PRIMES),
+                           min_size=len(rows), max_size=len(rows)))
+    return n, [[(c, x * k) for c, x in r] for r, k in zip(rows, scales)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(doubleton_rich_systems())
+@example(PENDING_SYSTEM)
+@example(CONTENT_SYSTEM)
+def test_exact_division_and_pushed_back_substitution_give_the_echelon_basis(system):
+    ncols, rows = system
+    assert el.nullspace_int_rows(rows, ncols) == dense_kernel(rows, ncols)
+
+
+def test_back_substitution_scales_pending_sums_and_passes_a_cancelled_one():
+    # see PENDING_SYSTEM: the free column 4 gives (-2, 0, -2, -1, 2, 0) before the sign
+    ncols, rows = PENDING_SYSTEM
+    got = el.nullspace_int_rows(rows, ncols)
+    assert got == dense_kernel(rows, ncols) == [[2, 0, 2, 1, -2, 0], [0, 0, 2, 1, 0, -2]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: small_matrix(n, n)))
 def test_inverse_two_sided_or_singular(m):
